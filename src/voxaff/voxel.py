@@ -181,6 +181,11 @@ class DenseGrid:
         return cls(resolution=resolution, channels=channels, values=cube)
 
 
+def flat_index(indices: Array, r: int) -> Array:
+    """Flat x-fastest cell index ``ix + r*iy + r^2*iz`` of (n, 3) index triples."""
+    return indices[:, 0] + r * indices[:, 1] + r * r * indices[:, 2]
+
+
 @functools.lru_cache(maxsize=32)
 def flat_order_indices(r: int) -> Array:
     """(r^3, 3) index triples enumerated in the x-fastest flat order."""
@@ -260,10 +265,12 @@ class AffordanceHeatmap:
 
     def check_support(self, occupied: Array):
         """Raise unless every heated position appears in ``occupied``."""
-        occ = {tuple(row) for row in as_index_array(occupied)}
-        missing = [tuple(row) for row in self.positions if tuple(row) not in occ]
+        r = self.resolution
+        occ = as_index_array(occupied)
+        occ = occ[np.all((occ >= 0) & (occ < r), axis=1)]
+        missing = np.count_nonzero(~np.isin(flat_index(self.positions, r), flat_index(occ, r)))
         if missing:
-            raise SupportError(f"{len(missing)} heatmap positions outside occupancy")
+            raise SupportError(f"{missing} heatmap positions outside occupancy")
 
     def value_lookup(self) -> dict:
         return {tuple(pos): float(val) for pos, val in zip(self.positions, self.values)}
@@ -398,8 +405,7 @@ def _pe_table(r: int, dim: int) -> Array:
 def encode_positions(positions: Array, r: int, dim: int) -> Array:
     """Positional encodings for many index triples at once."""
     positions = _check_indices(np.asarray(positions), r, "positions")
-    flat = positions[:, 0] + r * positions[:, 1] + r * r * positions[:, 2]
-    return _pe_table(r, dim)[flat]
+    return _pe_table(r, dim)[flat_index(positions, r)]
 
 
 def to_condition(grid: SparseVoxelGrid) -> ConditionTokens:

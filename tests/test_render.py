@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import voxaff.pipeline as pl
 import voxaff.render as rd
 import voxaff.synthscene as sc
 from voxaff.errors import CameraInsideCubeError, DomainError, SupportError
@@ -274,6 +275,141 @@ def test_render_affordance_requires_support():
     view = _axis_view(0, -1, eval_intrinsics(16))
     with pytest.raises(SupportError):
         rd.render_affordance([(2, 2, 2)], heat, view)
+
+
+# --- ray tables ---------------------------------------------------------------
+
+
+def _assert_table_matches_march(occupied, r, view, rng):
+    """First-hit mask, cell and heat from the table equal those of the march."""
+    occupied = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
+    strides = np.array([1, r, r * r])
+    hit, _, cells, _, _, _ = rd._traverse(rd.occupancy_cube(occupied, r), view)
+    first = cells @ strides
+    # Heat (flat + 1) / (r^3 + 1) on every occupied cell names the first hit.
+    tagged = AffordanceHeatmap(
+        resolution=r, positions=occupied, values=(occupied @ strides + 1.0) / (r**3 + 1.0)
+    )
+    seen = rd.render_affordance(occupied, tagged, view).values.ravel()
+    assert np.array_equal(seen > 0, hit)
+    assert np.array_equal(np.rint(seen[hit] * (r**3 + 1.0)).astype(np.int64) - 1, first[hit])
+    keep = rng.random(len(occupied)) < 0.5
+    heat = AffordanceHeatmap(
+        resolution=r, positions=occupied[keep], values=rng.random(int(keep.sum()))
+    )
+    values = np.zeros(r**3)
+    values[heat.positions @ strides] = heat.values
+    expect = np.where(hit, values[first], 0.0).reshape(view.intrinsics.height, -1)
+    assert np.array_equal(rd.render_affordance(occupied, heat, view).values, expect)
+
+
+@pytest.mark.parametrize("seed", range(1000, 1020))
+def test_ray_table_matches_march_on_every_shipped_candidate(seed):
+    # Ground-truth occupancy, then a seeded random subset of it standing in
+    # for a partial reconstruction.
+    r = 8
+    rng = np.random.default_rng(seed)
+    truth = sc.occupied_indices(sc.generate_object(seed), r)
+    partial = truth[rng.random(len(truth)) < 0.6]
+    for view in hemisphere_candidates(40, intrinsics=eval_intrinsics(128)):
+        for occupied in (truth, partial):
+            _assert_table_matches_march(occupied, r, view, rng)
+
+
+def test_ray_table_matches_march_at_r16():
+    r = 16
+    rng = np.random.default_rng(16)
+    for seed in (1000, 1001):
+        truth = sc.occupied_indices(sc.generate_object(seed), r)
+        for view in hemisphere_candidates(40, intrinsics=eval_intrinsics(48)):
+            _assert_table_matches_march(truth, r, view, rng)
+
+
+def test_ray_table_non_square_image():
+    intr = CameraIntrinsics(fx=30.0, fy=28.0, cx=21.0, cy=11.5, width=40, height=24)
+    view = Viewpoint(intrinsics=intr, pose=look_at([1.2, -1.0, 1.1], [0.0, 0.0, 0.0]))
+    truth = sc.occupied_indices(sc.generate_object(1003), 8)
+    _assert_table_matches_march(truth, 8, view, np.random.default_rng(0))
+    assert rd._ray_table(view, 8).rows.shape == (40 * 24,)
+
+
+def test_ray_table_view_that_misses_the_cube():
+    # On the +z axis looking further up: no ray meets the cube.
+    view = Viewpoint(
+        intrinsics=eval_intrinsics(16),
+        pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0])),
+    )
+    table = rd._ray_table(view, 8)
+    assert table.cells.size == 0 and table.lengths.size == 0
+    assert not table.rows.any()
+    truth = sc.occupied_indices(sc.generate_object(1004), 8)
+    _assert_table_matches_march(truth, 8, view, np.random.default_rng(1))
+
+
+def test_ray_table_cells_widen_past_uint16():
+    # r^3 + 1 = 68922 needs more than 16 bits; r = 40 still fits.
+    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[7]
+    assert rd._ray_table(view, 40).cells.dtype == np.uint16
+    table = rd._ray_table(view, 41)
+    assert table.cells.dtype == np.uint32
+    assert table.cells.max() >= 2**16
+    truth = sc.occupied_indices(sc.generate_object(1005), 41)
+    _assert_table_matches_march(truth, 41, view, np.random.default_rng(2))
+
+
+def test_render_affordance_rejects_camera_inside_cube():
+    view = Viewpoint(
+        intrinsics=eval_intrinsics(16),
+        pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.2])),
+    )
+    heat = AffordanceHeatmap.from_entries(8, {(0, 0, 0): 0.5}, logits=False)
+    with pytest.raises(CameraInsideCubeError):
+        rd.render_affordance([(0, 0, 0)], heat, view)
+
+
+def test_ray_table_arrays_are_read_only():
+    table = rd._ray_table(hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[3], 8)
+    for array in table:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        table.cells[0] = 0
+
+
+def test_ray_table_cache_keys_on_intrinsics_and_resolution():
+    cache = rd._cached_ray_table
+    cache.cache_clear()
+    pose = hemisphere_candidates(40)[11].pose
+    for size in (16, 24):
+        rd._ray_table(Viewpoint(intrinsics=eval_intrinsics(size), pose=pose), 8)
+    rd._ray_table(Viewpoint(intrinsics=eval_intrinsics(16), pose=pose), 12)
+    assert cache.cache_info().currsize == 3
+    rd._ray_table(Viewpoint(intrinsics=eval_intrinsics(24), pose=pose), 8)
+    assert cache.cache_info().misses == 3 and cache.cache_info().hits == 1
+
+
+def test_ray_table_cache_stays_within_its_bound():
+    cache = rd._cached_ray_table
+    cache.cache_clear()
+    for view in hemisphere_candidates(rd.RAY_TABLE_CACHE_SIZE + 6, intrinsics=eval_intrinsics(4)):
+        rd._ray_table(view, 4)
+        assert cache.cache_info().currsize <= rd.RAY_TABLE_CACHE_SIZE
+    assert cache.cache_info().currsize == rd.RAY_TABLE_CACHE_SIZE
+
+
+def test_second_selection_over_same_candidates_hits_the_cache():
+    r = 8
+    cands = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))
+    occ = sc.occupied_indices(sc.generate_object(1006), r)
+    heat = AffordanceHeatmap(resolution=r, positions=occ, values=np.full(len(occ), 0.5))
+    cache = rd._cached_ray_table
+    cache.cache_clear()
+    first = pl.select_next_view(occ, heat, cands)
+    before = cache.cache_info()
+    second = pl.select_next_view(occ, heat, cands)
+    after = cache.cache_info()
+    assert after.hits - before.hits == 40
+    assert after.misses == before.misses
+    assert (second.index, second.scores) == (first.index, first.scores)
 
 
 # --- serialization ----------------------------------------------------------

@@ -8,7 +8,7 @@ are unprojected at their centers, and cells are floor((p + 0.5) * r).
 import numpy as np
 import pytest
 
-from voxaff.errors import DomainError, EmptyConditionError, ShapeMismatchError
+from voxaff.errors import DomainError, EmptyConditionError, ShapeMismatchError, SupportError
 from voxaff import geometry as geo
 from voxaff import voxel as vx
 
@@ -320,6 +320,16 @@ class TestHeatmap:
         heat.check_support(np.array([[0, 0, 0], [1, 1, 1]]))
         with pytest.raises(Exception):
             heat.check_support(np.array([[1, 1, 1]]))
+
+    def test_support_check_counts_missing_positions(self):
+        # (4, 0, 0) lies outside the r = 4 lattice; its flat index equals
+        # that of (0, 1, 0), which must still count as missing.
+        heat = vx.AffordanceHeatmap(
+            resolution=4, positions=np.array([[0, 0, 0], [0, 1, 0], [3, 3, 3]]),
+            values=np.array([1.0, 0.5, 0.25]),
+        )
+        with pytest.raises(SupportError, match="^2 heatmap positions outside occupancy$"):
+            heat.check_support(np.array([[3, 3, 3], [4, 0, 0]]))
 
     def test_probability_range_enforced(self):
         with pytest.raises(DomainError):
