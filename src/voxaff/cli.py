@@ -41,10 +41,10 @@ from .pipeline import (
     active_loop,
     ground,
     reconstruct,
-    render_observation,
     trace_to_dict,
     worst_initial_view,
 )
+from .render import render_views
 from .synthscene import (
     default_query_table,
     generate_object,
@@ -189,7 +189,7 @@ def _pipeline_config(run: RunConfig) -> PipelineConfig:
 def _observe(obj, k: int, run: RunConfig):
     """First k spread-out hemisphere observations of an object."""
     views = hemisphere_candidates(k, intrinsics=eval_intrinsics(run.image_size))
-    return [render_observation(obj, v, run.resolution, run.channels) for v in views]
+    return [(*render_views(obj, v, run.resolution, run.channels), v) for v in views]
 
 
 # --- subcommands ----------------------------------------------------------------

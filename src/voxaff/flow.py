@@ -30,24 +30,6 @@ def _check_same_shape(a: Array, b: Array, what: str):
 
 
 @dataclass(frozen=True)
-class FlowState:
-    """A tensor part-way along the noising path, tagged with its time."""
-
-    values: Array
-    t: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if not 0.0 <= self.t <= 1.0:
-            raise DomainError(f"flow time {self.t} outside [0, 1]")
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("flow state values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class FlowConfig:
     """Sampler/corruption settings.
 

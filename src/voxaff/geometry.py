@@ -18,7 +18,6 @@ with identical arguments return bit-identical poses.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -348,11 +347,3 @@ def viewpoint_from_dict(data: dict) -> Viewpoint:
         raise DomainError("pose matrix must have homogeneous bottom row")
     pose = Pose(rotation=m[:3, :3], translation=m[:3, 3])
     return Viewpoint(intrinsics=intr, pose=pose)
-
-
-def viewpoint_to_json(view: Viewpoint) -> str:
-    return json.dumps(viewpoint_to_dict(view), sort_keys=True)
-
-
-def viewpoint_from_json(text: str) -> Viewpoint:
-    return viewpoint_from_dict(json.loads(text))

@@ -23,6 +23,7 @@ until training actually uses the condition.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,11 +41,9 @@ from .geometry import VIEW_RADIUS, CameraIntrinsics, Viewpoint, _up_for, eval_in
 from .render import render_views
 from .synthscene import (
     QueryTable,
-    SyntheticObject,
     default_query_table,
     ground_truth_affordance,
     ground_truth_occupancy,
-    occupied_indices,
 )
 from .voxel import backproject_view, encode_positions, flat_order_indices, fuse, to_condition
 
@@ -264,7 +263,7 @@ def adam_update(
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Knobs for both training loops (optimizer, sampling, model size)."""
+    """Knobs for the training loop (optimizer, sampling, model size)."""
 
     steps: int = 2000
     batch_size: int = 1
@@ -283,6 +282,12 @@ class TrainerConfig:
     ema_rate: float | None = None
 
     def __post_init__(self):
+        for name in (
+            "steps", "batch_size", "seed", "resolution", "channels", "view_pixels", "hidden", "depth"
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"trainer {name} must be an integer, got {value!r}")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch size must be positive")
         if self.learning_rate <= 0:
@@ -330,15 +335,35 @@ def _corruption(x0: Array, flow_cfg: FlowConfig, rng: np.random.Generator):
     return t, eps, interpolate(target, eps, t), target
 
 
-def _accumulate(total: dict | None, grads: dict) -> dict:
-    if total is None:
-        return {k: g.copy() for k, g in grads.items()}
-    for k, g in grads.items():
-        total[k] += g
-    return total
+def _fit(model: VelocityModel, sample_fn, cfg: TrainerConfig) -> TrainResult:
+    """The training loop both trainers share.
 
-
-def _finish(model, losses, cfg, adam, ema):
+    ``sample_fn(rng)`` makes every random draw of one batch item and
+    returns ``(tokens, cond, t, loss_fn)``.  Each step averages the batch
+    gradients into one Adam update and, when ``cfg.ema_rate`` is set,
+    folds the parameters into an EMA that replaces them at the end.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    adam = AdamState.for_params(model.params)
+    ema = {k: p.copy() for k, p in model.params.items()} if cfg.ema_rate else None
+    losses = np.zeros(cfg.steps)
+    for step in range(cfg.steps):
+        total_grads, total_loss = None, 0.0
+        for _ in range(cfg.batch_size):
+            tokens, cond, t, loss_fn = sample_fn(rng)
+            loss, grads = backward(model, loss_fn, (tokens, cond, t))
+            if total_grads is not None:
+                grads = {k: total_grads[k] + g for k, g in grads.items()}
+            total_grads = grads
+            total_loss += loss
+        mean_grads = {k: g / cfg.batch_size for k, g in total_grads.items()}
+        adam_update(
+            model.params, mean_grads, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
+        )
+        if ema is not None:
+            for k in ema:
+                ema[k] = cfg.ema_rate * ema[k] + (1.0 - cfg.ema_rate) * model.params[k]
+        losses[step] = total_loss / cfg.batch_size
     if ema is not None:
         model.params = ema
     model.steps_trained = cfg.steps
@@ -363,53 +388,36 @@ def train_structure(
         raise DataError("structure training needs a non-empty dataset")
     if flow_cfg is None:
         flow_cfg = FlowConfig.for_structure()
-    rng = np.random.default_rng(cfg.seed)
     r, channels = cfg.resolution, cfg.channels
     intrinsics = eval_intrinsics(cfg.view_pixels)
     pe = encode_positions(flat_order_indices(r), r, PE_DIM)
     clean = [ground_truth_occupancy(obj, r).flat()[:, 0] for obj in dataset]
+    zero_cond = np.zeros(channels)
+
+    def sample(rng):
+        pick = int(rng.integers(len(dataset)))
+        obj, x0 = dataset[pick], clean[pick]
+        n_views = int(rng.integers(cfg.view_range[0], cfg.view_range[1] + 1))
+        grids = []
+        for _ in range(n_views):
+            view = random_hemisphere_view(rng, intrinsics)
+            depth_img, feats = render_views(obj, view, r, channels)
+            grids.append(backproject_view(depth_img.values, feats, view, r))
+        cond = to_condition(fuse(grids)).pooled()
+        if rng.random() < cfg.cfg_dropout:
+            cond = zero_cond
+        t, eps, x_t, target = _corruption(x0, flow_cfg, rng)
+        return (
+            np.column_stack([x_t, pe]),
+            cond,
+            t,
+            lambda v: (cfm_loss_mse(v, target, eps), cfm_loss_mse_grad(v, target, eps)),
+        )
 
     model = VelocityModel.create(
         token_dim=1 + PE_DIM, cond_dim=channels, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
     )
-    adam = AdamState.for_params(model.params)
-    ema = {k: p.copy() for k, p in model.params.items()} if cfg.ema_rate else None
-    losses = np.zeros(cfg.steps)
-    zero_cond = np.zeros(channels)
-
-    for step in range(cfg.steps):
-        total_grads, total_loss = None, 0.0
-        for _ in range(cfg.batch_size):
-            pick = int(rng.integers(len(dataset)))
-            obj, x0 = dataset[pick], clean[pick]
-            n_views = int(rng.integers(cfg.view_range[0], cfg.view_range[1] + 1))
-            grids = []
-            for _ in range(n_views):
-                view = random_hemisphere_view(rng, intrinsics)
-                depth_img, feats = render_views(obj, view, r, channels)
-                grids.append(backproject_view(depth_img.values, feats, view, r))
-            fused = fuse(grids)
-            cond = to_condition(fused).pooled()
-            if rng.random() < cfg.cfg_dropout:
-                cond = zero_cond
-            t, eps, x_t, target = _corruption(x0, flow_cfg, rng)
-            tokens = np.column_stack([x_t, pe])
-            loss, grads = backward(
-                model,
-                lambda v: (cfm_loss_mse(v, target, eps), cfm_loss_mse_grad(v, target, eps)),
-                (tokens, cond, t),
-            )
-            total_grads = _accumulate(total_grads, grads)
-            total_loss += loss
-        mean_grads = {k: g / cfg.batch_size for k, g in total_grads.items()}
-        adam_update(
-            model.params, mean_grads, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
-        )
-        if ema is not None:
-            for k in ema:
-                ema[k] = cfg.ema_rate * ema[k] + (1.0 - cfg.ema_rate) * model.params[k]
-        losses[step] = total_loss / cfg.batch_size
-    return _finish(model, losses, cfg, adam, ema)
+    return _fit(model, sample, cfg)
 
 
 def train_affordance(
@@ -441,40 +449,18 @@ def train_affordance(
             pairs.append((heat.values.copy(), tokens_pe, table.embedding_of(query)))
     if not pairs:
         raise DataError("no query matches any object in the dataset")
+    zero_cond = np.zeros(table.dim)
 
-    rng = np.random.default_rng(cfg.seed)
+    def sample(rng):
+        gt, pe, embedding = pairs[int(rng.integers(len(pairs)))]
+        cond = zero_cond if rng.random() < cfg.cfg_dropout else embedding
+        t, eps, a_t, _ = _corruption(2.0 * gt - 1.0, flow_cfg, rng)
+        return np.column_stack([a_t, pe]), cond, t, lambda v: velocity_mask_loss(v, eps, gt)
+
     model = VelocityModel.create(
         token_dim=1 + PE_DIM, cond_dim=table.dim, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
     )
-    adam = AdamState.for_params(model.params)
-    ema = {k: p.copy() for k, p in model.params.items()} if cfg.ema_rate else None
-    losses = np.zeros(cfg.steps)
-    zero_cond = np.zeros(table.dim)
-
-    for step in range(cfg.steps):
-        total_grads, total_loss = None, 0.0
-        for _ in range(cfg.batch_size):
-            gt, pe, embedding = pairs[int(rng.integers(len(pairs)))]
-            cond = embedding
-            if rng.random() < cfg.cfg_dropout:
-                cond = zero_cond
-            a0 = 2.0 * gt - 1.0
-            t, eps, a_t, _ = _corruption(a0, flow_cfg, rng)
-            tokens = np.column_stack([a_t, pe])
-            loss, grads = backward(
-                model, lambda v: velocity_mask_loss(v, eps, gt), (tokens, cond, t)
-            )
-            total_grads = _accumulate(total_grads, grads)
-            total_loss += loss
-        mean_grads = {k: g / cfg.batch_size for k, g in total_grads.items()}
-        adam_update(
-            model.params, mean_grads, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
-        )
-        if ema is not None:
-            for k in ema:
-                ema[k] = cfg.ema_rate * ema[k] + (1.0 - cfg.ema_rate) * model.params[k]
-        losses[step] = total_loss / cfg.batch_size
-    return _finish(model, losses, cfg, adam, ema)
+    return _fit(model, sample, cfg)
 
 
 # --- checkpoints ------------------------------------------------------------

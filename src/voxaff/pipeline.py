@@ -15,7 +15,6 @@ is a pure function of (object, query, models, configs, seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ from .geometry import (
     eval_intrinsics,
     hemisphere_candidates,
     look_at,
-    viewpoint_from_dict,
     viewpoint_to_dict,
 )
 from .metrics import aiou_acd, volumetric_iou
@@ -60,7 +58,6 @@ from .voxel import (
     encode_positions,
     flat_order_indices,
     fuse,
-    heatmap_from_dict,
     heatmap_to_dict,
     to_condition,
 )
@@ -103,14 +100,6 @@ class PipelineConfig:
         return hemisphere_candidates(
             self.n_candidates, intrinsics=eval_intrinsics(self.image_size)
         )
-
-
-def render_observation(
-    obj: SyntheticObject, view: Viewpoint, resolution: int, channels: int
-) -> tuple[DepthImage, Array, Viewpoint]:
-    """One posed observation of the true object, ready for reconstruction."""
-    depth, feats = render_views(obj, view, resolution, channels)
-    return depth, feats, view
 
 
 def fuse_observations(views, resolution: int):
@@ -363,7 +352,7 @@ def active_loop(
     gt_occupied = occupied_indices(obj, r)
     gt_heat = ground_truth_affordance(obj, query, r, table)
 
-    observations = [render_observation(obj, initial_view, r, channels)]
+    observations = [(*render_views(obj, initial_view, r, channels), initial_view)]
     visited = set()
     first = _matching_candidate(initial_view, candidates)
     if first is not None:
@@ -433,7 +422,7 @@ def active_loop(
             )
         )
         if next_view is not None:
-            observations.append(render_observation(obj, next_view, r, channels))
+            observations.append((*render_views(obj, next_view, r, channels), next_view))
 
     return ViewTrace(
         object_id=obj.object_id, query=query, strategy=strategy, budget=budget, steps=tuple(steps)
@@ -463,40 +452,3 @@ def trace_to_dict(trace: ViewTrace) -> dict:
             for step in trace.steps
         ],
     }
-
-
-def trace_from_dict(data: dict) -> ViewTrace:
-    try:
-        steps = tuple(
-            TraceStep(
-                viewpoint=viewpoint_from_dict(item["viewpoint"]),
-                occupied=np.array(item["occupied"], dtype=np.int64).reshape(-1, 3),
-                heatmap=heatmap_from_dict(item["heatmap"]),
-                metrics=dict(item["metrics"]),
-                candidate_scores=tuple(item["candidate_scores"])
-                if item["candidate_scores"] is not None
-                else None,
-                selected_index=item["selected_index"],
-            )
-            for item in data["steps"]
-        )
-        return ViewTrace(
-            object_id=str(data["object_id"]),
-            query=str(data["query"]),
-            strategy=str(data["strategy"]),
-            budget=int(data["budget"]),
-            steps=steps,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed trace record: {exc}") from exc
-
-
-def save_trace(path, trace: ViewTrace):
-    with open(path, "w") as f:
-        json.dump(trace_to_dict(trace), f, sort_keys=True)
-        f.write("\n")
-
-
-def load_trace(path) -> ViewTrace:
-    with open(path) as f:
-        return trace_from_dict(json.load(f))

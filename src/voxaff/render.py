@@ -27,7 +27,6 @@ about one table build, close to one march.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,10 +41,6 @@ Array = np.ndarray
 
 #: Ray tables kept by ``render_affordance``; holds the 40-candidate lattice.
 RAY_TABLE_CACHE_SIZE = 64
-
-#: ``kind`` markers for the image JSON container.
-_IMAGE_KINDS = ("depth", "scalar", "feature")
-
 
 @dataclass(frozen=True)
 class DepthImage:
@@ -342,75 +337,3 @@ def render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpoint) -> Sca
     return ScalarImage(
         width=intr.width, height=intr.height, values=out.reshape(intr.height, intr.width)
     )
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def image_to_dict(image) -> dict:
-    if isinstance(image, DepthImage):
-        kind = "depth"
-        values = image.values
-    elif isinstance(image, ScalarImage):
-        kind = "scalar"
-        values = image.values
-    elif isinstance(image, np.ndarray) and image.ndim == 3:
-        kind = "feature"
-        values = image
-    else:
-        raise DomainError(f"cannot serialize image of type {type(image)!r}")
-    record = {
-        "kind": kind,
-        "width": int(values.shape[1]),
-        "height": int(values.shape[0]),
-        "values": values.tolist(),
-    }
-    if kind == "feature":
-        record["channels"] = int(values.shape[2])
-    return record
-
-
-def image_from_dict(data: dict):
-    try:
-        kind = data["kind"]
-        if kind not in _IMAGE_KINDS:
-            raise DomainError(f"unknown image kind {kind!r}")
-        values = np.array(data["values"], dtype=float)
-        if kind == "depth":
-            return DepthImage(width=int(data["width"]), height=int(data["height"]), values=values)
-        if kind == "scalar":
-            return ScalarImage(width=int(data["width"]), height=int(data["height"]), values=values)
-        expected = (int(data["height"]), int(data["width"]), int(data["channels"]))
-        if values.shape != expected:
-            raise ShapeMismatchError(f"feature image shape {values.shape} != {expected}")
-        return values
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed image record: {exc}") from exc
-
-
-def save_image(path, image):
-    with open(path, "w") as f:
-        json.dump(image_to_dict(image), f, sort_keys=True)
-        f.write("\n")
-
-
-def load_image(path):
-    with open(path) as f:
-        return image_from_dict(json.load(f))
-
-
-def depth_to_pgm(image: DepthImage) -> str:
-    """ASCII PGM preview: zero stays black, max depth maps to gray 255."""
-    peak = float(image.values.max())
-    if peak > 0:
-        gray = np.rint(image.values / peak * 255.0).astype(int)
-    else:
-        gray = np.zeros_like(image.values, dtype=int)
-    lines = ["P2", f"{image.width} {image.height}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in gray]
-    return "\n".join(lines) + "\n"
-
-
-def save_depth_pgm(path, image: DepthImage):
-    with open(path, "w") as f:
-        f.write(depth_to_pgm(image))

@@ -256,7 +256,7 @@ DEFAULT_QUERIES = {
 
 def default_query_table(dim: int = DEFAULT_CHANNELS, seed: int = DEFAULT_EMBED_SEED) -> QueryTable:
     entries = {
-        query: (tag, hash_embedding(query, dim, salt="query", seed=seed))
+        query: (tag, query_embedding(query, dim, seed))
         for query, tag in DEFAULT_QUERIES.items()
     }
     return QueryTable(entries=entries, dim=dim)
@@ -313,13 +313,6 @@ def surface_features(
     )
     which = part_index_of_points(obj, points)
     return np.concatenate([embeddings[which], normals], axis=1)
-
-
-def surface_feature(obj: SyntheticObject, point, normal, channels: int = DEFAULT_CHANNELS) -> Array:
-    """Single-point convenience wrapper around :func:`surface_features`."""
-    return surface_features(
-        obj, np.asarray(point, dtype=float)[None], np.asarray(normal, dtype=float)[None], channels
-    )[0]
 
 
 # --- template family ------------------------------------------------------
@@ -504,10 +497,6 @@ def generate_object(seed: int) -> SyntheticObject:
     return SyntheticObject(
         object_id=f"{template}-{seed:06d}", seed=seed, template=template, parts=tuple(placed)
     )
-
-
-def generate_dataset(seeds) -> list[SyntheticObject]:
-    return [generate_object(int(s)) for s in seeds]
 
 
 # --- serialization ---------------------------------------------------------

@@ -12,8 +12,7 @@ layout: flat = ix + r * iy + r^2 * iz, with channels contiguous per cell.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,9 +271,6 @@ class AffordanceHeatmap:
         if missing:
             raise SupportError(f"{missing} heatmap positions outside occupancy")
 
-    def value_lookup(self) -> dict:
-        return {tuple(pos): float(val) for pos, val in zip(self.positions, self.values)}
-
 
 def backproject_view(
     depth_image: Array,
@@ -370,21 +366,6 @@ def fuse(grids) -> SparseVoxelGrid:
     )
 
 
-def positional_encoding_3d(index, r: int, dim: int) -> Array:
-    """Sinusoidal 3D positional encoding of an integer index triple.
-
-    The width splits into three per-axis blocks of ``d_a = dim // 3``
-    slots.  Block slots pair up as ``sin(x / 10000^(2i/d_a))`` and
-    ``cos(x / 10000^(2i/d_a))`` for i = 0 .. d_a//2 - 1 with x the raw
-    integer coordinate; blocks concatenate in (x, y, z) order and any
-    remaining slots stay zero.  Requires dim >= 6.
-    """
-    idx = np.asarray(index, dtype=np.int64).reshape(3)
-    if r < 1 or np.any(idx < 0) or np.any(idx >= r):
-        raise DomainError(f"index {tuple(idx)} outside [0, {r})^3")
-    return _pe_table(r, dim)[idx[0] + r * idx[1] + r * r * idx[2]].copy()
-
-
 @functools.lru_cache(maxsize=32)
 def _pe_table(r: int, dim: int) -> Array:
     if dim < MIN_PE_DIM:
@@ -403,7 +384,13 @@ def _pe_table(r: int, dim: int) -> Array:
 
 
 def encode_positions(positions: Array, r: int, dim: int) -> Array:
-    """Positional encodings for many index triples at once."""
+    """Sinusoidal 3D positional encodings of (n, 3) integer index triples.
+
+    The width splits into three per-axis blocks of ``d_a = dim // 3``
+    slots, paired as ``sin(x / 10000^(2i/d_a))`` and ``cos(...)`` of the
+    raw coordinate for i < d_a // 2, in (x, y, z) order; leftover slots
+    stay zero.  Requires dim >= 6.
+    """
     positions = _check_indices(np.asarray(positions), r, "positions")
     return _pe_table(r, dim)[flat_index(positions, r)]
 
@@ -431,43 +418,6 @@ def dense_threshold(latent: DenseGrid, threshold: float = 0.0) -> Array:
     if picked.shape[0] > 1:
         picked = picked[_lexsort_rows(picked)]
     return picked.copy()
-
-
-def grid_to_dict(grid: SparseVoxelGrid) -> dict:
-    return {
-        "resolution": grid.resolution,
-        "channels": grid.channels,
-        "indices": grid.indices.tolist(),
-        "features": grid.features.tolist(),
-        "weights": grid.weights.tolist(),
-    }
-
-
-def grid_from_dict(data: dict) -> SparseVoxelGrid:
-    try:
-        return SparseVoxelGrid(
-            resolution=int(data["resolution"]),
-            channels=int(data["channels"]),
-            indices=np.array(data["indices"], dtype=np.int64).reshape(-1, 3),
-            features=np.array(data["features"], dtype=float).reshape(
-                -1, int(data["channels"])
-            ),
-            weights=np.array(data["weights"], dtype=np.int64).reshape(-1),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed sparse grid record: {exc}") from exc
-
-
-def save_grid(path, grid: SparseVoxelGrid):
-    """Write a grid as .svox.json.  Python's repr-based JSON floats round-trip exactly."""
-    with open(path, "w") as f:
-        json.dump(grid_to_dict(grid), f, sort_keys=True)
-        f.write("\n")
-
-
-def load_grid(path) -> SparseVoxelGrid:
-    with open(path) as f:
-        return grid_from_dict(json.load(f))
 
 
 def heatmap_to_dict(heat: AffordanceHeatmap) -> dict:

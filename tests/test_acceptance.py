@@ -69,10 +69,10 @@ from voxaff.pipeline import (
     active_loop,
     ground,
     reconstruct,
-    render_observation,
     select_next_view,
     worst_initial_view,
 )
+from voxaff.render import render_views
 from voxaff.synthscene import (
     default_query_table,
     generate_object,
@@ -315,7 +315,8 @@ def test_criterion_04_fusion_permutation_associativity_union():
         picks = rng.choice(len(candidates), size=n_views, replace=False)
         grids = []
         for i in picks:
-            depth, feats, view = render_observation(obj, candidates[i], R, CHANNELS)
+            view = candidates[i]
+            depth, feats = render_views(obj, view, R, CHANNELS)
             grids.append(backproject_view(depth.values, feats, view, R))
         fused = fuse(grids)
 
@@ -376,7 +377,7 @@ def _recon_iou_curve(model, objects, view_counts, euler_steps=5, allow_untrained
         views = hemisphere_candidates(k, intrinsics=eval_intrinsics(128))
         values = []
         for obj in objects:
-            observations = [render_observation(obj, v, R, CHANNELS) for v in views]
+            observations = [(*render_views(obj, v, R, CHANNELS), v) for v in views]
             occupied = reconstruct(
                 observations,
                 model,

@@ -12,7 +12,7 @@ import pytest
 
 import voxaff.cli as cli
 from voxaff.netcore import load_model
-from voxaff.pipeline import load_trace, worst_initial_view
+from voxaff.pipeline import worst_initial_view
 from voxaff.synthscene import (
     default_query_table,
     generate_object,
@@ -202,13 +202,13 @@ def test_plan_trace_metrics_and_self_consistency(ws, tmp_path):
             "--object", obj_path, "--query", "strike a nail", "--strategy", "active",
             "--budget", "2", "--config", ws.config, "--out", str(out)]
     assert cli.main(argv) == 0
-    trace = load_trace(out / "trace.json")
-    assert trace.budget == 2 and trace.strategy == "active"
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["budget"] == 2 and trace["strategy"] == "active"
 
     rows = _read_csv(out / "metrics.csv")
     assert [row["views"] for row in rows] == ["1", "2"]
-    for row, step in zip(rows, trace.steps):
-        assert float(row["aiou"]) == step.metrics["aiou"]
+    for row, step in zip(rows, trace["steps"]):
+        assert float(row["aiou"]) == step["metrics"]["aiou"]
 
     # The stored candidate scores must reproduce the recorded selection:
     # highest score wins among candidates other than the starting pose.
@@ -217,10 +217,10 @@ def test_plan_trace_metrics_and_self_consistency(ws, tmp_path):
     run = cli.run_config_from_dict(json.loads(open(ws.config).read()))
     candidates = cli._pipeline_config(run).candidates()
     start = worst_initial_view(obj, "strike a nail", candidates, 8, table)
-    step = trace.steps[0]
+    step = trace["steps"][0]
     remaining = [i for i in range(len(candidates)) if i != start.index]
-    best = max(remaining, key=lambda i: (step.candidate_scores[i], -i))
-    assert step.selected_index == best
+    best = max(remaining, key=lambda i: (step["candidate_scores"][i], -i))
+    assert step["selected_index"] == best
 
     first = (out / "trace.json").read_bytes(), (out / "metrics.csv").read_bytes()
     assert cli.main(argv) == 0
@@ -235,9 +235,9 @@ def test_plan_budget_one_trace(ws, tmp_path):
          "--strategy", "sequential", "--budget", "1", "--config", ws.config, "--out", str(out)]
     )
     assert rc == 0
-    trace = load_trace(out / "trace.json")
-    assert trace.budget == 1 and len(trace.steps) == 1
-    assert trace.steps[0].selected_index is None
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["budget"] == 1 and len(trace["steps"]) == 1
+    assert trace["steps"][0]["selected_index"] is None
 
 
 # --- bench -------------------------------------------------------------------------
@@ -366,12 +366,18 @@ def test_unknown_config_field_exits_2(ws, tmp_path):
     assert rc == 2
 
 
-def test_bad_trainer_value_exits_2(ws, tmp_path):
+@pytest.mark.parametrize(
+    "trainer",
+    [{"steps": 0}, {"steps": 2.5}, {"batch_size": 1.5}, {"hidden": True}],
+    ids=["steps-0", "steps-2.5", "batch_size-1.5", "hidden-true"],
+)
+def test_bad_trainer_value_exits_2(ws, tmp_path, capsys, trainer):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"trainer": {"steps": 0}}))
+    bad.write_text(json.dumps({"trainer": trainer}))
     rc = cli.main(["train", "--kind", "structure", "--dataset", str(ws.data),
                    "--config", str(bad), "--out", str(tmp_path / "d")])
     assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_3(ws, tmp_path):

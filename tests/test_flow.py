@@ -305,13 +305,3 @@ def test_flow_config_validation_and_presets():
     assert tweaked.steps == 20 and tweaked.seed == 5 and tweaked.noise_scale == 0.5
     assert fl.FlowConfig().guidance_strength == 3.0
     assert fl.FlowConfig().scale_targets is False
-
-
-def test_flow_state_validation():
-    state = fl.FlowState(values=np.ones((2, 2)), t=0.5)
-    with pytest.raises(ValueError):
-        state.values[0, 0] = 2.0
-    with pytest.raises(DomainError):
-        fl.FlowState(values=np.ones(2), t=1.5)
-    with pytest.raises(NumericalError):
-        fl.FlowState(values=np.array([np.nan]), t=0.0)

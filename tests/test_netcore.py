@@ -220,6 +220,10 @@ def test_trainer_config_validation():
         nc.TrainerConfig(view_range=(5, 2))
     with pytest.raises(ConfigError):
         nc.TrainerConfig(ema_rate=1.0)
+    with pytest.raises(ConfigError):
+        nc.TrainerConfig(steps=2.5)
+    with pytest.raises(ConfigError):
+        nc.TrainerConfig(batch_size=True)
     cfg = nc.TrainerConfig()
     assert cfg.learning_rate == 2e-2
     assert cfg.cfg_dropout == 0.10

@@ -21,7 +21,7 @@ from voxaff.errors import (
 from voxaff.flow import FlowConfig, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
 from voxaff.netcore import VelocityModel
-from voxaff.render import DepthImage, raycast_depth
+from voxaff.render import DepthImage, raycast_depth, render_views
 from voxaff.synthscene import (
     generate_object,
     ground_truth_affordance,
@@ -39,7 +39,7 @@ def _view(k=1, image_size=32):
 
 
 def _observation(obj, view):
-    return pl.render_observation(obj, view, R, CHANNELS)
+    return (*render_views(obj, view, R, CHANNELS), view)
 
 
 def _structure_oracle(obj):
@@ -455,29 +455,6 @@ def test_active_loop_empty_reconstruction_degrades_gracefully():
 
 
 # --- traces ---------------------------------------------------------------------------
-
-
-def test_trace_round_trip_and_stable_bytes(tmp_path):
-    obj = generate_object(1)
-    query = "strike a nail"
-    cfg = _loop_config()
-    trace = pl.active_loop(
-        obj, query, cfg.candidates()[0], 2, "active", _oracle_models(obj, query), cfg
-    )
-    path = tmp_path / "trace.json"
-    pl.save_trace(path, trace)
-    first = path.read_bytes()
-    pl.save_trace(path, trace)
-    assert path.read_bytes() == first
-
-    loaded = pl.load_trace(path)
-    assert pl.trace_to_dict(loaded) == pl.trace_to_dict(trace)
-    assert loaded.budget == trace.budget and loaded.query == query
-
-
-def test_trace_from_dict_rejects_malformed_input():
-    with pytest.raises(DataError):
-        pl.trace_from_dict({"object_id": "x", "query": "q", "strategy": "active"})
 
 
 def test_view_trace_checks_step_count():

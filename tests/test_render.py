@@ -412,47 +412,6 @@ def test_second_selection_over_same_candidates_hits_the_cache():
     assert (second.index, second.scores) == (first.index, first.scores)
 
 
-# --- serialization ----------------------------------------------------------
-
-
-def test_image_json_round_trips_exactly(tmp_path):
-    obj = sc.generate_object(6)
-    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[9]
-    depth, feats = rd.render_views(obj, view, r=8, channels=16)
-    for name, image in (("d", depth), ("f", feats)):
-        path = tmp_path / f"{name}.img.json"
-        rd.save_image(path, image)
-        loaded = rd.load_image(path)
-        if name == "d":
-            assert np.array_equal(loaded.values, depth.values)
-        else:
-            assert np.array_equal(loaded, feats)
-        rd.save_image(tmp_path / f"{name}2.img.json", image)
-        assert (tmp_path / f"{name}.img.json").read_bytes() == (
-            tmp_path / f"{name}2.img.json"
-        ).read_bytes()
-
-
-def test_image_dict_rejects_garbage():
-    with pytest.raises(DomainError):
-        rd.image_from_dict({"kind": "volume", "width": 2, "height": 2, "values": []})
-    with pytest.raises(DomainError):
-        rd.image_from_dict({"width": 2})
-
-
-def test_depth_pgm_format():
-    slab = [(ix, iy, 7) for ix in range(8) for iy in range(8)]
-    img = rd.raycast_depth(slab, 8, _axis_view(2, 1, eval_intrinsics(8)))
-    text = rd.depth_to_pgm(img)
-    lines = text.strip().split("\n")
-    assert lines[0] == "P2"
-    assert lines[1] == "8 8"
-    assert lines[2] == "255"
-    grays = [int(tok) for line in lines[3:] for tok in line.split()]
-    assert len(grays) == 64
-    assert max(grays) == 255 and min(grays) >= 0
-
-
 def test_scalar_image_total_and_validation():
     img = rd.ScalarImage(width=2, height=2, values=np.array([[0.25, 0.5], [0.0, 1.0]]))
     assert img.total() == pytest.approx(1.75)

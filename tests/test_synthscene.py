@@ -200,23 +200,24 @@ class TestSurfaceFeatures:
         p1 = body.translation + np.array([body.scale[0], 0.0, 0.0])
         p2 = body.translation + np.array([0.0, body.scale[1], 0.0])
         n = np.array([1.0, 0.0, 0.0])
-        f1 = sc.surface_feature(obj, p1, n)
-        f2 = sc.surface_feature(obj, p2, n)
+        f1 = sc.surface_features(obj, p1[None], n[None])[0]
+        f2 = sc.surface_features(obj, p2[None], n[None])[0]
         assert np.array_equal(f1, f2)
         assert f1.shape == (16,)
 
     def test_layout_is_label_embedding_then_normal(self):
         obj = _sphere_object([0.0, 0.0, 0.0], 0.3)
         n = np.array([0.0, 0.0, 1.0])
-        f = sc.surface_feature(obj, [0.0, 0.0, 0.3], n, channels=16)
+        f = sc.surface_features(obj, np.array([[0.0, 0.0, 0.3]]), n[None], channels=16)[0]
         np.testing.assert_array_equal(f[:13], sc.label_embedding("ball", 13))
         np.testing.assert_array_equal(f[13:], n)
 
     def test_distinct_parts_differ(self):
         obj = sc.generate_object(1)  # hammer: handle + head
         handle, head = obj.parts
-        f_handle = sc.surface_feature(obj, handle.translation, [0.0, 0.0, 1.0])
-        f_head = sc.surface_feature(obj, head.translation, [0.0, 0.0, 1.0])
+        n = np.array([[0.0, 0.0, 1.0]])
+        f_handle = sc.surface_features(obj, handle.translation[None], n)[0]
+        f_head = sc.surface_features(obj, head.translation[None], n)[0]
         assert not np.array_equal(f_handle[:13], f_head[:13])
 
     def test_point_attributed_to_nearest_part(self):

