@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from .synthscene import (
     save_object,
     save_table,
 )
-from .voxel import heatmap_from_dict, heatmap_to_dict
+from .voxel import flat_index, heatmap_from_dict, heatmap_to_dict
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,14 @@ class RunConfig:
     trainer: TrainerConfig = TrainerConfig()
 
     def __post_init__(self):
+        for name in ("seed", "resolution", "channels", "n_candidates", "image_size", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.deterministic, bool):
+            raise ConfigError(f"deterministic must be true or false, got {self.deterministic!r}")
+        if not isinstance(self.strategy, str):
+            raise ConfigError(f"strategy must be a string, got {self.strategy!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.resolution < 1 or self.channels < 4:
@@ -468,14 +477,18 @@ def _load_heatmap_file(path):
 
 
 def _aligned_values(a, b):
-    """Value vectors of two heatmaps over the union of their supports."""
-    a_map = {tuple(int(c) for c in p): float(v) for p, v in zip(a.positions, a.values)}
-    b_map = {tuple(int(c) for c in p): float(v) for p, v in zip(b.positions, b.values)}
-    keys = sorted(set(a_map) | set(b_map))
-    return (
-        np.array([a_map.get(k, 0.0) for k in keys]),
-        np.array([b_map.get(k, 0.0) for k in keys]),
-    )
+    """Value vectors of two heatmaps over the union of their supports.
+
+    The union is in lexicographic (ix, iy, iz) order: reversed columns
+    make the flat index ``iz + r*iy + r^2*ix`` sort that way.
+    """
+    r = max(a.resolution, b.resolution)
+    flat = [flat_index(h.positions[:, ::-1], r) for h in (a, b)]
+    keys = np.union1d(*flat)
+    out = np.zeros((2, keys.size))
+    for values, heat, keyed in zip(out, (a, b), flat):
+        values[np.searchsorted(keys, keyed)] = heat.values
+    return out[0], out[1]
 
 
 def cmd_eval(args, run: RunConfig) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
 from .geometry import eval_intrinsics, sphere_viewpoints, unproject_pixels
 from .render import raycast_depth
-from .voxel import AffordanceHeatmap, as_index_array
+from .voxel import AffordanceHeatmap, as_index_array, flat_index
 
 Array = np.ndarray
 
@@ -59,13 +59,20 @@ def voxel_center_cloud(indices, r: int) -> Array:
 
 
 def volumetric_iou(a, b, r: int | None = None) -> float:
-    """Intersection-over-union of two voxel index sets (both empty -> 1)."""
-    sa = {tuple(row) for row in as_index_array(a, r)}
-    sb = {tuple(row) for row in as_index_array(b, r)}
-    union = sa | sb
+    """Intersection-over-union of two voxel index sets (both empty -> 1).
+
+    Without ``r`` the flat-index stride spans the indices both sets hold.
+    """
+    a, b = as_index_array(a, r), as_index_array(b, r)
+    if r is None:
+        both = np.concatenate([a, b])
+        lo = both.min(initial=0)
+        a, b, r = a - lo, b - lo, int(both.max(initial=0)) - lo + 1
+    fa, fb = flat_index(a, r), flat_index(b, r)
+    union = np.union1d(fa, fb).size
     if not union:
         return 1.0
-    return len(sa & sb) / len(union)
+    return np.intersect1d(fa, fb).size / union
 
 
 # --- point-cloud metrics -----------------------------------------------------

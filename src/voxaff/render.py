@@ -10,36 +10,39 @@ Pixels whose rays never meet an occupied cell read 0.
 The camera must sit outside the cube.  Traversal order at exact tMax
 ties is x before y before z, so renders are bit-deterministic.
 
-Depth and feature renders march each ray until its first hit.  Affordance
-renders score the same fixed candidate cameras against many occupancies,
-and the cells a ray crosses do not depend on the occupancy, so
-``render_affordance`` reads a cached *ray table* instead: the walk of
-every pixel ray to the cube exit, keyed by (pose rotation and translation
-bytes, intrinsics, r), with identical cell sequences stored once.  The
-first occupied cell of each row is then a gather, and the image is
-bit-identical to a march.  The cache holds ``RAY_TABLE_CACHE_SIZE`` (64)
-tables; the 40-candidate lattice at 128^2 and r = 8 takes about 4.5 MB,
-and building it costs about as much as marching those 40 views once.
-Beyond 64 cameras in rotation the cache thrashes and each render costs
+The cells a ray crosses do not depend on the occupancy, so a camera's
+*ray table* (the walk of every pixel ray to the cube exit, identical cell
+sequences stored once) serves every occupancy seen from it; the first
+occupied cell of each row is then a gather.  ``render_affordance`` scores
+the same fixed candidate cameras against many occupancies, so it builds
+and caches the table of every camera it sees, keyed by (pose rotation and
+translation bytes, intrinsics, r).  Depth and feature renders
+(``render_views``, ``raycast_depth``) read the table when their camera
+already has one cached, recovering the entry axis and distance of the hit
+bit-identically to a march; any other camera is marched to its first hit,
+since building a table costs more than one march.  The cache holds
+``RAY_TABLE_CACHE_SIZE`` (64) tables, least recently used out first; the
+40-candidate lattice at 128^2 and r = 8 takes about 4.5 MB, and building
+it costs about as much as marching those 40 views once.  Beyond 64
+cameras in rotation the cache thrashes and each affordance render costs
 about one table build, close to one march.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CameraInsideCubeError, DomainError, ShapeMismatchError
-from .geometry import Pose, Viewpoint
+from .geometry import Viewpoint
 from .synthscene import SyntheticObject, ground_truth_occupancy, surface_features
-from .voxel import AffordanceHeatmap, _frozen, as_index_array, flat_index
+from .voxel import AffordanceHeatmap, _frozen, as_index_array, flat_index, flat_order_indices
 
 Array = np.ndarray
 
-#: Ray tables kept by ``render_affordance``; holds the 40-candidate lattice.
+#: Ray tables kept for reuse; holds the 40-candidate lattice.
 RAY_TABLE_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
@@ -132,14 +135,20 @@ def _ray_setup(view: Viewpoint, r: int) -> _Rays:
         t_lo = (0.0 - og) / dg
         t_hi = (float(r) - og) / dg
     parallel = dg == 0.0
-    t_near = np.where(parallel, -np.inf, np.minimum(t_lo, t_hi))
-    t_far = np.where(parallel, np.inf, np.maximum(t_lo, t_hi))
-    miss_parallel = np.any(parallel & ((og < 0.0) | (og > r)), axis=1)
+    t_near = np.where(parallel, -np.inf, np.minimum(t_lo, t_hi)).T
+    t_far = np.where(parallel, np.inf, np.maximum(t_lo, t_hi)).T
+    outside = (og < 0.0) | (og > r)
+    miss_parallel = (
+        (parallel[:, 0] & outside[0]) | (parallel[:, 1] & outside[1]) | (parallel[:, 2] & outside[2])
+    )
 
-    t_enter = t_near.max(axis=1)
-    t_exit = t_far.min(axis=1)
+    # Per-axis maxima and minima, one column at a time: numpy reduces a
+    # length-3 axis far slower.  Ties name the lowest axis, as argmax does.
+    t_enter = np.maximum(np.maximum(t_near[0], t_near[1]), t_near[2])
+    t_exit = np.minimum(np.minimum(t_far[0], t_far[1]), t_far[2])
+    enter_axis = np.where(t_near[0] == t_enter, 0, np.where(t_near[1] == t_enter, 1, 2))
     reaches = (t_enter <= t_exit) & (t_exit > 0.0) & ~miss_parallel
-    return _Rays(dirs, inv_norm, og, dg, t_enter, t_near.argmax(axis=1), reaches)
+    return _Rays(dirs, inv_norm, og, dg, t_enter, enter_axis, reaches)
 
 
 def _march(rays: _Rays, r: int, occ: Array | None = None):
@@ -219,16 +228,6 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
     return hit, t_hit, cells_hit, axis_hit, sign_hit
 
 
-def _traverse(occ: Array, view: Viewpoint):
-    """March every pixel ray through the occupancy cube to its first hit.
-
-    Returns the per-pixel arrays of ``_march`` (flattened row-major) plus
-    the camera-frame z per unit ray length (for depth conversion).
-    """
-    rays = _ray_setup(view, occ.shape[0])
-    return (*_march(rays, occ.shape[0], occ), rays.z_per_t)
-
-
 class _RayTable(NamedTuple):
     """Occupancy-free traversal of one camera, deduplicated and stored CSR-style.
 
@@ -242,20 +241,36 @@ class _RayTable(NamedTuple):
     rows: Array  # (h * w,) row per pixel, 0 = miss
 
 
-def _ray_table(view: Viewpoint, r: int) -> _RayTable:
-    """Cached occupancy-free traversal of ``view`` at resolution ``r``."""
+#: Least recently used first: (rotation bytes, translation bytes, intrinsics, r) -> table.
+_ray_tables: dict[tuple, _RayTable] = {}
+
+
+def _table_key(view: Viewpoint, r: int) -> tuple:
     pose = view.pose
-    return _cached_ray_table(
-        pose.rotation.tobytes(), pose.translation.tobytes(), view.intrinsics, r
-    )
+    return pose.rotation.tobytes(), pose.translation.tobytes(), view.intrinsics, r
 
 
-@functools.lru_cache(maxsize=RAY_TABLE_CACHE_SIZE)
-def _cached_ray_table(rotation: bytes, translation: bytes, intr, r: int) -> _RayTable:
-    pose = Pose(
-        rotation=np.frombuffer(rotation).reshape(3, 3), translation=np.frombuffer(translation)
-    )
-    rays = _ray_setup(Viewpoint(intrinsics=intr, pose=pose), r)
+def _cached_ray_table(view: Viewpoint, r: int) -> _RayTable | None:
+    """The cached table of ``view`` at ``r``, or None; never builds one."""
+    key = _table_key(view, r)
+    table = _ray_tables.pop(key, None)
+    if table is not None:
+        _ray_tables[key] = table
+    return table
+
+
+def _ray_table(view: Viewpoint, r: int) -> _RayTable:
+    """Occupancy-free traversal of ``view`` at ``r``, built and cached on a miss."""
+    table = _cached_ray_table(view, r)
+    if table is None:
+        table = _build_ray_table(_ray_setup(view, r), r)
+        _ray_tables[_table_key(view, r)] = table
+        if len(_ray_tables) > RAY_TABLE_CACHE_SIZE:
+            del _ray_tables[next(iter(_ray_tables))]
+    return table
+
+
+def _build_ray_table(rays: _Rays, r: int) -> _RayTable:
     table = _march(rays, r)
     walked = np.ascontiguousarray(table[rays.reaches])
     # One opaque key per row: 1-D np.unique is ~10x faster than axis=0.
@@ -272,6 +287,79 @@ def _cached_ray_table(rotation: bytes, translation: bytes, intr, r: int) -> _Ray
     )
 
 
+def _first_occupied(table: _RayTable, occ_flat: Array) -> tuple[Array, Array]:
+    """Where each row of ``table`` starts in ``table.cells``, and where its
+    first cell set in the flat occupancy ``occ_flat`` sits (``cells.size``: none)."""
+    lengths = table.lengths.astype(np.int64)
+    starts = np.cumsum(lengths) - lengths
+    order = np.where(occ_flat[table.cells], np.arange(table.cells.size), table.cells.size)
+    return starts, np.minimum.reduceat(order, starts)
+
+
+def _read_table(table: _RayTable, rays: _Rays, r: int, occ: Array):
+    """``_march(rays, r, occ)`` read from the ray table of the same camera.
+
+    The hit cell and its row's entry cell come from the table.  The entry
+    axis of a hit past the row's first cell is the one axis whose index
+    changed on the last step, and its ``t`` replays the march's float
+    operations: ``t_max`` from the entry cell, then ``t_delta`` added once
+    per earlier step along that axis, so the result is bit-identical.
+    """
+    n = table.rows.shape[0]
+    hit = np.zeros(n, dtype=bool)
+    t_hit = np.zeros(n)
+    cells_hit = np.zeros((n, 3), dtype=np.int64)
+    axis_hit = np.zeros(n, dtype=np.int64)
+    sign_hit = np.zeros(n, dtype=np.int64)
+
+    starts, first = _first_occupied(table, occ.ravel(order="F"))
+    row = table.rows.astype(np.int64) - 1
+    pix = np.nonzero(row >= 0)[0]
+    row = row[pix]
+    row_hits = first[row] < table.cells.size
+    pix, row = pix[row_hits], row[row_hits]
+    at, start = first[row], starts[row]
+    cells = table.cells.astype(np.int64)
+    triples = flat_order_indices(r)
+    cell, entry = triples[cells[at]], triples[cells[start]]
+
+    stepped = at > start
+    change = np.abs(cells[at] - cells[np.maximum(at - 1, 0)])  # 1, r or r^2
+    axis = np.where(stepped, (change >= r).astype(np.int64) + (change >= r * r), rays.enter_axis[pix])
+    d = rays.dg[pix, axis]
+    t = rays.t_enter[pix]
+    s = np.nonzero(stepped)[0]
+    a, ds = axis[s], d[s]
+    t_max = (entry[s, a] + (ds > 0) - rays.og[a]) / ds
+    t_delta = 1.0 / np.abs(ds)
+    steps = np.abs(cell[s, a] - entry[s, a])
+    for k in range(1, int(steps.max(initial=1))):
+        more = steps > k
+        t_max[more] += t_delta[more]
+    t[s] = t_max
+
+    hit[pix] = True
+    t_hit[pix] = t
+    cells_hit[pix] = cell
+    axis_hit[pix] = axis
+    sign_hit[pix] = -np.sign(d).astype(np.int64)
+    return hit, t_hit, cells_hit, axis_hit, sign_hit
+
+
+def _first_hits(occ: Array, view: Viewpoint):
+    """Ray set-up and ``_march`` arrays of every pixel ray's first hit in ``occ``.
+
+    A camera whose ray table is cached reads its hits from the table;
+    any other marches, since building a table costs more than one march.
+    """
+    r = occ.shape[0]
+    rays = _ray_setup(view, r)
+    table = _cached_ray_table(view, r)
+    if table is None:
+        return rays, _march(rays, r, occ)
+    return rays, _read_table(table, rays, r, occ)
+
+
 def raycast_depth(occupied, r: int, view: Viewpoint) -> DepthImage:
     """Depth of the first occupied cell along each pixel ray (0 = miss).
 
@@ -279,9 +367,8 @@ def raycast_depth(occupied, r: int, view: Viewpoint) -> DepthImage:
     the cell, so ``unproject_pixel(u + 0.5, v + 0.5, depth)`` reproduces
     that entry-face point exactly.
     """
-    occ = occupancy_cube(occupied, r)
-    hit, t_hit, _, _, _, z_per_t = _traverse(occ, view)
-    depth = np.where(hit, t_hit * z_per_t, 0.0)
+    rays, (hit, t_hit, _, _, _) = _first_hits(occupancy_cube(occupied, r), view)
+    depth = np.where(hit, t_hit * rays.z_per_t, 0.0)
     intr = view.intrinsics
     return DepthImage(width=intr.width, height=intr.height, values=depth.reshape(intr.height, intr.width))
 
@@ -295,8 +382,7 @@ def render_views(
     normal (see ``surface_features``); missed pixels stay zero.
     """
     occ = ground_truth_occupancy(obj, r).values[..., 0] > 0
-    rays = _ray_setup(view, r)
-    hit, t_hit, _, axis_hit, sign_hit = _march(rays, r, occ)
+    rays, (hit, t_hit, _, axis_hit, sign_hit) = _first_hits(occ, view)
     intr = view.intrinsics
     h, w = intr.height, intr.width
     depth = np.where(hit, t_hit * rays.z_per_t, 0.0).reshape(h, w)
@@ -327,10 +413,7 @@ def render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpoint) -> Sca
     # Heat per flat cell; slot r^3 stands for "no occupied cell" and reads 0.
     values = np.zeros(r**3 + 1)
     values[flat_index(heat.positions, r)] = heat.values
-    # Position in ``cells`` of each row's first occupied cell (past the end: none).
-    lengths = table.lengths.astype(np.int64)
-    order = np.where(occ[table.cells], np.arange(table.cells.size), table.cells.size)
-    first = np.minimum.reduceat(order, np.cumsum(lengths) - lengths)
+    _, first = _first_occupied(table, occ)
     first_cell = np.append(table.cells, r**3)[first]
     out = np.append(0.0, values[first_cell])[table.rows]
     intr = view.intrinsics

@@ -347,6 +347,21 @@ def test_eval_marks_undefined_metrics_na(tmp_path):
     assert float(rows[0]["mae"]) == pytest.approx(abs(0.9 - 1.0) / 2 + abs(0.4 - 1.0) / 2)
 
 
+def test_aligned_values_match_a_dict_oracle():
+    rng = np.random.default_rng(4)
+    r = 6
+    heats = []
+    for _ in range(2):
+        flat = np.unique(rng.integers(0, r**3, size=40))
+        positions = np.stack([flat // (r * r), flat // r % r, flat % r], axis=1)
+        heats.append(AffordanceHeatmap(resolution=r, positions=positions, values=rng.random(len(flat))))
+    maps = [{tuple(p): v for p, v in zip(h.positions.tolist(), h.values)} for h in heats]
+    keys = sorted(set(maps[0]) | set(maps[1]))
+    got = cli._aligned_values(*heats)
+    for values, table in zip(got, maps):
+        assert np.array_equal(values, [table.get(k, 0.0) for k in keys])
+
+
 def test_eval_rejects_mismatched_pair_counts(tmp_path):
     a = tmp_path / "a.json"
     a.write_text("{}")
@@ -378,6 +393,30 @@ def test_bad_trainer_value_exits_2(ws, tmp_path, capsys, trainer):
                    "--config", str(bad), "--out", str(tmp_path / "d")])
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("resolution", "8"),
+        ("channels", True),
+        ("n_candidates", 2.5),
+        ("image_size", "x"),
+        ("budget", 2.0),
+        ("deterministic", 1),
+        ("strategy", 3),
+    ],
+    ids=lambda v: str(v),
+)
+def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({field: value}))
+    rc = cli.main(["gen-dataset", "--count", "1", "--config", str(bad),
+                   "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and field in err
 
 
 def test_missing_input_file_exits_3(ws, tmp_path):

@@ -33,6 +33,32 @@ def test_volumetric_iou_symmetric_and_matches_set_oracle():
         assert got == expect
 
 
+def test_volumetric_iou_duplicate_rows_count_once():
+    a = np.array([(1, 2, 3), (1, 2, 3), (0, 0, 0)])
+    b = np.array([(1, 2, 3), (4, 4, 4), (4, 4, 4)])
+    assert mx.volumetric_iou(a, b, r=8) == 1.0 / 3.0
+    assert mx.volumetric_iou(a, a[:1], r=8) == 0.5
+
+
+def test_volumetric_iou_both_empty_is_one():
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert mx.volumetric_iou(empty, empty, r=8) == 1.0
+    assert mx.volumetric_iou(empty, empty) == 1.0
+
+
+def test_volumetric_iou_without_resolution_matches_set_oracle():
+    # Without r nothing bounds the indices: no two distinct triples may
+    # share a flat index, whatever their range or sign.
+    rng = np.random.default_rng(1)
+    for high in (2, 7, 1000):
+        for _ in range(10):
+            a = rng.integers(-high, high, size=(rng.integers(0, 40), 3))
+            b = np.concatenate([a[: len(a) // 2], rng.integers(-high, high, size=(20, 3))])
+            sa, sb = {tuple(row) for row in a}, {tuple(row) for row in b}
+            assert mx.volumetric_iou(a, b) == len(sa & sb) / len(sa | sb)
+    assert mx.volumetric_iou([(100, 0, 0)], [(0, 100, 0)]) == 0.0
+
+
 def test_volumetric_iou_validates_range():
     with pytest.raises(DomainError):
         mx.volumetric_iou([(9, 0, 0)], [(0, 0, 0)], r=8)

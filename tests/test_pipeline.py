@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import voxaff.pipeline as pl
+import voxaff.render as rd
 from voxaff.errors import (
     CandidatesExhaustedError,
     ConfigError,
@@ -420,6 +421,40 @@ def test_active_loop_random_is_seeded_and_avoids_visited():
     picked = [s.selected_index for s in t1.steps[:-1]]
     assert all(p is not None and 0 < p < cfg.n_candidates for p in picked)
     assert len(set(picked)) == len(picked)
+
+
+def _conditioned_model(cond_dim, seed):
+    """Small model with random weights in every layer, so that what it
+    samples depends on its condition and hence on every render."""
+    model = VelocityModel.create(CHANNELS + 1, cond_dim, hidden=8, depth=1, seed=seed)
+    rng = np.random.default_rng(seed)
+    model.params = {name: rng.standard_normal(p.shape) for name, p in model.params.items()}
+    model.steps_trained = 1
+    return model
+
+
+@pytest.mark.parametrize("strategy", pl.STRATEGIES)
+def test_active_loop_trace_does_not_depend_on_cached_ray_tables(strategy):
+    # A cleared cache marches every observation that precedes a table
+    # build (all of them under "random"); a warm one reads every candidate
+    # observation from its table.
+    obj = generate_object(1)
+    query = "strike a nail"
+    cfg = _loop_config()
+    models = pl.StageModels(structure=_conditioned_model(CHANNELS, 1), affordance=_conditioned_model(16, 2))
+
+    def run():
+        trace = pl.active_loop(
+            obj, query, cfg.candidates()[0], 3, strategy, models, cfg, rng=np.random.default_rng(8)
+        )
+        assert all(step.occupied.shape[0] for step in trace.steps)
+        return json.dumps(pl.trace_to_dict(trace), sort_keys=True)
+
+    rd._ray_tables.clear()
+    cleared = run()
+    for view in cfg.candidates():
+        rd._ray_table(view, R)
+    assert run() == cleared
 
 
 def test_active_loop_validates_inputs():

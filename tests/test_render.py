@@ -64,6 +64,16 @@ def _box_object(scale, translation=(0.0, 0.0, 0.0), tag="grasp") -> sc.Synthetic
     return sc.SyntheticObject(object_id="slab-0", seed=0, template="mug", parts=(part,))
 
 
+def _traverse(occ: np.ndarray, view: Viewpoint):
+    """Reference first hits: march every pixel ray, whatever tables are cached.
+
+    Returns the per-pixel arrays of ``_march`` (flattened row-major) plus
+    the camera-frame z per unit ray length.
+    """
+    rays = rd._ray_setup(view, occ.shape[0])
+    return (*rd._march(rays, occ.shape[0], occ), rays.z_per_t)
+
+
 # --- analytic depth oracles -------------------------------------------------
 
 
@@ -252,7 +262,7 @@ def test_render_affordance_reads_first_hit_value():
     view = _axis_view(0, -1, eval_intrinsics(48))
     img = rd.render_affordance(wall, heat, view)
     occ = rd.occupancy_cube(wall, r)
-    hit, _, cells, _, _, _ = rd._traverse(occ, view)
+    hit, _, cells, _, _, _ = _traverse(occ, view)
     expect = np.zeros(hit.shape[0])
     expect[hit] = (cells[hit] == [2, 4, 4]).all(axis=1) * 0.7
     assert np.array_equal(img.values.ravel(), expect)
@@ -281,10 +291,13 @@ def test_render_affordance_requires_support():
 
 
 def _assert_table_matches_march(occupied, r, view, rng):
-    """First-hit mask, cell and heat from the table equal those of the march."""
+    """First hits read from the table equal those of the march: the affordance
+    render's hit mask, cell and heat, and every array the depth renders use."""
     occupied = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
     strides = np.array([1, r, r * r])
-    hit, _, cells, _, _, _ = rd._traverse(rd.occupancy_cube(occupied, r), view)
+    occ = rd.occupancy_cube(occupied, r)
+    marched = _traverse(occ, view)
+    hit, _, cells, _, _, _ = marched
     first = cells @ strides
     # Heat (flat + 1) / (r^3 + 1) on every occupied cell names the first hit.
     tagged = AffordanceHeatmap(
@@ -301,6 +314,20 @@ def _assert_table_matches_march(occupied, r, view, rng):
     values[heat.positions @ strides] = heat.values
     expect = np.where(hit, values[first], 0.0).reshape(view.intrinsics.height, -1)
     assert np.array_equal(rd.render_affordance(occupied, heat, view).values, expect)
+    read = rd._read_table(rd._cached_ray_table(view, r), rd._ray_setup(view, r), r, occ)
+    for got, want in zip(read, marched):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _assert_render_views_matches_march(obj, r, view):
+    """``render_views`` from a cached table equals the march it replaces."""
+    table = rd._ray_table(view, r)
+    del rd._ray_tables[rd._table_key(view, r)]
+    marched_depth, marched_feats = rd.render_views(obj, view, r)
+    rd._ray_tables[rd._table_key(view, r)] = table
+    depth, feats = rd.render_views(obj, view, r)
+    assert np.array_equal(depth.values, marched_depth.values)
+    assert np.array_equal(feats, marched_feats)
 
 
 @pytest.mark.parametrize("seed", range(1000, 1020))
@@ -309,9 +336,11 @@ def test_ray_table_matches_march_on_every_shipped_candidate(seed):
     # for a partial reconstruction.
     r = 8
     rng = np.random.default_rng(seed)
-    truth = sc.occupied_indices(sc.generate_object(seed), r)
+    obj = sc.generate_object(seed)
+    truth = sc.occupied_indices(obj, r)
     partial = truth[rng.random(len(truth)) < 0.6]
     for view in hemisphere_candidates(40, intrinsics=eval_intrinsics(128)):
+        _assert_render_views_matches_march(obj, r, view)
         for occupied in (truth, partial):
             _assert_table_matches_march(occupied, r, view, rng)
 
@@ -320,16 +349,33 @@ def test_ray_table_matches_march_at_r16():
     r = 16
     rng = np.random.default_rng(16)
     for seed in (1000, 1001):
-        truth = sc.occupied_indices(sc.generate_object(seed), r)
+        obj = sc.generate_object(seed)
+        truth = sc.occupied_indices(obj, r)
         for view in hemisphere_candidates(40, intrinsics=eval_intrinsics(48)):
+            _assert_render_views_matches_march(obj, r, view)
             _assert_table_matches_march(truth, r, view, rng)
+
+
+def test_ray_table_reads_hits_in_the_entry_cell():
+    # A box filling the cube: every hit is in the ray's first cell, whose
+    # entry axis and t come from the slab entry rather than from a step.
+    r = 8
+    obj = _box_object(scale=(0.6, 0.6, 0.6))
+    full = sc.occupied_indices(obj, r)
+    assert len(full) == r**3
+    rng = np.random.default_rng(8)
+    views = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))
+    for view in views + [_axis_view(axis, side, eval_intrinsics(16)) for axis in range(3) for side in (-1, 1)]:
+        _assert_render_views_matches_march(obj, r, view)
+        _assert_table_matches_march(full, r, view, rng)
 
 
 def test_ray_table_non_square_image():
     intr = CameraIntrinsics(fx=30.0, fy=28.0, cx=21.0, cy=11.5, width=40, height=24)
     view = Viewpoint(intrinsics=intr, pose=look_at([1.2, -1.0, 1.1], [0.0, 0.0, 0.0]))
-    truth = sc.occupied_indices(sc.generate_object(1003), 8)
-    _assert_table_matches_march(truth, 8, view, np.random.default_rng(0))
+    obj = sc.generate_object(1003)
+    _assert_render_views_matches_march(obj, 8, view)
+    _assert_table_matches_march(sc.occupied_indices(obj, 8), 8, view, np.random.default_rng(0))
     assert rd._ray_table(view, 8).rows.shape == (40 * 24,)
 
 
@@ -342,8 +388,10 @@ def test_ray_table_view_that_misses_the_cube():
     table = rd._ray_table(view, 8)
     assert table.cells.size == 0 and table.lengths.size == 0
     assert not table.rows.any()
-    truth = sc.occupied_indices(sc.generate_object(1004), 8)
-    _assert_table_matches_march(truth, 8, view, np.random.default_rng(1))
+    obj = sc.generate_object(1004)
+    _assert_render_views_matches_march(obj, 8, view)
+    assert not rd.render_views(obj, view, 8)[0].values.any()
+    _assert_table_matches_march(sc.occupied_indices(obj, 8), 8, view, np.random.default_rng(1))
 
 
 def test_ray_table_cells_widen_past_uint16():
@@ -376,40 +424,61 @@ def test_ray_table_arrays_are_read_only():
 
 
 def test_ray_table_cache_keys_on_intrinsics_and_resolution():
-    cache = rd._cached_ray_table
-    cache.cache_clear()
+    rd._ray_tables.clear()
     pose = hemisphere_candidates(40)[11].pose
-    for size in (16, 24):
-        rd._ray_table(Viewpoint(intrinsics=eval_intrinsics(size), pose=pose), 8)
-    rd._ray_table(Viewpoint(intrinsics=eval_intrinsics(16), pose=pose), 12)
-    assert cache.cache_info().currsize == 3
-    rd._ray_table(Viewpoint(intrinsics=eval_intrinsics(24), pose=pose), 8)
-    assert cache.cache_info().misses == 3 and cache.cache_info().hits == 1
+    views = [Viewpoint(intrinsics=eval_intrinsics(size), pose=pose) for size in (16, 24)]
+    tables = [rd._ray_table(view, 8) for view in views]
+    rd._ray_table(views[0], 12)
+    assert len(rd._ray_tables) == 3
+    assert rd._ray_table(views[1], 8) is tables[1]
+    assert len(rd._ray_tables) == 3
 
 
 def test_ray_table_cache_stays_within_its_bound():
-    cache = rd._cached_ray_table
-    cache.cache_clear()
-    for view in hemisphere_candidates(rd.RAY_TABLE_CACHE_SIZE + 6, intrinsics=eval_intrinsics(4)):
+    rd._ray_tables.clear()
+    views = hemisphere_candidates(rd.RAY_TABLE_CACHE_SIZE + 6, intrinsics=eval_intrinsics(4))
+    for view in views:
         rd._ray_table(view, 4)
-        assert cache.cache_info().currsize <= rd.RAY_TABLE_CACHE_SIZE
-    assert cache.cache_info().currsize == rd.RAY_TABLE_CACHE_SIZE
+        assert len(rd._ray_tables) <= rd.RAY_TABLE_CACHE_SIZE
+    assert len(rd._ray_tables) == rd.RAY_TABLE_CACHE_SIZE
+    # The least recently used tables go first, and a lookup counts as a use.
+    assert rd._cached_ray_table(views[5], 4) is None
+    assert rd._cached_ray_table(views[6], 4) is not None
+    rd._ray_table(views[0], 4)
+    assert rd._cached_ray_table(views[6], 4) is not None
+    assert rd._cached_ray_table(views[7], 4) is None
 
 
-def test_second_selection_over_same_candidates_hits_the_cache():
+def test_second_selection_over_same_candidates_hits_the_cache(monkeypatch):
     r = 8
     cands = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))
     occ = sc.occupied_indices(sc.generate_object(1006), r)
     heat = AffordanceHeatmap(resolution=r, positions=occ, values=np.full(len(occ), 0.5))
-    cache = rd._cached_ray_table
-    cache.cache_clear()
+    rd._ray_tables.clear()
     first = pl.select_next_view(occ, heat, cands)
-    before = cache.cache_info()
+    tables = dict(rd._ray_tables)
+    assert len(tables) == 40
+
+    def build(*args):
+        raise AssertionError("a cached camera built its table again")
+
+    monkeypatch.setattr(rd, "_build_ray_table", build)
     second = pl.select_next_view(occ, heat, cands)
-    after = cache.cache_info()
-    assert after.hits - before.hits == 40
-    assert after.misses == before.misses
+    assert rd._ray_tables.keys() == tables.keys()
+    assert all(rd._ray_tables[key] is table for key, table in tables.items())
     assert (second.index, second.scores) == (first.index, first.scores)
+
+
+def test_depth_renders_of_an_uncached_camera_leave_the_cache_alone():
+    r = 8
+    obj = sc.generate_object(1007)
+    cands = hemisphere_candidates(3, intrinsics=eval_intrinsics(32))
+    rd._ray_tables.clear()
+    tables = {rd._table_key(view, r): rd._ray_table(view, r) for view in cands[:2]}
+    rd.render_views(obj, cands[2], r)
+    rd.raycast_depth(sc.occupied_indices(obj, r), r, cands[2])
+    assert list(rd._ray_tables) == list(tables)
+    assert all(rd._ray_tables[key] is table for key, table in tables.items())
 
 
 def test_scalar_image_total_and_validation():
