@@ -184,6 +184,11 @@ def _load_dataset(dataset_dir):
     return objects, table, manifest
 
 
+def _checkpoint(path, run: RunConfig):
+    """The model at ``path``, refused unless trained at the run's resolution and channels."""
+    return load_model(path, run.resolution, run.channels)
+
+
 def _pipeline_config(run: RunConfig) -> PipelineConfig:
     return PipelineConfig(
         structure_flow=run.structure_flow,
@@ -252,7 +257,7 @@ def cmd_reconstruct(args, run: RunConfig) -> int:
     if args.views < 1:
         raise ConfigError("views must be at least 1")
     obj = load_object(args.object)
-    model = load_model(args.model)
+    model = _checkpoint(args.model, run)
     occ = reconstruct(
         _observe(obj, args.views, run),
         model,
@@ -294,7 +299,7 @@ def cmd_ground(args, run: RunConfig) -> int:
         heat = ground(
             occ,
             args.query,
-            load_model(args.model),
+            _checkpoint(args.model, run),
             r,
             run.affordance_flow,
             rng=np.random.default_rng(run.seed),
@@ -320,7 +325,8 @@ def cmd_plan(args, run: RunConfig) -> int:
     obj = load_object(args.object)
     table = load_table(args.table) if args.table else default_query_table(run.channels)
     models = StageModels(
-        structure=load_model(args.structure), affordance=load_model(args.affordance)
+        structure=_checkpoint(args.structure, run),
+        affordance=_checkpoint(args.affordance, run),
     )
     config = _pipeline_config(run)
     start = worst_initial_view(obj, args.query, config.candidates(), run.resolution, table)
@@ -365,8 +371,8 @@ def cmd_bench(args, run: RunConfig) -> int:
         if not (args.structure_single and args.structure_multi):
             raise ConfigError("views_vs_iou needs --structure-single and --structure-multi")
         models = {
-            "single_view": load_model(args.structure_single),
-            "multi_view": load_model(args.structure_multi),
+            "single_view": _checkpoint(args.structure_single, run),
+            "multi_view": _checkpoint(args.structure_multi, run),
         }
         kinds = sorted(models)
         for obj in objects:
@@ -408,7 +414,8 @@ def cmd_bench(args, run: RunConfig) -> int:
             raise ConfigError("strategy_vs_aiou needs --structure and --affordance")
         budget = args.budget if args.budget is not None else run.budget
         models = StageModels(
-            structure=load_model(args.structure), affordance=load_model(args.affordance)
+            structure=_checkpoint(args.structure, run),
+            affordance=_checkpoint(args.affordance, run),
         )
         config = _pipeline_config(run)
         candidates = config.candidates()

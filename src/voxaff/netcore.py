@@ -516,6 +516,17 @@ def save_model(path, model: VelocityModel, trainer: TrainerConfig | None = None)
         f.write("\n")
 
 
-def load_model(path) -> VelocityModel:
+def load_model(path, resolution: int | None = None, channels: int | None = None) -> VelocityModel:
+    """Read a checkpoint, refusing one whose trainer record names another
+    ``resolution`` or ``channels`` than the given ones (``ConfigError``).
+
+    A checkpoint without a trainer record loads under any run.
+    """
     with open(path) as f:
-        return model_from_dict(json.load(f))
+        data = json.load(f)
+    trainer = data.get("trainer") if isinstance(data, dict) else None
+    if isinstance(trainer, dict):
+        for name, want in (("resolution", resolution), ("channels", channels)):
+            if want is not None and name in trainer and trainer[name] != want:
+                raise ConfigError(f"{path} was trained at {name} {trainer[name]!r}, the run has {want}")
+    return model_from_dict(data)

@@ -10,6 +10,14 @@ Pixels whose rays never meet an occupied cell read 0.
 The camera must sit outside the cube.  Traversal order at exact tMax
 ties is x before y before z, so renders are bit-deterministic.
 
+``_march`` steps every live ray one cell per numpy operation, column-wise:
+each ray's state is 1-D columns (``t_max`` and ``t_delta`` per axis, the
+signed flat step per axis) and one running flat index into the lattice
+grown by a one-cell border.  Border cells read "past the exit", so one
+gather per step finds both first hits and exits, and finished rays are
+compacted out.  A step adds ``t_delta`` to the chosen axis's ``t_max``
+only, so every float is that of the textbook walk.
+
 The cells a ray crosses do not depend on the occupancy, so a camera's
 *ray table* (the walk of every pixel ray to the cube exit, identical cell
 sequences stored once) serves every occupancy seen from it; the first
@@ -23,9 +31,10 @@ bit-identically to a march; any other camera is marched to its first hit,
 since building a table costs more than one march.  The cache holds
 ``RAY_TABLE_CACHE_SIZE`` (64) tables, least recently used out first; the
 40-candidate lattice at 128^2 and r = 8 takes about 4.5 MB, and building
-it costs about as much as marching those 40 views once.  Beyond 64
-cameras in rotation the cache thrashes and each affordance render costs
-about one table build, close to one march.
+it costs about as much as marching those 40 views twice (the walk to the
+exit, then deduplicating its rows).  Beyond 64 cameras in rotation the
+cache thrashes and each affordance render costs about one table build,
+close to two marches.
 """
 
 from __future__ import annotations
@@ -160,72 +169,89 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
     and face ``sign`` (+-1, pointing against the ray).  Given none, each
     ray walks to the cube exit and the result is an (n, 3r + 2) table of
     the flat cells ``ix + r*iy + r^2*iz`` it crosses, in order, padded
-    with r^3.
+    with r^3.  The walk keeps its state column-wise on the lattice grown
+    by a one-cell border, as the module docstring describes.
     """
     n = rays.dirs.shape[0]
+    p = r + 2  # side of the bordered lattice
     if occ is None:
         table = np.full((n, 3 * r + 2), r**3, dtype=np.min_scalar_type(r**3))
+        # A cell reads its flat index; the border reads r^3, the padding.
+        code = np.arange(r**3, dtype=table.dtype).reshape(r, r, r, order="F")
+        code = np.pad(code, 1, constant_values=r**3)
     else:
-        hit = np.zeros(n, dtype=bool)
+        # 0 empty, 1 occupied, 2 border.
+        code = np.pad(occ.astype(np.uint8), 1, constant_values=2)
+        at_hit = np.full(n, -1, dtype=np.int64)
         t_hit = np.zeros(n)
-        cells_hit = np.zeros((n, 3), dtype=np.int64)
-        axis_hit = np.zeros(n, dtype=np.int64)
-        sign_hit = np.zeros(n, dtype=np.int64)
+        step_hit = np.zeros(n, dtype=np.int64)
+    code = code.ravel(order="F")
 
     idx = np.nonzero(rays.reaches)[0]
     og = rays.og
     d = rays.dg[idx]
-    t_curr = rays.t_enter[idx]
-    axis_curr = rays.enter_axis[idx]
+    t = rays.t_enter[idx]
+    axis = rays.enter_axis[idx]
     step = np.sign(d).astype(np.int64)
-    pos = og + t_curr[:, None] * d
+    pos = og + t[:, None] * d
     cell = np.clip(np.floor(pos).astype(np.int64), 0, r - 1)
     # Entry axis is known exactly: the ray enters through that cube face.
     rows = np.arange(idx.size)
-    cell[rows, axis_curr] = np.where(step[rows, axis_curr] > 0, 0, r - 1)
+    cell[rows, axis] = np.where(step[rows, axis] > 0, 0, r - 1)
 
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a parallel axis
         t_delta = np.where(d != 0.0, 1.0 / np.abs(d), np.inf)
         next_bound = cell + (step > 0)
         t_max = np.where(d != 0.0, (next_bound - og) / d, np.inf)
 
+    flat = flat_index(cell + 1, p)
+    steps = step * np.array([1, p, p * p])
+    moved = steps[rows, axis]  # the flat step into the current cell
+    mx, my, mz = t_max.T.copy()
+    dx, dy, dz = t_delta.T.copy()
+    fx, fy, fz = steps.T.copy()
+    # Only the columns live through the walk: free the (m, 3) set-up arrays.
+    del d, pos, cell, next_bound, t_max, t_delta, step, steps, rows, axis
+
     for k in range(3 * r + 2):
-        if idx.size == 0:
-            break
+        here = code[flat]
         if occ is None:
-            table[idx, k] = flat_index(cell, r)
+            table[idx, k] = here
+            keep = here != r**3
         else:
-            occ_here = occ[cell[:, 0], cell[:, 1], cell[:, 2]]
-            if np.any(occ_here):
-                out = idx[occ_here]
-                hit[out] = True
-                t_hit[out] = t_curr[occ_here]
-                cells_hit[out] = cell[occ_here]
-                axis_hit[out] = axis_curr[occ_here]
-                rows_out = np.nonzero(occ_here)[0]
-                sign_hit[out] = -step[rows_out, axis_curr[occ_here]]
-                keep = ~occ_here
-                idx, d, t_curr, axis_curr = idx[keep], d[keep], t_curr[keep], axis_curr[keep]
-                step, cell, t_delta, t_max = step[keep], cell[keep], t_delta[keep], t_max[keep]
-                if idx.size == 0:
-                    break
-        axis_curr = np.argmin(t_max, axis=1)
-        rows = np.arange(idx.size)
-        t_curr = t_max[rows, axis_curr]
-        cell[rows, axis_curr] += step[rows, axis_curr]
-        t_max[rows, axis_curr] += t_delta[rows, axis_curr]
-        inside = (cell[rows, axis_curr] >= 0) & (cell[rows, axis_curr] < r)
-        if not np.all(inside):
-            idx, d, t_curr, axis_curr = (
-                idx[inside], d[inside], t_curr[inside], axis_curr[inside],
-            )
-            step, cell, t_delta, t_max = (
-                step[inside], cell[inside], t_delta[inside], t_max[inside],
-            )
+            keep = here == 0
+        if not keep.all():
+            if occ is not None:
+                hits = here == 1
+                out = idx[hits]
+                at_hit[out] = flat[hits]
+                t_hit[out] = t[hits]
+                step_hit[out] = moved[hits]
+            idx, flat = idx[keep], flat[keep]
+            mx, my, mz, dx, dy, dz = mx[keep], my[keep], mz[keep], dx[keep], dy[keep], dz[keep]
+            fx, fy, fz = fx[keep], fy[keep], fz[keep]
+            if idx.size == 0:
+                break
+        # Step along the smallest t_max, ties x before y before z as in
+        # argmin; only that axis gets its one t_delta add.  The minimum is
+        # one of its operands, so t is the chosen t_max exactly.
+        t = np.minimum(np.minimum(mx, my), mz)
+        px = mx == t
+        py = (my == t) & ~px
+        mx = np.where(px, mx + dx, mx)
+        my = np.where(py, my + dy, my)
+        mz = np.where(px | py, mz, mz + dz)
+        moved = np.where(px, fx, np.where(py, fy, fz))
+        flat = flat + moved
 
     if occ is None:
         return table
-    return hit, t_hit, cells_hit, axis_hit, sign_hit
+    hit = at_hit >= 0
+    cells_hit = np.zeros((n, 3), dtype=np.int64)
+    cells_hit[hit] = np.column_stack(np.unravel_index(at_hit[hit], (p, p, p), order="F")) - 1
+    stride = np.abs(step_hit)  # 1, p or p^2 on a hit
+    axis_hit = (stride >= p).astype(np.int64) + (stride >= p * p)
+    return hit, t_hit, cells_hit, axis_hit, -np.sign(step_hit)
 
 
 class _RayTable(NamedTuple):

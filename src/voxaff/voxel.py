@@ -59,8 +59,8 @@ def as_index_array(occupied, r: int | None = None) -> Array:
     if isinstance(occupied, np.ndarray):
         arr = occupied.astype(np.int64, copy=False).reshape(-1, 3)
     else:
-        arr = np.array(sorted(tuple(int(c) for c in idx) for idx in occupied), dtype=np.int64)
-        arr = arr.reshape(-1, 3)
+        rows = [tuple(idx) for idx in occupied]
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
     if r is not None:
         _check_indices(arr, r, "occupancy indices")
     if arr.shape[0] > 1:

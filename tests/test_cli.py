@@ -444,6 +444,50 @@ def test_non_finite_checkpoint_exits_4(ws, tmp_path):
     assert rc == 4
 
 
+def _model_argv(ws, command, out):
+    obj = str(ws.data / "object_0001.json")
+    query = ["--query", "strike a nail"]
+    return {
+        "reconstruct": ["reconstruct", "--model", ws.structure, "--object", obj],
+        "ground": ["ground", "--model", ws.affordance, "--object", obj, *query],
+        "plan": ["plan", "--structure", ws.structure, "--affordance", ws.affordance,
+                 "--object", obj, *query],
+        "bench-views": ["bench", "--suite", "views_vs_iou", "--dataset", str(ws.data),
+                        "--structure-single", ws.structure, "--structure-multi", ws.structure],
+        "bench-strategy": ["bench", "--suite", "strategy_vs_aiou", "--dataset", str(ws.data),
+                           "--structure", ws.structure, "--affordance", ws.affordance],
+    }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("field", ["resolution", "channels"])
+@pytest.mark.parametrize(
+    "command", ["reconstruct", "ground", "plan", "bench-views", "bench-strategy"]
+)
+def test_checkpoint_trained_for_another_run_exits_2(ws, tmp_path, capsys, command, field):
+    # The checkpoints were trained at resolution 8 with 16 channels.
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**TINY, field: 12}))
+    out = tmp_path / "out"
+    assert cli.main(_model_argv(ws, command, out) + ["--config", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and field in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_checkpoint_without_trainer_record_loads_under_any_run(ws, tmp_path):
+    data = json.loads(open(ws.structure).read())
+    del data["trainer"]
+    bare = tmp_path / "bare.model.json"
+    bare.write_text(json.dumps(data))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**TINY, "resolution": 6}))
+    out = tmp_path / "recon.json"
+    rc = cli.main(["reconstruct", "--model", str(bare), "--object",
+                   str(ws.data / "object_0000.json"), "--config", str(other), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["resolution"] == 6
+
+
 def test_seed_flag_overrides_trainer_seed_and_is_echoed(ws, tmp_path):
     out = tmp_path / "recon.json"
     rc = cli.main(["reconstruct", "--model", ws.structure,

@@ -24,7 +24,8 @@ from voxaff.geometry import (
     look_at,
     unproject_pixels,
 )
-from voxaff.voxel import AffordanceHeatmap
+from voxaff.netcore import random_hemisphere_view
+from voxaff.voxel import AffordanceHeatmap, flat_index
 
 
 def _axis_view(axis: int, side: int, intrinsics: CameraIntrinsics) -> Viewpoint:
@@ -64,14 +65,93 @@ def _box_object(scale, translation=(0.0, 0.0, 0.0), tag="grasp") -> sc.Synthetic
     return sc.SyntheticObject(object_id="slab-0", seed=0, template="mug", parts=(part,))
 
 
+def _reference_march(rays: rd._Rays, r: int, occ: np.ndarray | None = None):
+    """The (n, 3)-array walk that ``rd._march`` replaced, kept as its reference.
+
+    Amanatides & Woo walk of every reaching ray through the r^3 lattice.
+
+    Given an (r, r, r) boolean ``occ``, each ray stops at its first
+    occupied cell and the result is per-pixel ``hit`` mask, world ray
+    length ``t`` to the entry face, hit ``cells`` (n, 3), entry ``axis``
+    and face ``sign`` (+-1, pointing against the ray).  Given none, each
+    ray walks to the cube exit and the result is an (n, 3r + 2) table of
+    the flat cells ``ix + r*iy + r^2*iz`` it crosses, in order, padded
+    with r^3.
+    """
+    n = rays.dirs.shape[0]
+    if occ is None:
+        table = np.full((n, 3 * r + 2), r**3, dtype=np.min_scalar_type(r**3))
+    else:
+        hit = np.zeros(n, dtype=bool)
+        t_hit = np.zeros(n)
+        cells_hit = np.zeros((n, 3), dtype=np.int64)
+        axis_hit = np.zeros(n, dtype=np.int64)
+        sign_hit = np.zeros(n, dtype=np.int64)
+
+    idx = np.nonzero(rays.reaches)[0]
+    og = rays.og
+    d = rays.dg[idx]
+    t_curr = rays.t_enter[idx]
+    axis_curr = rays.enter_axis[idx]
+    step = np.sign(d).astype(np.int64)
+    pos = og + t_curr[:, None] * d
+    cell = np.clip(np.floor(pos).astype(np.int64), 0, r - 1)
+    # Entry axis is known exactly: the ray enters through that cube face.
+    rows = np.arange(idx.size)
+    cell[rows, axis_curr] = np.where(step[rows, axis_curr] > 0, 0, r - 1)
+
+    with np.errstate(divide="ignore"):
+        t_delta = np.where(d != 0.0, 1.0 / np.abs(d), np.inf)
+        next_bound = cell + (step > 0)
+        t_max = np.where(d != 0.0, (next_bound - og) / d, np.inf)
+
+    for k in range(3 * r + 2):
+        if idx.size == 0:
+            break
+        if occ is None:
+            table[idx, k] = flat_index(cell, r)
+        else:
+            occ_here = occ[cell[:, 0], cell[:, 1], cell[:, 2]]
+            if np.any(occ_here):
+                out = idx[occ_here]
+                hit[out] = True
+                t_hit[out] = t_curr[occ_here]
+                cells_hit[out] = cell[occ_here]
+                axis_hit[out] = axis_curr[occ_here]
+                rows_out = np.nonzero(occ_here)[0]
+                sign_hit[out] = -step[rows_out, axis_curr[occ_here]]
+                keep = ~occ_here
+                idx, d, t_curr, axis_curr = idx[keep], d[keep], t_curr[keep], axis_curr[keep]
+                step, cell, t_delta, t_max = step[keep], cell[keep], t_delta[keep], t_max[keep]
+                if idx.size == 0:
+                    break
+        axis_curr = np.argmin(t_max, axis=1)
+        rows = np.arange(idx.size)
+        t_curr = t_max[rows, axis_curr]
+        cell[rows, axis_curr] += step[rows, axis_curr]
+        t_max[rows, axis_curr] += t_delta[rows, axis_curr]
+        inside = (cell[rows, axis_curr] >= 0) & (cell[rows, axis_curr] < r)
+        if not np.all(inside):
+            idx, d, t_curr, axis_curr = (
+                idx[inside], d[inside], t_curr[inside], axis_curr[inside],
+            )
+            step, cell, t_delta, t_max = (
+                step[inside], cell[inside], t_delta[inside], t_max[inside],
+            )
+
+    if occ is None:
+        return table
+    return hit, t_hit, cells_hit, axis_hit, sign_hit
+
+
 def _traverse(occ: np.ndarray, view: Viewpoint):
     """Reference first hits: march every pixel ray, whatever tables are cached.
 
-    Returns the per-pixel arrays of ``_march`` (flattened row-major) plus
+    Returns the per-pixel arrays of the march (flattened row-major) plus
     the camera-frame z per unit ray length.
     """
     rays = rd._ray_setup(view, occ.shape[0])
-    return (*rd._march(rays, occ.shape[0], occ), rays.z_per_t)
+    return (*_reference_march(rays, occ.shape[0], occ), rays.z_per_t)
 
 
 # --- analytic depth oracles -------------------------------------------------
@@ -285,6 +365,91 @@ def test_render_affordance_requires_support():
     view = _axis_view(0, -1, eval_intrinsics(16))
     with pytest.raises(SupportError):
         rd.render_affordance([(2, 2, 2)], heat, view)
+
+
+# --- the march against its reference -----------------------------------------
+
+
+def _truth_cube(seed: int, r: int) -> np.ndarray:
+    return sc.ground_truth_occupancy(sc.generate_object(seed), r).values[..., 0] > 0
+
+
+def _assert_march_matches_reference(view, r, occupancies):
+    """``rd._march`` equals the reference walk array by array, dtypes
+    included: to the first hit in each occupancy, and to the cube exit."""
+    rays = rd._ray_setup(view, r)
+    for occ in (*occupancies, None):
+        with np.errstate(invalid="ignore"):  # the reference's 0/0 on a parallel axis
+            want = _reference_march(rays, r, occ)
+        got = rd._march(rays, r, occ)
+        if occ is None:
+            got, want = (got,), (want,)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("r", [8, 16])
+def test_march_matches_reference_on_random_and_candidate_views(r):
+    # 120 cameras per resolution: random training views at 64^2 and 128^2,
+    # then the 40 shipped candidates at 128^2, each against the ground truth
+    # of one of 20 objects and a random subset of it.
+    rng = np.random.default_rng(r)
+    truths = [_truth_cube(seed, r) for seed in range(1000, 1020)]
+    views = [random_hemisphere_view(rng, eval_intrinsics(64)) for _ in range(60)]
+    views += [random_hemisphere_view(rng, eval_intrinsics(128)) for _ in range(20)]
+    views += hemisphere_candidates(40, intrinsics=eval_intrinsics(128))
+    for i, view in enumerate(views):
+        truth = truths[i % 20]
+        partial = truth & (rng.random(truth.shape) < 0.6)
+        _assert_march_matches_reference(view, r, [truth, partial])
+
+
+def test_march_matches_reference_at_r41():
+    # r^3 = 68921 needs 32-bit table cells.
+    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))[7]
+    assert rd._march(rd._ray_setup(view, 41), 41).dtype == np.uint32
+    _assert_march_matches_reference(view, 41, [_truth_cube(1005, 41)])
+
+
+def test_march_matches_reference_on_axis_aligned_cameras():
+    # An odd image puts pixel rays on the central row and column, so some
+    # direction components are exactly 0 and their t_delta and t_max are inf.
+    for axis in range(3):
+        for side in (-1, 1):
+            view = _axis_view(axis, side, eval_intrinsics(15))
+            assert (rd._ray_setup(view, 8).dg == 0.0).sum(axis=1).max() == 2
+            _assert_march_matches_reference(view, 8, [_truth_cube(1001, 8), _truth_cube(1002, 8)])
+
+
+def test_march_matches_reference_on_the_cube_diagonal():
+    # The optical-axis ray of a camera on the diagonal has three equal
+    # direction components, so its t_max tie exactly on all three axes.
+    for corner in ([1.2, 1.2, 1.2], [-1.2, -1.2, -1.2], [1.2, -1.2, 1.2]):
+        view = Viewpoint(intrinsics=eval_intrinsics(15), pose=look_at(corner, [0.0, 0.0, 0.0]))
+        dg = np.abs(rd._ray_setup(view, 8).dg[7 * 15 + 7])
+        assert dg[0] == dg[1] == dg[2]
+        _assert_march_matches_reference(view, 8, [_truth_cube(1003, 8), np.zeros((8, 8, 8), dtype=bool)])
+
+
+def test_march_matches_reference_on_a_full_and_an_empty_cube():
+    # Full: every hit is in the ray's entry cell.  Empty: every ray misses.
+    full, empty = np.ones((8, 8, 8), dtype=bool), np.zeros((8, 8, 8), dtype=bool)
+    views = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))[::4]
+    for view in views + [_axis_view(2, 1, eval_intrinsics(15))]:
+        rays = rd._ray_setup(view, 8)
+        assert np.array_equal(rd._march(rays, 8, full)[0], rays.reaches)
+        assert not rd._march(rays, 8, empty)[0].any()
+        _assert_march_matches_reference(view, 8, [full, empty])
+
+
+def test_march_matches_reference_when_no_ray_meets_the_cube():
+    view = Viewpoint(
+        intrinsics=eval_intrinsics(16),
+        pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0])),
+    )
+    assert not rd._ray_setup(view, 8).reaches.any()
+    _assert_march_matches_reference(view, 8, [np.ones((8, 8, 8), dtype=bool)])
 
 
 # --- ray tables ---------------------------------------------------------------

@@ -345,3 +345,39 @@ class TestSerialization:
         back = vx.heatmap_from_dict(vx.heatmap_to_dict(heat))
         assert np.array_equal(back.positions, heat.positions)
         assert np.array_equal(back.values, heat.values)
+
+
+class TestAsIndexArray:
+    """Sequences and sets of triples become the sorted (n, 3) array the
+    array path gives; the oracle is Python's sort of the int tuples."""
+
+    def _oracle(self, occupied):
+        return np.array(sorted(tuple(int(c) for c in idx) for idx in occupied)).reshape(-1, 3)
+
+    def test_set(self):
+        occupied = {(1, 2, 3), (0, 5, 1), (0, 0, 7), (3, 2, 1), (0, 5, 0)}
+        arr = vx.as_index_array(occupied, 8)
+        assert arr.dtype == np.int64
+        assert np.array_equal(arr, self._oracle(occupied))
+        assert np.array_equal(arr, vx.as_index_array(np.array(sorted(occupied))[::-1]))
+
+    def test_list_with_duplicates_keeps_them(self):
+        occupied = [(1, 2, 3), (1, 2, 3), (0, 0, 0), (2, 1, 0), (0, 0, 0), (np.int64(1), 0, 2)]
+        arr = vx.as_index_array(occupied)
+        assert arr.shape == (6, 3) and arr.dtype == np.int64
+        assert np.array_equal(arr, self._oracle(occupied))
+
+    def test_empty_set(self):
+        arr = vx.as_index_array(set(), 4)
+        assert arr.shape == (0, 3) and arr.dtype == np.int64
+
+    def test_ragged_input_raises_value_error(self):
+        # Three pairs hold six numbers but are not two triples.
+        pairs = [(4, 5), (0, 1), (2, 3)]
+        for occupied in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)], [(1, 2, 3, 4)], pairs):
+            with pytest.raises(ValueError):
+                vx.as_index_array(occupied)
+
+    def test_out_of_range_triples_rejected(self):
+        with pytest.raises(DomainError):
+            vx.as_index_array({(0, 0, 4)}, 4)
