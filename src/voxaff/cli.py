@@ -15,14 +15,13 @@ import csv
 import dataclasses
 import hashlib
 import json
-import numbers
 import pathlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, VoxaffError
+from .errors import ConfigError, DataError, NumericalError, VoxaffError, check_integer
 from .flow import FlowConfig
 from .geometry import eval_intrinsics, hemisphere_candidates
 from .metrics import (
@@ -60,44 +59,39 @@ from .voxel import flat_index, heatmap_from_dict, heatmap_to_dict
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(PipelineConfig):
     """Every knob a command can use, validated up front and echoed to disk.
 
-    ``--config`` files override any subset of these fields; ``--seed``
-    then overrides both ``seed`` and ``trainer.seed`` so one flag
-    reseeds a whole run.
+    The pipeline fields (flows, ``resolution``, ``channels`` and the
+    candidate lattice) come from ``PipelineConfig``, so a run config is
+    what ``active_loop`` takes.  ``resolution`` and ``channels`` are set
+    only at the top level and copied into ``trainer``.  ``--config`` files
+    override any subset of the fields; ``--seed`` then overrides both
+    ``seed`` and ``trainer.seed`` so one flag reseeds a whole run.
     """
 
     seed: int = 0
-    resolution: int = 8
-    channels: int = 16
-    n_candidates: int = 40
-    image_size: int = 128
     budget: int = 4
     strategy: str = "active"
-    deterministic: bool = False
-    structure_flow: FlowConfig = FlowConfig.for_structure()
-    affordance_flow: FlowConfig = FlowConfig.for_affordance_eval()
     affordance_train_flow: FlowConfig = FlowConfig.for_affordance_training()
     trainer: TrainerConfig = TrainerConfig()
 
     def __post_init__(self):
-        for name in ("seed", "resolution", "channels", "n_candidates", "image_size", "budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.deterministic, bool):
-            raise ConfigError(f"deterministic must be true or false, got {self.deterministic!r}")
+        super().__post_init__()
+        check_integer("seed", self.seed)
+        check_integer("budget", self.budget)
         if not isinstance(self.strategy, str):
             raise ConfigError(f"strategy must be a string, got {self.strategy!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.resolution < 1 or self.channels < 4:
-            raise ConfigError("resolution/channels out of range")
-        if self.n_candidates < 1 or self.image_size < 1 or self.budget < 1:
-            raise ConfigError("candidate count, image size, and budget must be positive")
+        if self.budget < 1:
+            raise ConfigError("budget must be positive")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
+        trainer = dataclasses.replace(
+            self.trainer, resolution=self.resolution, channels=self.channels
+        )
+        object.__setattr__(self, "trainer", trainer)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -120,12 +114,15 @@ def run_config_from_dict(data: dict) -> RunConfig:
                 kwargs[key] = FlowConfig(**value)
             elif key == "trainer":
                 fields = dict(value)
+                for name in ("resolution", "channels"):
+                    if name in fields:
+                        raise ConfigError(f"set {name} at the top level, not as trainer.{name}")
                 if "view_range" in fields:
                     fields["view_range"] = tuple(fields["view_range"])
                 kwargs[key] = TrainerConfig(**fields)
             else:
                 kwargs[key] = value
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return dataclasses.replace(RunConfig(), **kwargs)
 
@@ -135,15 +132,11 @@ def _resolve_run_config(args) -> RunConfig:
     if args.config:
         run = run_config_from_dict(_load_json(args.config))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
         run = dataclasses.replace(
             run,
             seed=args.seed,
             trainer=dataclasses.replace(run.trainer, seed=args.seed),
         )
-    if args.deterministic:
-        run = dataclasses.replace(run, deterministic=True)
     return run
 
 
@@ -187,17 +180,6 @@ def _load_dataset(dataset_dir):
 def _checkpoint(path, run: RunConfig):
     """The model at ``path``, refused unless trained at the run's resolution and channels."""
     return load_model(path, run.resolution, run.channels)
-
-
-def _pipeline_config(run: RunConfig) -> PipelineConfig:
-    return PipelineConfig(
-        structure_flow=run.structure_flow,
-        affordance_flow=run.affordance_flow,
-        resolution=run.resolution,
-        channels=run.channels,
-        n_candidates=run.n_candidates,
-        image_size=run.image_size,
-    )
 
 
 def _observe(obj, k: int, run: RunConfig):
@@ -328,8 +310,7 @@ def cmd_plan(args, run: RunConfig) -> int:
         structure=_checkpoint(args.structure, run),
         affordance=_checkpoint(args.affordance, run),
     )
-    config = _pipeline_config(run)
-    start = worst_initial_view(obj, args.query, config.candidates(), run.resolution, table)
+    start = worst_initial_view(obj, args.query, run.candidates(), run.resolution, table)
     trace = active_loop(
         obj,
         args.query,
@@ -337,7 +318,7 @@ def cmd_plan(args, run: RunConfig) -> int:
         budget,
         strategy,
         models,
-        config,
+        run,
         rng=np.random.default_rng(run.seed),
         table=table,
     )
@@ -417,8 +398,7 @@ def cmd_bench(args, run: RunConfig) -> int:
             structure=_checkpoint(args.structure, run),
             affordance=_checkpoint(args.affordance, run),
         )
-        config = _pipeline_config(run)
-        candidates = config.candidates()
+        candidates = run.candidates()
         evaluated = 0
         for obj in objects:
             queries = table.queries_for(obj)
@@ -435,7 +415,7 @@ def cmd_bench(args, run: RunConfig) -> int:
                     budget,
                     strategy,
                     models,
-                    config,
+                    run,
                     rng=np.random.default_rng(run.seed),
                     table=table,
                 )
@@ -546,11 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override every stage seed")
     common.add_argument("--config", default=None, help="JSON file overriding run-config fields")
-    common.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="single-threaded fixed-order execution (always on; recorded in the config echo)",
-    )
     common.add_argument("--out", required=True, help="output file or directory")
 
     p = sub.add_parser("gen-dataset", parents=[common], help="write synthetic scene files")

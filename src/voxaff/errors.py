@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config field checks
+that raise them.
 
 The command line maps these onto exit codes: configuration problems exit
 with 2, data/schema problems with 3, numerical failures with 4.
 """
+
+import math
+import numbers
 
 
 class VoxaffError(Exception):
@@ -63,3 +67,15 @@ class DegenerateQueryError(DataError):
 
 class CandidatesExhaustedError(DataError):
     """Every candidate viewpoint has already been visited."""
+
+
+def check_integer(name: str, value):
+    """Refuse a bool or non-integral value for the config field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value):
+    """Refuse a bool, non-real or non-finite value for the config field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -14,12 +14,19 @@ value and the gradient with the chain-rule sign already applied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericalError, ShapeMismatchError
+from .errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    NumericalError,
+    ShapeMismatchError,
+    check_integer,
+    check_real,
+)
 
 Array = np.ndarray
 
@@ -43,16 +50,18 @@ class FlowConfig:
     steps: int = 5
     guidance_strength: float = 3.0
     noise_scale: float = 1.0
-    seed: int = 0
     scale_targets: bool = False
 
     def __post_init__(self):
+        check_integer("steps", self.steps)
+        check_real("guidance_strength", self.guidance_strength)
+        check_real("noise_scale", self.noise_scale)
+        if not isinstance(self.scale_targets, bool):
+            raise ConfigError(f"scale_targets must be true or false, got {self.scale_targets!r}")
         if self.steps < 1:
             raise ConfigError(f"need at least one Euler step, got {self.steps}")
         if not self.noise_scale > 0:
             raise ConfigError(f"noise scale must be positive, got {self.noise_scale}")
-        if not math.isfinite(self.guidance_strength):
-            raise ConfigError("guidance strength must be finite")
 
     @classmethod
     def for_structure(cls, **overrides) -> "FlowConfig":
@@ -177,15 +186,14 @@ def cfg_combine(v_cond: Array, v_uncond: Array, s: float) -> Array:
     return v_u + s * (v_c - v_u)
 
 
-def euler_sample(velocity_fn, shape, config: FlowConfig, rng: np.random.Generator | None = None):
+def euler_sample(velocity_fn, shape, config: FlowConfig, rng: np.random.Generator):
     """Integrate the learned flow from noise back to a clean estimate.
 
-    Starts at ``noise_scale``-scaled Gaussian noise and applies `steps`
-    uniform Euler updates x <- x - dt * velocity_fn(x, t) over
-    t = 1, 1 - dt, ..., dt.  Deterministic for a fixed config/seed.
+    Starts at ``noise_scale``-scaled Gaussian noise drawn from ``rng`` and
+    applies `steps` uniform Euler updates x <- x - dt * velocity_fn(x, t)
+    over t = 1, 1 - dt, ..., dt.  Deterministic for a fixed config and
+    generator state.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     x = config.noise_scale * rng.standard_normal(shape)
     dt = 1.0 / config.steps
     for i in range(config.steps):

@@ -23,12 +23,19 @@ until training actually uses the condition.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericalError, ShapeMismatchError
+from .errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    NumericalError,
+    ShapeMismatchError,
+    check_integer,
+    check_real,
+)
 from .flow import (
     FlowConfig,
     cfm_loss_mse,
@@ -285,24 +292,30 @@ class TrainerConfig:
         for name in (
             "steps", "batch_size", "seed", "resolution", "channels", "view_pixels", "hidden", "depth"
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"trainer {name} must be an integer, got {value!r}")
+            check_integer(f"trainer {name}", getattr(self, name))
+        for name in ("learning_rate", "cfg_dropout", "beta1", "beta2", "adam_eps"):
+            check_real(f"trainer {name}", getattr(self, name))
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if self.learning_rate <= 0 or self.adam_eps <= 0:
+            raise ConfigError("learning rate and adam eps must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("adam betas must lie in [0, 1)")
         if not 0.0 <= self.cfg_dropout <= 1.0:
             raise ConfigError("cfg dropout must lie in [0, 1]")
         lo, hi = self.view_range
+        check_integer("trainer view_range start", lo)
+        check_integer("trainer view_range end", hi)
         if not 1 <= lo <= hi:
             raise ConfigError(f"invalid view range {self.view_range}")
         if self.resolution < 1 or self.channels < 4 or self.view_pixels < 1:
             raise ConfigError("resolution/channels/view_pixels out of range")
         if self.depth < 0 or (self.depth >= 1 and self.hidden < 1):
             raise ConfigError("invalid model size")
-        if self.ema_rate is not None and not 0.0 < self.ema_rate < 1.0:
-            raise ConfigError("ema rate must lie in (0, 1) when set")
+        if self.ema_rate is not None:
+            check_real("trainer ema_rate", self.ema_rate)
+            if not 0.0 < self.ema_rate < 1.0:
+                raise ConfigError("ema rate must lie in (0, 1) when set")
         object.__setattr__(self, "view_range", (int(lo), int(hi)))
 
 

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     EmptyConditionError,
     UntrainedModelError,
+    check_integer,
 )
 from .flow import FlowConfig, cfg_combine, euler_sample, sigmoid
 from .geometry import (
@@ -82,15 +83,16 @@ class StageModels:
 class PipelineConfig:
     """Sampling settings and sizes shared across one pipeline run."""
 
-    structure_flow: FlowConfig = FlowConfig(noise_scale=1.0)
-    affordance_flow: FlowConfig = FlowConfig(noise_scale=0.5)
+    structure_flow: FlowConfig = FlowConfig.for_structure()
+    affordance_flow: FlowConfig = FlowConfig.for_affordance_eval()
     resolution: int = 8
     channels: int = 16
     n_candidates: int = 40
     image_size: int = 128
-    allow_untrained: bool = False
 
     def __post_init__(self):
+        for name in ("resolution", "channels", "n_candidates", "image_size"):
+            check_integer(name, getattr(self, name))
         if self.resolution < 1 or self.channels < 4:
             raise ConfigError("resolution/channels out of range")
         if self.n_candidates < 1 or self.image_size < 1:
@@ -113,11 +115,6 @@ def fuse_observations(views, resolution: int):
     return fuse(grids)
 
 
-def _require_trained(model: VelocityModel, allow_untrained: bool, role: str):
-    if model.steps_trained == 0 and not allow_untrained:
-        raise UntrainedModelError(f"{role} model has no training steps recorded")
-
-
 def _velocity_for(model, cond, pe: Array, guidance: float, allow_untrained: bool, role: str):
     """Guided closure for a trained model, or a raw velocity field as-is.
 
@@ -127,7 +124,8 @@ def _velocity_for(model, cond, pe: Array, guidance: float, allow_untrained: bool
     """
     if callable(model) and not isinstance(model, VelocityModel):
         return model
-    _require_trained(model, allow_untrained, role)
+    if model.steps_trained == 0 and not allow_untrained:
+        raise UntrainedModelError(f"{role} model has no training steps recorded")
     return _guided_velocity(model, cond, pe, guidance)
 
 
@@ -150,8 +148,8 @@ def reconstruct(
     views,
     model: VelocityModel,
     resolution: int,
-    flow_cfg: FlowConfig | None = None,
-    rng: np.random.Generator | None = None,
+    flow_cfg: FlowConfig,
+    rng: np.random.Generator,
     allow_untrained: bool = False,
 ) -> Array:
     """Sample a dense occupancy conditioned on fused observations.
@@ -160,8 +158,6 @@ def reconstruct(
     latent exceeds 0.  Views that see nothing fall back to unconditional
     sampling.
     """
-    if flow_cfg is None:
-        flow_cfg = FlowConfig.for_structure()
     fused = fuse_observations(views, resolution)
     try:
         cond = to_condition(fused).pooled()
@@ -181,14 +177,12 @@ def ground(
     query: str,
     model: VelocityModel,
     resolution: int,
-    flow_cfg: FlowConfig | None = None,
-    rng: np.random.Generator | None = None,
+    flow_cfg: FlowConfig,
+    rng: np.random.Generator,
     table: QueryTable | None = None,
     allow_untrained: bool = False,
 ) -> AffordanceHeatmap:
     """Sample a probability heatmap for ``query`` over occupied voxels."""
-    if flow_cfg is None:
-        flow_cfg = FlowConfig.for_affordance_eval()
     occ = as_index_array(occupied, resolution)
     if occ.shape[0] == 0:
         raise DataError("cannot ground a query on empty occupancy")
@@ -328,8 +322,8 @@ def active_loop(
     budget: int,
     strategy: str,
     models: StageModels,
-    config: PipelineConfig | None = None,
-    rng: np.random.Generator | None = None,
+    config: PipelineConfig,
+    rng: np.random.Generator,
     table: QueryTable | None = None,
 ) -> ViewTrace:
     """Iteratively observe, reconstruct, ground, and pick the next view.
@@ -343,10 +337,6 @@ def active_loop(
         raise DomainError("view budget must be at least 1")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r} (expected one of {STRATEGIES})")
-    if config is None:
-        config = PipelineConfig()
-    if rng is None:
-        rng = np.random.default_rng(0)
     r, channels = config.resolution, config.channels
     candidates = config.candidates()
     gt_occupied = occupied_indices(obj, r)
@@ -361,24 +351,10 @@ def active_loop(
     steps = []
 
     for iteration in range(budget):
-        occupied = reconstruct(
-            observations,
-            models.structure,
-            r,
-            config.structure_flow,
-            rng,
-            allow_untrained=config.allow_untrained,
-        )
+        occupied = reconstruct(observations, models.structure, r, config.structure_flow, rng)
         if occupied.shape[0]:
             heat = ground(
-                occupied,
-                query,
-                models.affordance,
-                r,
-                config.affordance_flow,
-                rng,
-                table,
-                allow_untrained=config.allow_untrained,
+                occupied, query, models.affordance, r, config.affordance_flow, rng, table
             )
         else:
             heat = _empty_heatmap(r)

@@ -269,7 +269,10 @@ def test_criterion_02_flow_algebra_and_mask_loss_identities():
 
     target = rng.standard_normal(64)
     recovered = euler_sample(
-        lambda x, t: x - target, (64,), FlowConfig(steps=1, noise_scale=1.0, seed=123)
+        lambda x, t: x - target,
+        (64,),
+        FlowConfig(steps=1, noise_scale=1.0),
+        rng=np.random.default_rng(123),
     )
     assert float(np.max(np.abs(recovered - target))) < 1e-12
 
@@ -373,7 +376,7 @@ def _recon_iou_curve(model, objects, view_counts, euler_steps=5, allow_untrained
     """Mean reconstruction IoU per view count under the frozen eval protocol."""
     means = []
     for k in view_counts:
-        flow_cfg = FlowConfig(steps=euler_steps, guidance_strength=3.0, noise_scale=1.0, seed=0)
+        flow_cfg = FlowConfig(steps=euler_steps, guidance_strength=3.0, noise_scale=1.0)
         views = hemisphere_candidates(k, intrinsics=eval_intrinsics(128))
         values = []
         for obj in objects:

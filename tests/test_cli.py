@@ -1,10 +1,13 @@
 """Command-line tests: artifact layout, schemas, byte-identical reruns,
 exit codes, and self-consistency between stored rows and recomputation."""
 
+import argparse
 import csv
 import hashlib
 import json
 import math
+import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,7 +218,7 @@ def test_plan_trace_metrics_and_self_consistency(ws, tmp_path):
     obj = load_object(obj_path)
     table = default_query_table(16)
     run = cli.run_config_from_dict(json.loads(open(ws.config).read()))
-    candidates = cli._pipeline_config(run).candidates()
+    candidates = run.candidates()
     start = worst_initial_view(obj, "strike a nail", candidates, 8, table)
     step = trace["steps"][0]
     remaining = [i for i in range(len(candidates)) if i != start.index]
@@ -383,8 +386,24 @@ def test_unknown_config_field_exits_2(ws, tmp_path):
 
 @pytest.mark.parametrize(
     "trainer",
-    [{"steps": 0}, {"steps": 2.5}, {"batch_size": 1.5}, {"hidden": True}],
-    ids=["steps-0", "steps-2.5", "batch_size-1.5", "hidden-true"],
+    [
+        {"steps": 0},
+        {"steps": 2.5},
+        {"batch_size": 1.5},
+        {"hidden": True},
+        {"view_range": [1]},
+        {"learning_rate": math.nan},
+        {"beta1": 2.0},
+        {"beta2": 1.0},
+        {"adam_eps": -1},
+        {"cfg_dropout": True},
+        {"ema_rate": math.inf},
+    ],
+    ids=[
+        "steps-0", "steps-2.5", "batch_size-1.5", "hidden-true", "view_range-1",
+        "learning_rate-nan", "beta1-2", "beta2-1", "adam_eps-neg", "cfg_dropout-true",
+        "ema_rate-inf",
+    ],
 )
 def test_bad_trainer_value_exits_2(ws, tmp_path, capsys, trainer):
     bad = tmp_path / "bad.json"
@@ -417,6 +436,60 @@ def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and field in err
+
+
+@pytest.mark.parametrize("flow", ["structure_flow", "affordance_flow", "affordance_train_flow"])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"steps": 2.5},
+        {"steps": True},
+        {"noise_scale": math.inf},
+        {"noise_scale": True},
+        {"guidance_strength": math.nan},
+        {"scale_targets": "yes"},
+    ],
+    ids=["steps-2.5", "steps-true", "noise_scale-inf", "noise_scale-true",
+         "guidance_strength-nan", "scale_targets-yes"],
+)
+def test_bad_flow_value_exits_2(tmp_path, capsys, flow, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({flow: fields}))
+    rc = cli.main(["gen-dataset", "--count", "1", "--config", str(bad),
+                   "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"trainer": {"resolution": 6}}, {"trainer": {"channels": 8}},
+     {"structure_flow": {"seed": 5}}],
+    ids=["trainer.resolution", "trainer.channels", "structure_flow.seed"],
+)
+def test_removed_or_duplicate_config_field_exits_2(tmp_path, capsys, config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    rc = cli.main(["gen-dataset", "--count", "1", "--config", str(bad),
+                   "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_top_level_resolution_sizes_training_and_its_checkpoint_loads(ws, tmp_path):
+    config = tmp_path / "r6.json"
+    config.write_text(json.dumps({**TINY, "resolution": 6}))
+    ckpt = tmp_path / "ckpt"
+    assert cli.main(["train", "--kind", "structure", "--dataset", str(ws.data),
+                     "--config", str(config), "--out", str(ckpt)]) == 0
+    record = json.loads((ckpt / "structure.model.json").read_text())["trainer"]
+    assert record["resolution"] == 6 and record["channels"] == 16
+    out = tmp_path / "recon.json"
+    assert cli.main(["reconstruct", "--model", str(ckpt / "structure.model.json"),
+                     "--object", str(ws.data / "object_0000.json"),
+                     "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["resolution"] == 6
 
 
 def test_missing_input_file_exits_3(ws, tmp_path):
@@ -492,12 +565,11 @@ def test_seed_flag_overrides_trainer_seed_and_is_echoed(ws, tmp_path):
     out = tmp_path / "recon.json"
     rc = cli.main(["reconstruct", "--model", ws.structure,
                    "--object", str(ws.data / "object_0000.json"), "--seed", "42",
-                   "--deterministic", "--config", ws.config, "--out", str(out)])
+                   "--config", ws.config, "--out", str(out)])
     assert rc == 0
     echo = json.loads(out.read_text())["config"]
     assert echo["run"]["seed"] == 42
     assert echo["run"]["trainer"]["seed"] == 42
-    assert echo["run"]["deterministic"] is True
 
 
 def test_run_config_round_trip_and_validation():
@@ -509,3 +581,27 @@ def test_run_config_round_trip_and_validation():
     with pytest.raises(Exception) as err:
         cli.run_config_from_dict({"strategy": "spiral"})
     assert "strategy" in str(err.value)
+
+
+# --- README in step with the CLI ---------------------------------------------------
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_config_example_parses():
+    section = README.split("### Configuration", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    run = cli.run_config_from_dict(json.loads(example))
+    assert run.seed == 7 and run.trainer.steps == 2000
+
+
+def test_readme_common_flags_match_the_shared_parser():
+    sentence = re.search(r"All accept (.*?)\.\s", README, re.DOTALL).group(1)
+    documented = set(re.findall(r"`(--[a-z-]+)", sentence))
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shared = set.intersection(
+        *({o for a in p._actions for o in a.option_strings} for p in sub.choices.values())
+    )
+    assert documented == shared - {"-h", "--help"}

@@ -226,17 +226,19 @@ def test_cfg_combine_values():
 def test_euler_single_step_recovers_clean_sample():
     # With the oracle velocity (actual-noise minus target), one Euler step
     # lands on the target: x = eps - 1.0 * (eps - x0).
-    cfg = fl.FlowConfig(steps=1, noise_scale=1.0, seed=21)
+    cfg = fl.FlowConfig(steps=1, noise_scale=1.0)
     rng = np.random.default_rng(5)
     x0_star = _dyadic(rng, (4, 2))
-    eps_hat = cfg.noise_scale * np.random.default_rng(cfg.seed).standard_normal((4, 2))
-    out = fl.euler_sample(lambda x, t: eps_hat - x0_star, (4, 2), cfg)
+    eps_hat = cfg.noise_scale * np.random.default_rng(21).standard_normal((4, 2))
+    out = fl.euler_sample(
+        lambda x, t: eps_hat - x0_star, (4, 2), cfg, np.random.default_rng(21)
+    )
     np.testing.assert_allclose(out, x0_star, atol=1e-12)
 
 
 def test_euler_zero_velocity_returns_initial_noise():
-    cfg = fl.FlowConfig(steps=5, noise_scale=0.5, seed=33)
-    out = fl.euler_sample(lambda x, t: np.zeros_like(x), (6,), cfg)
+    cfg = fl.FlowConfig(steps=5, noise_scale=0.5)
+    out = fl.euler_sample(lambda x, t: np.zeros_like(x), (6,), cfg, np.random.default_rng(33))
     expect = 0.5 * np.random.default_rng(33).standard_normal(6)
     assert np.array_equal(out, expect)
 
@@ -245,49 +247,44 @@ def test_euler_linear_field_matches_closed_form_and_fine_integrator():
     # v(x, t) = x decays the state by (1 - dt) each step; a fine grid
     # approaches x * e^{-1}.
     shape = (8,)
-    coarse = fl.euler_sample(lambda x, t: x, shape, fl.FlowConfig(steps=5, seed=77))
+    coarse = fl.euler_sample(
+        lambda x, t: x, shape, fl.FlowConfig(steps=5), np.random.default_rng(77)
+    )
     x_init = np.random.default_rng(77).standard_normal(8)
     np.testing.assert_allclose(coarse, x_init * (1.0 - 0.2) ** 5, atol=1e-12)
-    fine = fl.euler_sample(lambda x, t: x, shape, fl.FlowConfig(steps=4096, seed=77))
+    fine = fl.euler_sample(
+        lambda x, t: x, shape, fl.FlowConfig(steps=4096), np.random.default_rng(77)
+    )
     np.testing.assert_allclose(fine, x_init * math.exp(-1.0), atol=2e-4)
     assert np.max(np.abs(coarse - fine)) < 0.05 * np.max(np.abs(x_init))
 
 
 def test_euler_visits_uniform_time_grid():
     seen = []
-    cfg = fl.FlowConfig(steps=4, seed=0)
+    cfg = fl.FlowConfig(steps=4)
 
     def probe(x, t):
         seen.append(t)
         return np.zeros_like(x)
 
-    fl.euler_sample(probe, (2,), cfg)
+    fl.euler_sample(probe, (2,), cfg, np.random.default_rng(0))
     np.testing.assert_allclose(seen, [1.0, 0.75, 0.5, 0.25], atol=1e-15)
 
 
 def test_euler_deterministic_and_seed_sensitive():
-    cfg = fl.FlowConfig(steps=5, seed=3)
+    cfg = fl.FlowConfig(steps=5)
     fn = lambda x, t: 0.1 * x
-    a = fl.euler_sample(fn, (7,), cfg)
-    b = fl.euler_sample(fn, (7,), cfg)
+    a = fl.euler_sample(fn, (7,), cfg, np.random.default_rng(3))
+    b = fl.euler_sample(fn, (7,), cfg, np.random.default_rng(3))
     assert np.array_equal(a, b)
-    c = fl.euler_sample(fn, (7,), fl.FlowConfig(steps=5, seed=4))
+    c = fl.euler_sample(fn, (7,), cfg, np.random.default_rng(4))
     assert not np.array_equal(a, c)
 
 
 def test_euler_surfaces_nonfinite_velocity():
-    cfg = fl.FlowConfig(steps=2, seed=0)
+    cfg = fl.FlowConfig(steps=2)
     with pytest.raises(NumericalError):
-        fl.euler_sample(lambda x, t: x * np.inf, (3,), cfg)
-
-
-def test_euler_explicit_rng_overrides_config_seed():
-    cfg = fl.FlowConfig(steps=1, seed=0)
-    out = fl.euler_sample(
-        lambda x, t: np.zeros_like(x), (4,), cfg, rng=np.random.default_rng(99)
-    )
-    expect = np.random.default_rng(99).standard_normal(4)
-    assert np.array_equal(out, expect)
+        fl.euler_sample(lambda x, t: x * np.inf, (3,), cfg, np.random.default_rng(0))
 
 
 # --- config and state types --------------------------------------------------
@@ -298,10 +295,23 @@ def test_flow_config_validation_and_presets():
         fl.FlowConfig(steps=0)
     with pytest.raises(ConfigError):
         fl.FlowConfig(noise_scale=0.0)
+    for field, value in (
+        ("steps", 2.5),
+        ("steps", True),
+        ("noise_scale", math.inf),
+        ("noise_scale", True),
+        ("guidance_strength", math.nan),
+        ("guidance_strength", "3"),
+        ("scale_targets", "yes"),
+        ("scale_targets", 1),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            fl.FlowConfig(**{field: value})
     assert fl.FlowConfig.for_structure().noise_scale == 1.0
     assert fl.FlowConfig.for_affordance_training().noise_scale == 5.0
     assert fl.FlowConfig.for_affordance_eval().noise_scale == 0.5
-    tweaked = fl.FlowConfig.for_affordance_eval(steps=20, seed=5)
-    assert tweaked.steps == 20 and tweaked.seed == 5 and tweaked.noise_scale == 0.5
+    tweaked = fl.FlowConfig.for_affordance_eval(steps=20, guidance_strength=1.0)
+    assert tweaked.steps == 20 and tweaked.guidance_strength == 1.0
+    assert tweaked.noise_scale == 0.5
     assert fl.FlowConfig().guidance_strength == 3.0
     assert fl.FlowConfig().scale_targets is False

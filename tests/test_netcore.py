@@ -1,6 +1,8 @@
 """Velocity-model tests: forward contract, exact gradients vs finite
 differences, optimizer arithmetic, and the two training loops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,28 @@ def test_trainer_config_validation():
         nc.TrainerConfig(steps=2.5)
     with pytest.raises(ConfigError):
         nc.TrainerConfig(batch_size=True)
+    for bad in (
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"learning_rate": True},
+        {"beta1": 2.0},
+        {"beta1": -0.1},
+        {"beta2": 1.0},
+        {"beta2": math.nan},
+        {"adam_eps": -1.0},
+        {"adam_eps": 0.0},
+        {"adam_eps": math.inf},
+        {"cfg_dropout": math.nan},
+        {"cfg_dropout": True},
+        {"ema_rate": math.nan},
+        {"ema_rate": False},
+        {"ema_rate": "0.5"},
+        {"view_range": (1.5, 2)},
+        {"view_range": (1, True)},
+    ):
+        with pytest.raises(ConfigError):
+            nc.TrainerConfig(**bad)
+    assert nc.TrainerConfig(beta1=0.0, ema_rate=0.5).ema_rate == 0.5
     cfg = nc.TrainerConfig()
     assert cfg.learning_rate == 2e-2
     assert cfg.cfg_dropout == 0.10

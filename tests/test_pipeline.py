@@ -69,8 +69,8 @@ def _oracle_models(obj, query):
 
 def _loop_config(**overrides):
     base = dict(
-        structure_flow=FlowConfig(steps=1, noise_scale=1.0, seed=11),
-        affordance_flow=FlowConfig(steps=1, noise_scale=0.5, seed=13),
+        structure_flow=FlowConfig(steps=1, noise_scale=1.0),
+        affordance_flow=FlowConfig(steps=1, noise_scale=0.5),
         n_candidates=8,
         image_size=32,
     )
@@ -88,7 +88,7 @@ def _index_set(arr):
 def test_reconstruct_recovers_occupancy_from_exact_velocity():
     obj = generate_object(0)
     gt = occupied_indices(obj, R)
-    cfg = FlowConfig(steps=1, noise_scale=1.0, seed=5)
+    cfg = FlowConfig(steps=1, noise_scale=1.0)
     eps_hat = np.random.default_rng(5).standard_normal(R**3)
     flat = ground_truth_occupancy(obj, R).flat()[:, 0]
     star = np.where(flat > 0, 1.0, -1.0)
@@ -97,7 +97,7 @@ def test_reconstruct_recovers_occupancy_from_exact_velocity():
         return eps_hat - star
 
     obs = _observation(obj, _view()[0])
-    occ = pl.reconstruct([obs], velocity, R, cfg)
+    occ = pl.reconstruct([obs], velocity, R, cfg, np.random.default_rng(5))
     assert np.array_equal(occ, gt)
 
 
@@ -106,15 +106,15 @@ def test_reconstruct_x_dependent_oracle_is_rng_robust():
     gt = occupied_indices(obj, R)
     obs = _observation(obj, _view()[0])
     for seed in (0, 5, 123):
-        cfg = FlowConfig(steps=1, noise_scale=1.0, seed=seed)
-        occ = pl.reconstruct([obs], _structure_oracle(obj), R, cfg)
+        cfg = FlowConfig(steps=1, noise_scale=1.0)
+        occ = pl.reconstruct([obs], _structure_oracle(obj), R, cfg, np.random.default_rng(seed))
         assert np.array_equal(occ, gt)
 
 
 def test_reconstruct_rejects_empty_observations():
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
     with pytest.raises(DataError):
-        pl.reconstruct([], model, R)
+        pl.reconstruct([], model, R, FlowConfig.for_structure(), np.random.default_rng(0))
     with pytest.raises(DataError):
         pl.fuse_observations([], R)
 
@@ -123,11 +123,11 @@ def test_reconstruct_requires_training_unless_allowed():
     obj = generate_object(2)
     obs = _observation(obj, _view()[0])
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
+    cfg = FlowConfig(steps=5, noise_scale=1.0)
     with pytest.raises(UntrainedModelError):
-        pl.reconstruct([obs], model, R)
+        pl.reconstruct([obs], model, R, cfg, np.random.default_rng(0))
 
-    cfg = FlowConfig(steps=5, noise_scale=1.0, seed=3)
-    occ = pl.reconstruct([obs], model, R, cfg, allow_untrained=True)
+    occ = pl.reconstruct([obs], model, R, cfg, np.random.default_rng(3), allow_untrained=True)
     # A fresh model outputs zero velocity, so the latent is exactly the
     # initial noise and the occupancy is its positive entries.
     noise = np.random.default_rng(3).standard_normal(R**3)
@@ -146,7 +146,9 @@ def test_reconstruct_blank_views_fall_back_to_unconditional():
         view,
     )
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
-    occ = pl.reconstruct([blank], model, R, allow_untrained=True)
+    occ = pl.reconstruct(
+        [blank], model, R, FlowConfig.for_structure(), np.random.default_rng(0), allow_untrained=True
+    )
     assert occ.ndim == 2 and occ.shape[1] == 3
 
 
@@ -158,8 +160,8 @@ def test_ground_recovers_mask_and_aligns_positions():
     query = "strike a nail"
     occ = occupied_indices(obj, R)
     gt_heat = ground_truth_affordance(obj, query, R)
-    cfg = FlowConfig(steps=1, noise_scale=0.5, seed=13)
-    heat = pl.ground(occ, query, _affordance_oracle(gt_heat), R, cfg)
+    cfg = FlowConfig(steps=1, noise_scale=0.5)
+    heat = pl.ground(occ, query, _affordance_oracle(gt_heat), R, cfg, np.random.default_rng(13))
     assert np.array_equal(heat.positions, occ)
     assert not heat.logits
     assert np.all((heat.values > 0.0) & (heat.values < 1.0))
@@ -169,23 +171,31 @@ def test_ground_recovers_mask_and_aligns_positions():
 def test_ground_rejects_empty_occupancy():
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
     with pytest.raises(DataError):
-        pl.ground(np.zeros((0, 3), dtype=np.int64), "strike a nail", model, R)
+        pl.ground(
+            np.zeros((0, 3), dtype=np.int64), "strike a nail", model, R,
+            FlowConfig.for_affordance_eval(), np.random.default_rng(0),
+        )
 
 
 def test_ground_unknown_query():
     occ = occupied_indices(generate_object(1), R)
     with pytest.raises(UnknownQueryError):
-        pl.ground(occ, "fly to the moon", lambda x, t: x, R)
+        pl.ground(
+            occ, "fly to the moon", lambda x, t: x, R,
+            FlowConfig.for_affordance_eval(), np.random.default_rng(0),
+        )
 
 
 def test_ground_requires_training_unless_allowed():
     occ = occupied_indices(generate_object(1), R)
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
+    cfg = FlowConfig(steps=1, noise_scale=0.5)
     with pytest.raises(UntrainedModelError):
-        pl.ground(occ, "strike a nail", model, R)
+        pl.ground(occ, "strike a nail", model, R, cfg, np.random.default_rng(0))
 
-    cfg = FlowConfig(steps=1, noise_scale=0.5, seed=13)
-    heat = pl.ground(occ, "strike a nail", model, R, cfg, allow_untrained=True)
+    heat = pl.ground(
+        occ, "strike a nail", model, R, cfg, np.random.default_rng(13), allow_untrained=True
+    )
     noise = 0.5 * np.random.default_rng(13).standard_normal(occ.shape[0])
     assert np.array_equal(heat.values, sigmoid(noise))
 
@@ -193,7 +203,7 @@ def test_ground_requires_training_unless_allowed():
 def test_ground_seed_and_rng_sensitivity():
     occ = occupied_indices(generate_object(1), R)
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
-    cfg = FlowConfig(steps=1, noise_scale=0.5, seed=13)
+    cfg = FlowConfig(steps=1, noise_scale=0.5)
 
     def run(rng):
         return pl.ground(
@@ -320,7 +330,8 @@ def test_active_loop_budget_one_records_no_selection():
     query = "strike a nail"
     cfg = _loop_config()
     trace = pl.active_loop(
-        obj, query, cfg.candidates()[0], 1, "active", _oracle_models(obj, query), cfg
+        obj, query, cfg.candidates()[0], 1, "active", _oracle_models(obj, query), cfg,
+        np.random.default_rng(0),
     )
     assert trace.budget == 1 and len(trace.steps) == 1
     step = trace.steps[0]
@@ -461,10 +472,11 @@ def test_active_loop_validates_inputs():
     obj = generate_object(1)
     models = _oracle_models(obj, "strike a nail")
     cfg = _loop_config()
+    start, rng = cfg.candidates()[0], np.random.default_rng(0)
     with pytest.raises(DomainError):
-        pl.active_loop(obj, "strike a nail", cfg.candidates()[0], 0, "active", models, cfg)
+        pl.active_loop(obj, "strike a nail", start, 0, "active", models, cfg, rng)
     with pytest.raises(ConfigError):
-        pl.active_loop(obj, "strike a nail", cfg.candidates()[0], 1, "spiral", models, cfg)
+        pl.active_loop(obj, "strike a nail", start, 1, "spiral", models, cfg, rng)
 
 
 def test_active_loop_empty_reconstruction_degrades_gracefully():
@@ -477,7 +489,9 @@ def test_active_loop_empty_reconstruction_degrades_gracefully():
         structure=lambda x, t: x + 1.0,
         affordance=_affordance_oracle(ground_truth_affordance(obj, query, R)),
     )
-    trace = pl.active_loop(obj, query, cfg.candidates()[0], 2, "active", models, cfg)
+    trace = pl.active_loop(
+        obj, query, cfg.candidates()[0], 2, "active", models, cfg, np.random.default_rng(0)
+    )
     step = trace.steps[0]
     assert step.occupied.shape == (0, 3)
     assert step.heatmap.positions.shape == (0, 3)
@@ -515,6 +529,10 @@ def test_pipeline_config_validation_and_candidates():
         pl.PipelineConfig(resolution=0)
     with pytest.raises(ConfigError):
         pl.PipelineConfig(n_candidates=0)
+    for field, value in (("resolution", 8.0), ("channels", True), ("n_candidates", "40"),
+                         ("image_size", 1.5)):
+        with pytest.raises(ConfigError, match=field):
+            pl.PipelineConfig(**{field: value})
     cfg = _loop_config()
     cands = cfg.candidates()
     assert len(cands) == cfg.n_candidates
