@@ -177,9 +177,10 @@ def _load_dataset(dataset_dir):
     return objects, table, manifest
 
 
-def _checkpoint(path, run: RunConfig):
-    """The model at ``path``, refused unless trained at the run's resolution and channels."""
-    return load_model(path, run.resolution, run.channels)
+def _checkpoint(path, run: RunConfig, kind: str):
+    """The ``kind`` model at ``path``, refused unless trained at the run's
+    resolution and channels; a checkpoint of another kind is refused too."""
+    return load_model(path, run.resolution, run.channels, kind)
 
 
 def _observe(obj, k: int, run: RunConfig):
@@ -225,7 +226,7 @@ def cmd_train(args, run: RunConfig) -> int:
         result = train_structure(objects, run.trainer, run.structure_flow)
     else:
         result = train_affordance(objects, run.trainer, run.affordance_train_flow, table)
-    save_model(out / f"{args.kind}.model.json", result.model, run.trainer)
+    save_model(out / f"{args.kind}.model.json", result.model, run.trainer, args.kind)
     with open(out / f"{args.kind}.losses.csv", "w") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["step", "loss"])
@@ -239,7 +240,7 @@ def cmd_reconstruct(args, run: RunConfig) -> int:
     if args.views < 1:
         raise ConfigError("views must be at least 1")
     obj = load_object(args.object)
-    model = _checkpoint(args.model, run)
+    model = _checkpoint(args.model, run, "structure")
     occ = reconstruct(
         _observe(obj, args.views, run),
         model,
@@ -281,7 +282,7 @@ def cmd_ground(args, run: RunConfig) -> int:
         heat = ground(
             occ,
             args.query,
-            _checkpoint(args.model, run),
+            _checkpoint(args.model, run, "affordance"),
             r,
             run.affordance_flow,
             rng=np.random.default_rng(run.seed),
@@ -307,8 +308,8 @@ def cmd_plan(args, run: RunConfig) -> int:
     obj = load_object(args.object)
     table = load_table(args.table) if args.table else default_query_table(run.channels)
     models = StageModels(
-        structure=_checkpoint(args.structure, run),
-        affordance=_checkpoint(args.affordance, run),
+        structure=_checkpoint(args.structure, run, "structure"),
+        affordance=_checkpoint(args.affordance, run, "affordance"),
     )
     start = worst_initial_view(obj, args.query, run.candidates(), run.resolution, table)
     trace = active_loop(
@@ -352,8 +353,8 @@ def cmd_bench(args, run: RunConfig) -> int:
         if not (args.structure_single and args.structure_multi):
             raise ConfigError("views_vs_iou needs --structure-single and --structure-multi")
         models = {
-            "single_view": _checkpoint(args.structure_single, run),
-            "multi_view": _checkpoint(args.structure_multi, run),
+            "single_view": _checkpoint(args.structure_single, run, "structure"),
+            "multi_view": _checkpoint(args.structure_multi, run, "structure"),
         }
         kinds = sorted(models)
         for obj in objects:
@@ -395,8 +396,8 @@ def cmd_bench(args, run: RunConfig) -> int:
             raise ConfigError("strategy_vs_aiou needs --structure and --affordance")
         budget = args.budget if args.budget is not None else run.budget
         models = StageModels(
-            structure=_checkpoint(args.structure, run),
-            affordance=_checkpoint(args.affordance, run),
+            structure=_checkpoint(args.structure, run, "structure"),
+            affordance=_checkpoint(args.affordance, run, "affordance"),
         )
         candidates = run.candidates()
         evaluated = 0

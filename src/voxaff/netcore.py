@@ -479,7 +479,9 @@ def train_affordance(
 # --- checkpoints ------------------------------------------------------------
 
 
-def model_to_dict(model: VelocityModel, trainer: TrainerConfig | None = None) -> dict:
+def model_to_dict(
+    model: VelocityModel, trainer: TrainerConfig | None = None, kind: str | None = None
+) -> dict:
     model.check()
     record = {
         "token_dim": model.token_dim,
@@ -495,6 +497,8 @@ def model_to_dict(model: VelocityModel, trainer: TrainerConfig | None = None) ->
         echo = asdict(trainer)
         echo["view_range"] = list(echo["view_range"])
         record["trainer"] = echo
+    if kind is not None:
+        record["kind"] = kind
     return record
 
 
@@ -523,21 +527,30 @@ def model_from_dict(data: dict) -> VelocityModel:
         raise DataError(f"malformed model record: {exc}") from exc
 
 
-def save_model(path, model: VelocityModel, trainer: TrainerConfig | None = None):
+def save_model(
+    path, model: VelocityModel, trainer: TrainerConfig | None = None, kind: str | None = None
+):
     with open(path, "w") as f:
-        json.dump(model_to_dict(model, trainer), f, sort_keys=True)
+        json.dump(model_to_dict(model, trainer, kind), f, sort_keys=True)
         f.write("\n")
 
 
-def load_model(path, resolution: int | None = None, channels: int | None = None) -> VelocityModel:
+def load_model(
+    path, resolution: int | None = None, channels: int | None = None, kind: str | None = None
+) -> VelocityModel:
     """Read a checkpoint, refusing one whose trainer record names another
-    ``resolution`` or ``channels`` than the given ones (``ConfigError``).
+    ``resolution`` or ``channels`` than the given ones, or whose ``kind``
+    is not the given one (``ConfigError``).
 
-    A checkpoint without a trainer record loads under any run.
+    A checkpoint without a trainer record loads under any run, and one
+    without a kind loads as either kind.
     """
     with open(path) as f:
         data = json.load(f)
-    trainer = data.get("trainer") if isinstance(data, dict) else None
+    record = data if isinstance(data, dict) else {}
+    if kind is not None and record.get("kind", kind) != kind:
+        raise ConfigError(f"{path} is a checkpoint of kind {record['kind']!r}, the run needs {kind!r}")
+    trainer = record.get("trainer")
     if isinstance(trainer, dict):
         for name, want in (("resolution", resolution), ("channels", channels)):
             if want is not None and name in trainer and trainer[name] != want:

@@ -15,6 +15,7 @@ is a pure function of (object, query, models, configs, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,9 +100,14 @@ class PipelineConfig:
             raise ConfigError("candidate count and image size must be positive")
 
     def candidates(self) -> list[Viewpoint]:
-        return hemisphere_candidates(
-            self.n_candidates, intrinsics=eval_intrinsics(self.image_size)
-        )
+        """The hemisphere candidate cameras, as a new list on every call."""
+        return list(_candidate_lattice(self.n_candidates, self.image_size))
+
+
+@functools.lru_cache(maxsize=8)
+def _candidate_lattice(n_candidates: int, image_size: int) -> tuple[Viewpoint, ...]:
+    """Built once per size: viewpoints are immutable, so the calls share them."""
+    return tuple(hemisphere_candidates(n_candidates, intrinsics=eval_intrinsics(image_size)))
 
 
 def fuse_observations(views, resolution: int):

@@ -54,13 +54,17 @@ def _check_indices(indices: Array, r: int, name: str = "indices") -> Array:
     return indices.astype(np.int64, copy=False)
 
 
+def _index_rows(occupied) -> Array:
+    """A set/sequence/array of index triples as an (n, 3) int64 array, unsorted."""
+    if isinstance(occupied, np.ndarray):
+        return occupied.astype(np.int64, copy=False).reshape(-1, 3)
+    rows = [tuple(idx) for idx in occupied]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+
+
 def as_index_array(occupied, r: int | None = None) -> Array:
     """Normalize a set/sequence/array of index triples to a sorted (n, 3) array."""
-    if isinstance(occupied, np.ndarray):
-        arr = occupied.astype(np.int64, copy=False).reshape(-1, 3)
-    else:
-        rows = [tuple(idx) for idx in occupied]
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    arr = _index_rows(occupied)
     if r is not None:
         _check_indices(arr, r, "occupancy indices")
     if arr.shape[0] > 1:
@@ -262,14 +266,21 @@ class AffordanceHeatmap:
         values = np.array([v for _, v in items], dtype=float)
         return cls(resolution=resolution, positions=positions, values=values, logits=logits)
 
-    def check_support(self, occupied: Array):
-        """Raise unless every heated position appears in ``occupied``."""
+    def check_support(self, occupied) -> Array:
+        """Raise unless every heated position appears in ``occupied``.
+
+        Returns the flat x-fastest boolean lattice of the occupied cells.
+        Triples outside [0, r)^3 are dropped first, so none aliases a cell.
+        """
         r = self.resolution
-        occ = as_index_array(occupied)
+        occ = _index_rows(occupied)
         occ = occ[np.all((occ >= 0) & (occ < r), axis=1)]
-        missing = np.count_nonzero(~np.isin(flat_index(self.positions, r), flat_index(occ, r)))
+        lattice = np.zeros(r**3, dtype=bool)
+        lattice[flat_index(occ, r)] = True
+        missing = np.count_nonzero(~lattice[flat_index(self.positions, r)])
         if missing:
             raise SupportError(f"{missing} heatmap positions outside occupancy")
+        return lattice
 
 
 def backproject_view(

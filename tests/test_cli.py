@@ -561,6 +561,37 @@ def test_checkpoint_without_trainer_record_loads_under_any_run(ws, tmp_path):
     assert json.loads(out.read_text())["resolution"] == 6
 
 
+def test_train_records_the_checkpoint_kind(ws):
+    for kind in ("structure", "affordance"):
+        assert json.loads(open(getattr(ws, kind)).read())["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "command", ["reconstruct", "ground", "plan", "bench-views", "bench-strategy"]
+)
+def test_checkpoint_of_the_wrong_kind_exits_2(ws, tmp_path, capsys, command):
+    # Both kinds share token and condition widths, so only the recorded
+    # kind tells a structure checkpoint from an affordance one.
+    swap = {ws.structure: ws.affordance, ws.affordance: ws.structure}
+    out = tmp_path / "out"
+    argv = [swap.get(arg, arg) for arg in _model_argv(ws, command, out)]
+    assert cli.main(argv + ["--config", ws.config]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "checkpoint" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_checkpoint_without_kind_loads_as_either_kind(ws, tmp_path):
+    data = json.loads(open(ws.affordance).read())
+    del data["kind"]
+    bare = tmp_path / "bare.model.json"
+    bare.write_text(json.dumps(data))
+    out = tmp_path / "recon.json"
+    rc = cli.main(["reconstruct", "--model", str(bare), "--object",
+                   str(ws.data / "object_0000.json"), "--config", ws.config, "--out", str(out)])
+    assert rc == 0
+
+
 def test_seed_flag_overrides_trainer_seed_and_is_echoed(ws, tmp_path):
     out = tmp_path / "recon.json"
     rc = cli.main(["reconstruct", "--model", ws.structure,

@@ -419,6 +419,20 @@ def test_checkpoint_echoes_trainer_config():
     assert "params" in record and "Wout" in record["params"]
 
 
+def test_checkpoint_records_its_kind_and_refuses_another(tmp_path):
+    model = _small_model()
+    path = tmp_path / "s.model.json"
+    nc.save_model(path, model, kind="structure")
+    assert nc.model_to_dict(model, kind="structure")["kind"] == "structure"
+    assert nc.load_model(path, kind="structure").steps_trained == model.steps_trained
+    with pytest.raises(ConfigError, match="kind 'structure'"):
+        nc.load_model(path, kind="affordance")
+    # Without a recorded kind a checkpoint loads as either kind.
+    nc.save_model(path, model)
+    assert "kind" not in nc.model_to_dict(model)
+    assert nc.load_model(path, kind="affordance").steps_trained == model.steps_trained
+
+
 def test_checkpoint_rejects_malformed_records():
     with pytest.raises(DataError):
         nc.model_from_dict({"token_dim": 3})

@@ -539,3 +539,46 @@ def test_pipeline_config_validation_and_candidates():
     assert cands[0].intrinsics.width == cfg.image_size
     assert cfg.structure_flow.noise_scale == 1.0
     assert cfg.affordance_flow.noise_scale == 0.5
+
+
+def _same_viewpoints(a, b) -> bool:
+    return len(a) == len(b) and all(
+        u.intrinsics == v.intrinsics
+        and np.array_equal(u.pose.rotation, v.pose.rotation)
+        and np.array_equal(u.pose.translation, v.pose.translation)
+        for u, v in zip(a, b)
+    )
+
+
+def test_candidates_are_built_once_per_count_and_size(monkeypatch):
+    calls = []
+
+    def counting(k, **kwargs):
+        calls.append((k, kwargs["intrinsics"].width))
+        return hemisphere_candidates(k, **kwargs)
+
+    monkeypatch.setattr(pl, "hemisphere_candidates", counting)
+    pl._candidate_lattice.cache_clear()
+    cfg = pl.PipelineConfig(n_candidates=7, image_size=24)
+    first = cfg.candidates()
+    assert _same_viewpoints(first, hemisphere_candidates(7, intrinsics=eval_intrinsics(24)))
+    assert _same_viewpoints(cfg.candidates(), first)
+    # Another config of the same count and size shares the lattice.
+    assert _same_viewpoints(pl.PipelineConfig(n_candidates=7, image_size=24, channels=8).candidates(), first)
+    assert calls == [(7, 24)]
+    pl.PipelineConfig(n_candidates=7, image_size=16).candidates()
+    pl.PipelineConfig(n_candidates=5, image_size=24).candidates()
+    cfg.candidates()
+    assert calls == [(7, 24), (7, 16), (5, 24)]
+
+
+def test_candidates_list_is_the_callers_own():
+    cfg = pl.PipelineConfig(n_candidates=6, image_size=16)
+    want = cfg.candidates()
+    mine = cfg.candidates()
+    assert mine is not want
+    mine.reverse()
+    mine.append(mine[0])
+    del mine[1]
+    assert _same_viewpoints(cfg.candidates(), want)
+    assert _same_viewpoints(want, hemisphere_candidates(6, intrinsics=eval_intrinsics(16)))

@@ -7,6 +7,7 @@ unproject back onto the face of the reported cell).
 """
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from voxaff.geometry import (
     unproject_pixels,
 )
 from voxaff.netcore import random_hemisphere_view
-from voxaff.voxel import AffordanceHeatmap, flat_index
+from voxaff.voxel import AffordanceHeatmap, as_index_array, flat_index
 
 
 def _axis_view(axis: int, side: int, intrinsics: CameraIntrinsics) -> Viewpoint:
@@ -551,7 +552,7 @@ def test_ray_table_view_that_misses_the_cube():
         pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0])),
     )
     table = rd._ray_table(view, 8)
-    assert table.cells.size == 0 and table.lengths.size == 0
+    assert table.cells.size == 0 and table.indptr.tolist() == [0]
     assert not table.rows.any()
     obj = sc.generate_object(1004)
     _assert_render_views_matches_march(obj, 8, view)
@@ -644,6 +645,180 @@ def test_depth_renders_of_an_uncached_camera_leave_the_cache_alone():
     rd.raycast_depth(sc.occupied_indices(obj, r), r, cands[2])
     assert list(rd._ray_tables) == list(tables)
     assert all(rd._ray_tables[key] is table for key, table in tables.items())
+
+
+# --- candidate scoring against its reference -----------------------------------
+
+
+class _LengthsTable(NamedTuple):
+    """A ray table in the layout the reference reads: row sizes, not offsets."""
+
+    cells: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+
+
+def _lengths_table(table: rd._RayTable) -> _LengthsTable:
+    return _LengthsTable(table.cells, np.diff(table.indptr).astype(np.uint8), table.rows)
+
+
+def _reference_check_support(heat: AffordanceHeatmap, occupied):
+    """The ``np.isin`` support check that the lattice test replaced, verbatim."""
+    r = heat.resolution
+    occ = as_index_array(occupied)
+    occ = occ[np.all((occ >= 0) & (occ < r), axis=1)]
+    missing = np.count_nonzero(~np.isin(flat_index(heat.positions, r), flat_index(occ, r)))
+    if missing:
+        raise SupportError(f"{missing} heatmap positions outside occupancy")
+
+
+def _reference_first_occupied(table, occ_flat):
+    """Where each row of ``table`` starts in ``table.cells``, and where its
+    first cell set in the flat occupancy ``occ_flat`` sits (``cells.size``: none).
+
+    The per-call row-start version that ``rd._first_occupied`` replaced,
+    kept verbatim as its reference.
+    """
+    lengths = table.lengths.astype(np.int64)
+    starts = np.cumsum(lengths) - lengths
+    order = np.where(occ_flat[table.cells], np.arange(table.cells.size), table.cells.size)
+    return starts, np.minimum.reduceat(order, starts)
+
+
+def _reference_render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpoint):
+    """The ``render_affordance`` that the lean scoring replaced, verbatim but
+    for reading the table and checking support through the references."""
+    r = heat.resolution
+    occ_arr = as_index_array(occupied, r)
+    _reference_check_support(heat, occ_arr)
+    table = _lengths_table(rd._ray_table(view, r))
+    occ = np.zeros(r**3, dtype=bool)
+    occ[flat_index(occ_arr, r)] = True
+    # Heat per flat cell; slot r^3 stands for "no occupied cell" and reads 0.
+    values = np.zeros(r**3 + 1)
+    values[flat_index(heat.positions, r)] = heat.values
+    _, first = _reference_first_occupied(table, occ)
+    first_cell = np.append(table.cells, r**3)[first]
+    out = np.append(0.0, values[first_cell])[table.rows]
+    intr = view.intrinsics
+    return rd.ScalarImage(
+        width=intr.width, height=intr.height, values=out.reshape(intr.height, intr.width)
+    )
+
+
+def _assert_scoring_matches_reference(occupied, heat, view):
+    """Image and total equal the reference's bit for bit, and so does every
+    row's first occupied cell."""
+    got = rd.render_affordance(occupied, heat, view)
+    want = _reference_render_affordance(occupied, heat, view)
+    assert np.array_equal(got.values, want.values)
+    assert got.total() == want.total()
+    r = heat.resolution
+    table = rd._ray_table(view, r)
+    occ = np.zeros(r**3, dtype=bool)
+    occ[flat_index(as_index_array(occupied, r), r)] = True
+    crosses, first = rd._first_occupied(table, occ)
+    starts, ref_first = _reference_first_occupied(_lengths_table(table), occ)
+    assert np.array_equal(starts, table.indptr[:-1])
+    assert np.array_equal(crosses, ref_first < table.cells.size)
+    assert np.array_equal(first, ref_first[crosses])
+
+
+def _random_heat(occupied, r: int, rng) -> AffordanceHeatmap:
+    """Random heat on a random ~70% of ``occupied``: hits on unheated cells read 0."""
+    occupied = as_index_array(occupied, r)
+    keep = rng.random(len(occupied)) < 0.7
+    return AffordanceHeatmap(resolution=r, positions=occupied[keep], values=rng.random(int(keep.sum())))
+
+
+@pytest.mark.parametrize("r", [8, 16])
+def test_scoring_matches_reference_on_every_shipped_candidate(r):
+    # The 40 shipped candidates at 128^2 against the ground truth of each of
+    # 20 objects and a seeded 60% subset of it standing in for a partial
+    # reconstruction, each with random heat.
+    rng = np.random.default_rng(r)
+    views = hemisphere_candidates(40, intrinsics=eval_intrinsics(128))
+    for seed in range(1000, 1020):
+        truth = sc.occupied_indices(sc.generate_object(seed), r)
+        partial = truth[rng.random(len(truth)) < 0.6]
+        for occupied in (truth, partial):
+            heat = _random_heat(occupied, r, rng)
+            for view in views:
+                _assert_scoring_matches_reference(occupied, heat, view)
+
+
+def test_scoring_matches_reference_on_a_non_square_image():
+    intr = CameraIntrinsics(fx=30.0, fy=28.0, cx=21.0, cy=11.5, width=40, height=24)
+    view = Viewpoint(intrinsics=intr, pose=look_at([1.2, -1.0, 1.1], [0.0, 0.0, 0.0]))
+    rng = np.random.default_rng(40)
+    truth = sc.occupied_indices(sc.generate_object(1003), 8)
+    _assert_scoring_matches_reference(truth, _random_heat(truth, 8, rng), view)
+    assert rd.render_affordance(truth, _random_heat(truth, 8, rng), view).values.shape == (24, 40)
+
+
+def test_scoring_matches_reference_when_every_ray_misses():
+    view = Viewpoint(
+        intrinsics=eval_intrinsics(16),
+        pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0])),
+    )
+    truth = sc.occupied_indices(sc.generate_object(1004), 8)
+    heat = _random_heat(truth, 8, np.random.default_rng(41))
+    _assert_scoring_matches_reference(truth, heat, view)
+    assert rd.render_affordance(truth, heat, view).total() == 0.0
+
+
+def test_scoring_matches_reference_on_a_filled_cube():
+    # Every hit is in the ray's entry cell, the first cell of its row.
+    r = 8
+    full = sc.occupied_indices(_box_object(scale=(0.6, 0.6, 0.6)), r)
+    assert len(full) == r**3
+    rng = np.random.default_rng(42)
+    views = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))
+    for view in views + [_axis_view(axis, side, eval_intrinsics(15)) for axis in range(3) for side in (-1, 1)]:
+        _assert_scoring_matches_reference(full, _random_heat(full, r, rng), view)
+
+
+def _support_error(check, *args) -> str | None:
+    try:
+        check(*args)
+    except SupportError as exc:
+        return str(exc)
+    return None
+
+
+def test_support_check_matches_reference_counts():
+    # Random heat against random occupancies, some with triples outside the
+    # lattice whose flat index aliases a cell inside it.
+    r = 4
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        cells = rng.choice(r**3, size=int(rng.integers(1, 20)), replace=False)
+        positions = np.column_stack(np.unravel_index(np.sort(cells), (r, r, r), order="F"))
+        heat = AffordanceHeatmap(
+            resolution=r, positions=as_index_array(positions), values=rng.random(len(cells))
+        )
+        occupied = positions[rng.random(len(positions)) < 0.7]
+        stray = rng.integers(-1, r + 2, size=(int(rng.integers(0, 6)), 3))
+        occupied = np.concatenate([occupied, stray])
+        want = _support_error(_reference_check_support, heat, occupied)
+        assert _support_error(heat.check_support, occupied) == want
+    heat = AffordanceHeatmap(resolution=r, positions=np.array([[0, 1, 0]]), values=np.array([1.0]))
+    assert _support_error(heat.check_support, np.array([[4, 0, 0]])) == (
+        "1 heatmap positions outside occupancy"
+    )
+
+
+def test_render_affordance_support_error_matches_reference():
+    r = 8
+    rng = np.random.default_rng(44)
+    truth = sc.occupied_indices(sc.generate_object(1005), r)
+    heat = AffordanceHeatmap(resolution=r, positions=truth, values=rng.random(len(truth)))
+    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[9]
+    for drop in (1, 5, len(truth) // 2):
+        occupied = truth[rng.permutation(len(truth))[drop:]]
+        want = _support_error(_reference_render_affordance, occupied, heat, view)
+        assert want == f"{drop} heatmap positions outside occupancy"
+        assert _support_error(rd.render_affordance, occupied, heat, view) == want
 
 
 def test_scalar_image_total_and_validation():
