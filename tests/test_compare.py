@@ -1,7 +1,9 @@
-"""Summaries of ``tools/compare.py``: quartiles, win counts and digest equality."""
+"""``tools/compare.py``: quartiles, win counts, digest equality and the paired runs."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -37,3 +39,41 @@ def test_digests_are_equal_only_when_every_run_agrees():
     assert not digests["equal"] and digests["change"]["output"] == ["a", "b"]
     unstable = same + [{"parent": _run(1, 1, warmup="v"), "change": _run(1, 1, warmup="v")}]
     assert not compare.compare_digests(unstable)["equal"]
+
+
+def test_main_runs_both_committed_revisions_for_the_benchmark_run_seconds(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "end_to_end": [{"name": "primary_ms", "better": "lower"}]}))
+    (repo / "side.txt").write_text("parent")
+    git("add", ".")
+    git("commit", "-q", "-m", "parent")
+    (repo / "side.txt").write_text("change")
+    git("commit", "-q", "-am", "change")
+    (repo / "side.txt").write_text("uncommitted")
+
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = (checkout / "side.txt").read_text()
+        calls.append((side, workload, seed, seconds))
+        return _run(300 if side == "parent" else 250, 1.0)
+
+    monkeypatch.setattr(compare, "ROOT", repo)
+    monkeypatch.setattr(compare, "run_once", fake_run)
+    argv = ["--parent", "HEAD~1", "--workload", "plan", "--pairs", "2", "--seeds", "0", "--number", "3"]
+    assert compare.main(argv) == 0
+    assert calls == [("parent", "plan", 0, 7), ("change", "plan", 0, 7),
+                     ("change", "plan", 0, 7), ("parent", "plan", 0, 7)]
+    bench = json.loads((repo / "BENCH_3.json").read_text())
+    assert bench["seconds"] == 7 and bench["digests_equal"] and bench["failed_runs"] == 0
+    assert bench["revisions"]["change"]["rev"] == "HEAD"
+    assert bench["revisions"]["parent"]["sha"] != bench["revisions"]["change"]["sha"]
+    assert bench["results"][0]["summary"]["primary_ms"]["change_wins"] == 2

@@ -1,14 +1,15 @@
 """Paired before/after runs of the benchmark: a parent revision against a change.
 
-    python3 tools/compare.py --parent REV --workload plan --pairs 8 --seeds 0,9001 \
-        --number 7 [--change REV] [--seconds 30]
+    python3 tools/compare.py --parent REV --workload plan --pairs 10 --seeds 0,9001 \
+        --number 7 [--change REV]
 
 Both sides are extracted with ``git archive`` into a temporary directory (a
-plain local checkout; no network, and nothing is registered in ``.git``).
-Without ``--change`` the change side is this working tree as it stands.
-For every workload and seed the script runs ``perfbench/run.py --trace 0``
-``--pairs`` times on each side, alternating which side goes first, so a
-drift in machine speed falls on both sides alike.
+plain local checkout; no network, and nothing is registered in ``.git``), so
+each runs from fresh files; ``--change`` defaults to ``HEAD``, so commit a
+change before comparing it.  For every workload and seed the script runs
+``perfbench/run.py --trace 0`` ``--pairs`` times on each side for
+``BENCHMARK.json``'s ``run_seconds``, alternating which side goes first, so
+a drift in machine speed falls on both sides alike.
 
 It writes ``BENCH_<number>.json`` at the repository root: the machine
 record, both revisions, every pair's end-to-end metrics, per-metric
@@ -138,30 +139,26 @@ def machine(result_file: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--change", help="revision of the change (default: this working tree)")
+    parser.add_argument("--change", default="HEAD", help="revision of the change (default: HEAD)")
     parser.add_argument("--workload", required=True, help="comma-separated workloads")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", required=True, help="comma-separated seeds")
     parser.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     workloads = args.workload.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    revisions = {"parent": {"rev": args.parent, "sha": git("rev-parse", args.parent)}}
-    if args.change:
-        revisions["change"] = {"rev": args.change, "sha": git("rev-parse", args.change)}
-    else:
-        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-        revisions["change"] = {"rev": "working tree", "sha": git("rev-parse", "HEAD"), "dirty": dirty}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    revisions = {side: {"rev": rev, "sha": git("rev-parse", rev)}
+                 for side, rev in (("parent", args.parent), ("change", args.change))}
 
     results, failed = [], 0
     with tempfile.TemporaryDirectory(prefix="voxaff-compare-") as tmp:
-        checkouts = {"parent": extract(args.parent, Path(tmp) / "parent")}
-        checkouts["change"] = extract(args.change, Path(tmp) / "change") if args.change else ROOT
+        checkouts = {side: extract(r["rev"], Path(tmp) / side) for side, r in revisions.items()}
         for workload in workloads:
             for seed in seeds:
                 pairs = []
@@ -169,7 +166,7 @@ def main(argv=None) -> int:
                     order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                     pair = {"first": order[0]}
                     for side in order:
-                        pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                        pair[side] = run_once(checkouts[side], workload, seed, seconds)
                         failed += not pair[side]["ok"]
                     pairs.append(pair)
                     print(f"{workload} seed {seed} pair {k + 1}/{args.pairs}: " + ", ".join(
@@ -190,7 +187,7 @@ def main(argv=None) -> int:
         "command": ["python3", "tools/compare.py", *(argv if argv is not None else sys.argv[1:])],
         "machine": record,
         "revisions": revisions,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "failed_runs": failed,
         "digests_equal": digests_equal,
         "results": results,
