@@ -66,7 +66,7 @@ class RunConfig(PipelineConfig):
     candidate lattice) come from ``PipelineConfig``, so a run config is
     what ``active_loop`` takes.  ``resolution`` and ``channels`` are set
     only at the top level and copied into ``trainer``.  ``--config`` files
-    override any subset of the fields; ``--seed`` then overrides both
+    override any subset of the fields; ``--seed`` then replaces both
     ``seed`` and ``trainer.seed`` so one flag reseeds a whole run.
     """
 
@@ -172,6 +172,8 @@ def _load_dataset(dataset_dir):
         table_name = manifest.get("table", "queries.json")
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed manifest in {root}: {exc}") from exc
+    if not all(isinstance(name, str) for name in [*names, table_name]):
+        raise DataError(f"malformed manifest in {root}: file names must be strings")
     objects = [load_object(root / name) for name in names]
     table = load_table(root / table_name)
     return objects, table, manifest
@@ -181,6 +183,14 @@ def _checkpoint(path, run: RunConfig, kind: str):
     """The ``kind`` model at ``path``, refused unless trained at the run's
     resolution and channels; a checkpoint of another kind is refused too."""
     return load_model(path, run.resolution, run.channels, kind)
+
+
+def _budget(args, run: RunConfig) -> int:
+    """The view budget: ``--budget`` when given, else the run's."""
+    budget = args.budget if args.budget is not None else run.budget
+    if budget < 1:
+        raise ConfigError("budget must be at least 1")
+    return budget
 
 
 def _observe(obj, k: int, run: RunConfig):
@@ -255,7 +265,9 @@ def cmd_reconstruct(args, run: RunConfig) -> int:
             "resolution": run.resolution,
             "views": args.views,
             "occupied": occ.tolist(),
-            "iou_vs_ground_truth": volumetric_iou(occ, occupied_indices(obj, run.resolution)),
+            "iou_vs_ground_truth": volumetric_iou(
+                occ, occupied_indices(obj, run.resolution), run.resolution
+            ),
             "config": _echo(run, "reconstruct", views=args.views),
         },
     )
@@ -275,7 +287,7 @@ def cmd_ground(args, run: RunConfig) -> int:
             data = _load_json(args.occupancy)
             try:
                 occ = np.array(data["occupied"], dtype=np.int64).reshape(-1, 3)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed occupancy file {args.occupancy}: {exc}") from exc
         else:
             occ = occupied_indices(obj, r)
@@ -301,10 +313,8 @@ def cmd_ground(args, run: RunConfig) -> int:
 
 
 def cmd_plan(args, run: RunConfig) -> int:
-    budget = args.budget if args.budget is not None else run.budget
+    budget = _budget(args, run)
     strategy = args.strategy if args.strategy is not None else run.strategy
-    if budget < 1:
-        raise ConfigError("budget must be at least 1")
     obj = load_object(args.object)
     table = load_table(args.table) if args.table else default_query_table(run.channels)
     models = StageModels(
@@ -375,7 +385,7 @@ def cmd_bench(args, run: RunConfig) -> int:
                             "query": None,
                             "strategy": kind,
                             "views": k,
-                            "iou": volumetric_iou(occ, gt),
+                            "iou": volumetric_iou(occ, gt, run.resolution),
                         }
                     )
         for kind in kinds:
@@ -394,7 +404,7 @@ def cmd_bench(args, run: RunConfig) -> int:
     else:
         if not (args.structure and args.affordance):
             raise ConfigError("strategy_vs_aiou needs --structure and --affordance")
-        budget = args.budget if args.budget is not None else run.budget
+        budget = _budget(args, run)
         models = StageModels(
             structure=_checkpoint(args.structure, run, "structure"),
             affordance=_checkpoint(args.affordance, run, "affordance"),

@@ -58,7 +58,7 @@ class UndefinedMetricError(DataError):
 
 
 class UntrainedModelError(DataError):
-    """A pipeline stage received a model with zero completed training steps."""
+    """A checkpoint records zero completed training steps."""
 
 
 class DegenerateQueryError(DataError):

@@ -14,7 +14,7 @@ value and the gradient with the chain-rule sign already applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,39 +41,33 @@ class FlowConfig:
     """Sampler/corruption settings.
 
     ``noise_scale`` is the standard deviation of the Gaussian eps used
-    both to corrupt training targets and to initialize sampling.  The
-    alternative reading — leave eps at unit scale and multiply the clean
-    logit targets instead — is available via ``scale_targets`` for
-    comparison runs; the default keeps the eps-std interpretation.
+    both to corrupt training targets and to initialize sampling.
     """
 
     steps: int = 5
     guidance_strength: float = 3.0
     noise_scale: float = 1.0
-    scale_targets: bool = False
 
     def __post_init__(self):
         check_integer("steps", self.steps)
         check_real("guidance_strength", self.guidance_strength)
         check_real("noise_scale", self.noise_scale)
-        if not isinstance(self.scale_targets, bool):
-            raise ConfigError(f"scale_targets must be true or false, got {self.scale_targets!r}")
         if self.steps < 1:
             raise ConfigError(f"need at least one Euler step, got {self.steps}")
         if not self.noise_scale > 0:
             raise ConfigError(f"noise scale must be positive, got {self.noise_scale}")
 
     @classmethod
-    def for_structure(cls, **overrides) -> "FlowConfig":
-        return replace(cls(noise_scale=1.0), **overrides)
+    def for_structure(cls) -> "FlowConfig":
+        return cls(noise_scale=1.0)
 
     @classmethod
-    def for_affordance_training(cls, **overrides) -> "FlowConfig":
-        return replace(cls(noise_scale=5.0), **overrides)
+    def for_affordance_training(cls) -> "FlowConfig":
+        return cls(noise_scale=5.0)
 
     @classmethod
-    def for_affordance_eval(cls, **overrides) -> "FlowConfig":
-        return replace(cls(noise_scale=0.5), **overrides)
+    def for_affordance_eval(cls) -> "FlowConfig":
+        return cls(noise_scale=0.5)
 
 
 def interpolate(x0: Array, eps: Array, t: float) -> Array:

@@ -75,12 +75,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise DomainError("principal point must lie within the image")
 
-    def matrix(self) -> Array:
-        """3x3 calibration matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 def eval_intrinsics(size: int = EVAL_IMAGE_SIZE, fov_deg: float = EVAL_FOV_DEG) -> CameraIntrinsics:
     """Square evaluation camera with the given vertical field of view."""

@@ -58,16 +58,9 @@ def voxel_center_cloud(indices, r: int) -> Array:
 # --- occupancy metrics -------------------------------------------------------
 
 
-def volumetric_iou(a, b, r: int | None = None) -> float:
-    """Intersection-over-union of two voxel index sets (both empty -> 1).
-
-    Without ``r`` the flat-index stride spans the indices both sets hold.
-    """
+def volumetric_iou(a, b, r: int) -> float:
+    """Intersection-over-union of two voxel index sets in [0, r)^3 (both empty -> 1)."""
     a, b = as_index_array(a, r), as_index_array(b, r)
-    if r is None:
-        both = np.concatenate([a, b])
-        lo = both.min(initial=0)
-        a, b, r = a - lo, b - lo, int(both.max(initial=0)) - lo + 1
     fa, fb = flat_index(a, r), flat_index(b, r)
     union = np.union1d(fa, fb).size
     if not union:

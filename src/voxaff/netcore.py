@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     NumericalError,
     ShapeMismatchError,
+    UntrainedModelError,
     check_integer,
     check_real,
 )
@@ -52,7 +53,7 @@ from .synthscene import (
     ground_truth_affordance,
     ground_truth_occupancy,
 )
-from .voxel import backproject_view, encode_positions, flat_order_indices, fuse, to_condition
+from .voxel import backproject_view, encode_positions, flat_order_indices, fuse, pooled_condition
 
 Array = np.ndarray
 
@@ -121,12 +122,14 @@ class VelocityModel:
         return [self.in_dim] + [self.hidden] * self.depth + [1]
 
     def check(self):
+        if len(self.params) != 2 * self.depth + 2:
+            raise ShapeMismatchError(f"{len(self.params)} parameters for depth {self.depth}")
         widths = self.layer_widths()
-        for k in range(self.depth):
-            if self.params[f"W{k}"].shape != (widths[k], widths[k + 1]):
-                raise ShapeMismatchError(f"layer {k} weight shape inconsistent")
-        if self.params["Wout"].shape != (widths[-2], 1):
-            raise ShapeMismatchError("output weight shape inconsistent")
+        for k, layer in enumerate([*map(str, range(self.depth)), "out"]):
+            if self.params[f"W{layer}"].shape != (widths[k], widths[k + 1]):
+                raise ShapeMismatchError(f"layer {layer} weight shape inconsistent")
+            if self.params[f"b{layer}"].shape != (widths[k + 1],):
+                raise ShapeMismatchError(f"layer {layer} bias shape inconsistent")
         for name, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise NumericalError(f"parameter {name} is not finite")
@@ -337,15 +340,10 @@ def random_hemisphere_view(rng: np.random.Generator, intrinsics: CameraIntrinsic
 
 
 def _corruption(x0: Array, flow_cfg: FlowConfig, rng: np.random.Generator):
-    """Draw (t, eps, x_t, clean-target) under the configured noise reading."""
-    if flow_cfg.scale_targets:
-        target = x0 * flow_cfg.noise_scale
-        eps = rng.standard_normal(x0.shape)
-    else:
-        target = x0
-        eps = flow_cfg.noise_scale * rng.standard_normal(x0.shape)
+    """Draw (t, eps, x_t): eps has standard deviation ``noise_scale``."""
+    eps = flow_cfg.noise_scale * rng.standard_normal(x0.shape)
     t = sample_timestep(rng)
-    return t, eps, interpolate(target, eps, t), target
+    return t, eps, interpolate(x0, eps, t)
 
 
 def _fit(model: VelocityModel, sample_fn, cfg: TrainerConfig) -> TrainResult:
@@ -416,15 +414,15 @@ def train_structure(
             view = random_hemisphere_view(rng, intrinsics)
             depth_img, feats = render_views(obj, view, r, channels)
             grids.append(backproject_view(depth_img.values, feats, view, r))
-        cond = to_condition(fuse(grids)).pooled()
+        cond = pooled_condition(fuse(grids))
         if rng.random() < cfg.cfg_dropout:
             cond = zero_cond
-        t, eps, x_t, target = _corruption(x0, flow_cfg, rng)
+        t, eps, x_t = _corruption(x0, flow_cfg, rng)
         return (
             np.column_stack([x_t, pe]),
             cond,
             t,
-            lambda v: (cfm_loss_mse(v, target, eps), cfm_loss_mse_grad(v, target, eps)),
+            lambda v: (cfm_loss_mse(v, x0, eps), cfm_loss_mse_grad(v, x0, eps)),
         )
 
     model = VelocityModel.create(
@@ -467,7 +465,7 @@ def train_affordance(
     def sample(rng):
         gt, pe, embedding = pairs[int(rng.integers(len(pairs)))]
         cond = zero_cond if rng.random() < cfg.cfg_dropout else embedding
-        t, eps, a_t, _ = _corruption(2.0 * gt - 1.0, flow_cfg, rng)
+        t, eps, a_t = _corruption(2.0 * gt - 1.0, flow_cfg, rng)
         return np.column_stack([a_t, pe]), cond, t, lambda v: velocity_mask_loss(v, eps, gt)
 
     model = VelocityModel.create(
@@ -508,7 +506,7 @@ def model_from_dict(data: dict) -> VelocityModel:
         params = {}
         for name, value in data["params"].items():
             arr = np.array(value, dtype=float)
-            if arr.ndim != widths_expected[name[0]]:
+            if arr.ndim != widths_expected[name[:1]]:
                 raise DomainError(f"parameter {name} has wrong rank")
             params[name] = arr
         model = VelocityModel(
@@ -523,7 +521,7 @@ def model_from_dict(data: dict) -> VelocityModel:
         )
         model.check()
         return model
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model record: {exc}") from exc
 
 
@@ -540,7 +538,8 @@ def load_model(
 ) -> VelocityModel:
     """Read a checkpoint, refusing one whose trainer record names another
     ``resolution`` or ``channels`` than the given ones, or whose ``kind``
-    is not the given one (``ConfigError``).
+    is not the given one (``ConfigError``), and one that records no
+    training step (``UntrainedModelError``).
 
     A checkpoint without a trainer record loads under any run, and one
     without a kind loads as either kind.
@@ -555,4 +554,7 @@ def load_model(
         for name, want in (("resolution", resolution), ("channels", channels)):
             if want is not None and name in trainer and trainer[name] != want:
                 raise ConfigError(f"{path} was trained at {name} {trainer[name]!r}, the run has {want}")
-    return model_from_dict(data)
+    model = model_from_dict(data)
+    if model.steps_trained == 0:
+        raise UntrainedModelError(f"{path} is a checkpoint with no training steps recorded")
+    return model

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateQueryError,
     DomainError,
     EmptyConditionError,
-    UntrainedModelError,
     check_integer,
 )
 from .flow import FlowConfig, cfg_combine, euler_sample, sigmoid
@@ -43,7 +42,7 @@ from .geometry import (
 )
 from .metrics import aiou_acd, volumetric_iou
 from .netcore import PE_DIM, VelocityModel, forward
-from .render import DepthImage, render_affordance, render_views
+from .render import render_affordance, render_views
 from .synthscene import (
     QueryTable,
     SyntheticObject,
@@ -61,7 +60,7 @@ from .voxel import (
     flat_order_indices,
     fuse,
     heatmap_to_dict,
-    to_condition,
+    pooled_condition,
 )
 
 Array = np.ndarray
@@ -111,27 +110,20 @@ def _candidate_lattice(n_candidates: int, image_size: int) -> tuple[Viewpoint, .
 
 
 def fuse_observations(views, resolution: int):
-    """Backproject and fuse (depth, features, viewpoint) observations."""
+    """Backproject and fuse (DepthImage, features, viewpoint) observations."""
     if not views:
         raise DataError("need at least one observation")
-    grids = []
-    for depth, feats, view in views:
-        depth_values = depth.values if isinstance(depth, DepthImage) else depth
-        grids.append(backproject_view(depth_values, feats, view, resolution))
-    return fuse(grids)
+    return fuse([backproject_view(d.values, feats, view, resolution) for d, feats, view in views])
 
 
-def _velocity_for(model, cond, pe: Array, guidance: float, allow_untrained: bool, role: str):
-    """Guided closure for a trained model, or a raw velocity field as-is.
+def _velocity_for(model, cond, pe: Array, guidance: float):
+    """Guided closure for a model, or a raw velocity field as-is.
 
     Passing a plain callable ``(x, t) -> v`` in place of a model is the
-    oracle hook used by tests and baselines; it skips conditioning and
-    the trained-model check.
+    oracle hook used by tests and baselines; it skips conditioning.
     """
     if callable(model) and not isinstance(model, VelocityModel):
         return model
-    if model.steps_trained == 0 and not allow_untrained:
-        raise UntrainedModelError(f"{role} model has no training steps recorded")
     return _guided_velocity(model, cond, pe, guidance)
 
 
@@ -156,7 +148,6 @@ def reconstruct(
     resolution: int,
     flow_cfg: FlowConfig,
     rng: np.random.Generator,
-    allow_untrained: bool = False,
 ) -> Array:
     """Sample a dense occupancy conditioned on fused observations.
 
@@ -166,13 +157,11 @@ def reconstruct(
     """
     fused = fuse_observations(views, resolution)
     try:
-        cond = to_condition(fused).pooled()
+        cond = pooled_condition(fused)
     except EmptyConditionError:
         cond = None
     pe = encode_positions(flat_order_indices(resolution), resolution, PE_DIM)
-    velocity = _velocity_for(
-        model, cond, pe, flow_cfg.guidance_strength, allow_untrained, "structure"
-    )
+    velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
     latent = euler_sample(velocity, (resolution**3,), flow_cfg, rng)
     dense = DenseGrid.from_flat(resolution, 1, latent[:, None])
     return dense_threshold(dense, 0.0)
@@ -186,7 +175,6 @@ def ground(
     flow_cfg: FlowConfig,
     rng: np.random.Generator,
     table: QueryTable | None = None,
-    allow_untrained: bool = False,
 ) -> AffordanceHeatmap:
     """Sample a probability heatmap for ``query`` over occupied voxels."""
     occ = as_index_array(occupied, resolution)
@@ -196,9 +184,7 @@ def ground(
         table = default_query_table(getattr(model, "cond_dim", 16))
     cond = table.embedding_of(query)
     pe = encode_positions(occ, resolution, PE_DIM)
-    velocity = _velocity_for(
-        model, cond, pe, flow_cfg.guidance_strength, allow_untrained, "affordance"
-    )
+    velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
     logits = euler_sample(velocity, (occ.shape[0],), flow_cfg, rng)
     return AffordanceHeatmap(
         resolution=resolution, positions=occ, values=sigmoid(logits), logits=False

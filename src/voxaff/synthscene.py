@@ -34,9 +34,6 @@ Array = np.ndarray
 PRIMITIVES = ("box", "sphere", "cylinder", "torus_segment")
 TEMPLATES = ("mug", "hammer", "chair", "lamp")
 
-#: Global seed mixed into every hash embedding (queries, part labels).
-DEFAULT_EMBED_SEED = 0
-
 #: Default feature/embedding width used across the desk-scale pipeline.
 DEFAULT_CHANNELS = 16
 
@@ -194,28 +191,28 @@ def occupied_indices(obj: SyntheticObject, r: int) -> Array:
     return dense_threshold(ground_truth_occupancy(obj, r), 0.0)
 
 
-def hash_embedding(text: str, dim: int, salt: str = "", seed: int = DEFAULT_EMBED_SEED) -> Array:
+def hash_embedding(text: str, dim: int, salt: str) -> Array:
     """Unit-norm pseudo-random vector derived from a string.
 
-    Deterministic in (text, salt, seed): the sha256 digest seeds a
-    generator whose first ``dim`` normal draws are normalized.
+    Deterministic in (text, salt): the sha256 digest of ``0:salt:text``
+    seeds a generator whose first ``dim`` normal draws are normalized.
     """
     if dim < 1:
         raise DomainError("embedding dimension must be >= 1")
-    digest = hashlib.sha256(f"{seed}:{salt}:{text}".encode()).digest()
+    digest = hashlib.sha256(f"0:{salt}:{text}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def query_embedding(query: str, dim: int = DEFAULT_CHANNELS, seed: int = DEFAULT_EMBED_SEED) -> Array:
+def query_embedding(query: str, dim: int = DEFAULT_CHANNELS) -> Array:
     """Stand-in text encoder output for a query string (unit norm)."""
-    return hash_embedding(query, dim, salt="query", seed=seed)
+    return hash_embedding(query, dim, salt="query")
 
 
-def label_embedding(label: str, dim: int, seed: int = DEFAULT_EMBED_SEED) -> Array:
+def label_embedding(label: str, dim: int) -> Array:
     """Stand-in visual-feature identity for a part label (unit norm)."""
-    return hash_embedding(label, dim, salt="part", seed=seed)
+    return hash_embedding(label, dim, salt="part")
 
 
 @dataclass(frozen=True)
@@ -224,9 +221,6 @@ class QueryTable:
 
     entries: dict  # query -> (tag, embedding)
     dim: int
-
-    def queries(self) -> list[str]:
-        return sorted(self.entries)
 
     def tag_of(self, query: str) -> str:
         try:
@@ -254,9 +248,9 @@ DEFAULT_QUERIES = {
 }
 
 
-def default_query_table(dim: int = DEFAULT_CHANNELS, seed: int = DEFAULT_EMBED_SEED) -> QueryTable:
+def default_query_table(dim: int = DEFAULT_CHANNELS) -> QueryTable:
     entries = {
-        query: (tag, query_embedding(query, dim, seed))
+        query: (tag, query_embedding(query, dim))
         for query, tag in DEFAULT_QUERIES.items()
     }
     return QueryTable(entries=entries, dim=dim)
@@ -574,7 +568,7 @@ def table_from_dict(data: dict) -> QueryTable:
             for q, rec in data["queries"].items()
         }
         return QueryTable(entries=entries, dim=int(data["dim"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed query table: {exc}") from exc
 
 

@@ -62,11 +62,10 @@ def _index_rows(occupied) -> Array:
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
 
 
-def as_index_array(occupied, r: int | None = None) -> Array:
-    """Normalize a set/sequence/array of index triples to a sorted (n, 3) array."""
+def as_index_array(occupied, r: int) -> Array:
+    """Normalize a set/sequence/array of index triples in [0, r)^3 to a sorted (n, 3) array."""
     arr = _index_rows(occupied)
-    if r is not None:
-        _check_indices(arr, r, "occupancy indices")
+    _check_indices(arr, r, "occupancy indices")
     if arr.shape[0] > 1:
         arr = arr[_lexsort_rows(arr)]
     return arr
@@ -195,33 +194,6 @@ def flat_order_indices(r: int) -> Array:
     iz, iy, ix = np.meshgrid(np.arange(r), np.arange(r), np.arange(r), indexing="ij")
     out = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3).astype(np.int64)
     return _frozen(out)
-
-
-@dataclass(frozen=True)
-class ConditionTokens:
-    """Per-voxel conditioning tokens: fused feature plus positional encoding."""
-
-    positions: Array  # (n, 3) int64, sorted lexicographically
-    vectors: Array  # (n, dim) float64
-
-    def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.int64)
-        vectors = np.asarray(self.vectors, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise DomainError("positions must have shape (n, 3)")
-        if vectors.ndim != 2 or vectors.shape[0] != positions.shape[0]:
-            raise ShapeMismatchError("one vector per position required")
-        if not np.all(np.isfinite(vectors)):
-            raise DomainError("token vectors must be finite")
-        object.__setattr__(self, "positions", _frozen(positions))
-        object.__setattr__(self, "vectors", _frozen(vectors))
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    def pooled(self) -> Array:
-        """Mean token vector (the conditioning summary handed to models)."""
-        return self.vectors.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -406,18 +378,19 @@ def encode_positions(positions: Array, r: int, dim: int) -> Array:
     return _pe_table(r, dim)[flat_index(positions, r)]
 
 
-def to_condition(grid: SparseVoxelGrid) -> ConditionTokens:
-    """Turn a fused grid into conditioning tokens: feature + positional code.
+def pooled_condition(grid: SparseVoxelGrid) -> Array:
+    """The condition vector handed to models: the mean over a fused grid's
+    tokens, each token its voxel's feature plus its positional code.
 
-    The encoding width equals the grid's channel count, so tokens keep the
-    feature dimensionality.  An empty grid cannot condition anything and
-    raises ``EmptyConditionError`` (callers fall back to the unconditional
-    branch).
+    The encoding width equals the grid's channel count, so the condition
+    keeps the feature dimensionality.  An empty grid cannot condition
+    anything and raises ``EmptyConditionError`` (callers fall back to the
+    unconditional branch).
     """
     if len(grid) == 0:
         raise EmptyConditionError("cannot build conditioning tokens from an empty grid")
-    vectors = grid.features + encode_positions(grid.indices, grid.resolution, grid.channels)
-    return ConditionTokens(positions=grid.indices, vectors=vectors)
+    tokens = grid.features + encode_positions(grid.indices, grid.resolution, grid.channels)
+    return tokens.mean(axis=0)
 
 
 def dense_threshold(latent: DenseGrid, threshold: float = 0.0) -> Array:
@@ -448,5 +421,5 @@ def heatmap_from_dict(data: dict) -> AffordanceHeatmap:
             values=np.array(data["values"], dtype=float).reshape(-1),
             logits=bool(data.get("logits", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed heatmap record: {exc}") from exc

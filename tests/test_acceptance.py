@@ -372,7 +372,7 @@ def _test_objects():
     return [generate_object(seed) for seed in range(200, 220)]
 
 
-def _recon_iou_curve(model, objects, view_counts, euler_steps=5, allow_untrained=False):
+def _recon_iou_curve(model, objects, view_counts, euler_steps=5):
     """Mean reconstruction IoU per view count under the frozen eval protocol."""
     means = []
     for k in view_counts:
@@ -382,19 +382,14 @@ def _recon_iou_curve(model, objects, view_counts, euler_steps=5, allow_untrained
         for obj in objects:
             observations = [(*render_views(obj, v, R, CHANNELS), v) for v in views]
             occupied = reconstruct(
-                observations,
-                model,
-                R,
-                flow_cfg,
-                rng=np.random.default_rng(0),
-                allow_untrained=allow_untrained,
+                observations, model, R, flow_cfg, rng=np.random.default_rng(0)
             )
             values.append(volumetric_iou(occupied, occupied_indices(obj, R), R))
         means.append(float(np.mean(values)))
     return means
 
 
-def _mask_iou_mean(model, table, objects, allow_untrained=False):
+def _mask_iou_mean(model, table, objects):
     """Mean IoU of 0.5-thresholded predicted vs true heatmaps over all pairs."""
     flow_cfg = FlowConfig.for_affordance_eval()
     values = []
@@ -409,7 +404,6 @@ def _mask_iou_mean(model, table, objects, allow_untrained=False):
                 flow_cfg,
                 rng=np.random.default_rng(0),
                 table=table,
-                allow_untrained=allow_untrained,
             )
             truth = ground_truth_affordance(obj, query, R, table)
             pred_set = heat.positions[heat.values >= 0.5]
@@ -427,7 +421,7 @@ def test_criterion_05_training_clears_quality_floors(trained):
         seed=trained.config.seed,
     )
     trained_iou = _recon_iou_curve(trained.multi, held, (1,))[0]
-    untrained_iou = _recon_iou_curve(untrained, held, (1,), allow_untrained=True)[0]
+    untrained_iou = _recon_iou_curve(untrained, held, (1,))[0]
     recon_gain = trained_iou - untrained_iou
     assert recon_gain >= 0.3
 
@@ -436,7 +430,7 @@ def test_criterion_05_training_clears_quality_floors(trained):
         seed=trained.config.seed,
     )
     trained_mask, pairs = _mask_iou_mean(trained.affordance, trained.table, held)
-    untrained_mask, _ = _mask_iou_mean(untrained_aff, trained.table, held, allow_untrained=True)
+    untrained_mask, _ = _mask_iou_mean(untrained_aff, trained.table, held)
     mask_gain = trained_mask - untrained_mask
     assert mask_gain >= 0.2
 

@@ -2,12 +2,14 @@
 exit codes, and self-consistency between stored rows and recomputation."""
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
 import math
 import pathlib
 import re
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,6 +245,19 @@ def test_plan_budget_one_trace(ws, tmp_path):
     assert trace["steps"][0]["selected_index"] is None
 
 
+@pytest.mark.parametrize("command", ["plan", "bench"])
+def test_budget_below_one_exits_2(ws, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "plan": _model_argv(ws, "plan", out),
+        "bench": _model_argv(ws, "bench-strategy", out),
+    }[command]
+    assert cli.main(argv + ["--budget", "0", "--config", ws.config]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "budget" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # --- bench -------------------------------------------------------------------------
 
 
@@ -447,7 +462,7 @@ def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
         {"noise_scale": math.inf},
         {"noise_scale": True},
         {"guidance_strength": math.nan},
-        {"scale_targets": "yes"},
+        {"scale_targets": "yes"},  # not a flow field: refused as unknown
     ],
     ids=["steps-2.5", "steps-true", "noise_scale-inf", "noise_scale-true",
          "guidance_strength-nan", "scale_targets-yes"],
@@ -464,8 +479,9 @@ def test_bad_flow_value_exits_2(tmp_path, capsys, flow, fields):
 @pytest.mark.parametrize(
     "config",
     [{"trainer": {"resolution": 6}}, {"trainer": {"channels": 8}},
-     {"structure_flow": {"seed": 5}}],
-    ids=["trainer.resolution", "trainer.channels", "structure_flow.seed"],
+     {"structure_flow": {"seed": 5}}, {"affordance_train_flow": {"scale_targets": False}}],
+    ids=["trainer.resolution", "trainer.channels", "structure_flow.seed",
+         "affordance_train_flow.scale_targets"],
 )
 def test_removed_or_duplicate_config_field_exits_2(tmp_path, capsys, config):
     bad = tmp_path / "bad.json"
@@ -515,6 +531,137 @@ def test_non_finite_checkpoint_exits_4(ws, tmp_path):
                    "--object", str(ws.data / "object_0000.json"),
                    "--out", str(tmp_path / "x.json")])
     assert rc == 4
+
+
+@pytest.fixture(scope="module")
+def walk(ws):
+    """A directory of walkthrough artifacts: the dataset, both checkpoints,
+    a reconstruction, a predicted and a true heatmap, and the config."""
+    walk = ws.root / "walk"
+    shutil.copytree(ws.data, walk / "data")
+    for path in (ws.structure, ws.affordance, ws.config):
+        shutil.copy(path, walk)
+    files = {name: str(walk / rel) for name, rel in WALK_FILES.items()}
+    query = ["--query", "strike a nail", "--config", files["config"]]
+    for argv in (
+        ["reconstruct", "--model", files["structure"], "--object", files["scene"],
+         "--config", files["config"], "--out", files["occupancy"]],
+        ["ground", "--model", files["affordance"], "--object", files["scene"], *query,
+         "--occupancy", files["occupancy"], "--out", files["heatmap"]],
+        ["ground", "--ground-truth", "--object", files["scene"], *query, "--out", files["truth"]],
+    ):
+        assert cli.main(argv) == 0
+    return walk
+
+
+#: Walkthrough files, relative to the ``walk`` directory.
+WALK_FILES = {
+    "data": "data",
+    "manifest": "data/manifest.json",
+    "scene": "data/object_0001.json",
+    "table": "data/queries.json",
+    "structure": "structure.model.json",
+    "affordance": "affordance.model.json",
+    "config": "tiny.json",
+    "occupancy": "recon.json",
+    "heatmap": "heat.json",
+    "truth": "truth.json",
+}
+
+#: The command that reads each corruptible artifact.
+READERS = {
+    "manifest": ["train", "--kind", "affordance", "--dataset", "{data}"],
+    "scene": ["reconstruct", "--model", "{structure}", "--object", "{scene}"],
+    "table": ["ground", "--ground-truth", "--object", "{scene}", "--query", "strike a nail",
+              "--table", "{table}"],
+    "structure": ["reconstruct", "--model", "{structure}", "--object", "{scene}"],
+    "affordance": ["ground", "--model", "{affordance}", "--object", "{scene}",
+                   "--query", "strike a nail"],
+    "occupancy": ["ground", "--model", "{affordance}", "--object", "{scene}",
+                  "--query", "strike a nail", "--occupancy", "{occupancy}"],
+    "heatmap": ["eval", "--pred", "{heatmap}", "--gt", "{truth}"],
+}
+
+
+def _run_corrupted(walk, tmp_path, artifact, mutate):
+    """Copy the walkthrough, rewrite one artifact as ``mutate`` of its
+    record, and run the command that reads it."""
+    copy = tmp_path / "walk"
+    shutil.copytree(walk, copy)
+    files = {name: str(copy / rel) for name, rel in WALK_FILES.items()}
+    path = pathlib.Path(files[artifact])
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    argv = [arg.format(**files) for arg in READERS[artifact]]
+    return cli.main(argv + ["--config", files["config"], "--out", str(tmp_path / "out")])
+
+
+def _replaced(path, value):
+    """A mutation that sets the item at ``path`` (keys and list indices)."""
+    def mutate(record):
+        record = copy.deepcopy(record)
+        node = record
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return record
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "artifact, mutate, code",
+    [
+        ("manifest", _replaced(("objects",), [5]), 3),
+        ("manifest", _replaced(("table",), "missing.json"), 3),
+        ("table", _replaced(("queries",), [1]), 3),
+        ("scene", _replaced(("parts",), [1]), 3),
+        ("structure", _replaced(("params",), [1]), 3),
+        ("structure", _replaced(("params", ""), [1.0]), 3),
+        ("structure", _replaced(("params", "Wout", 0, 0), math.nan), 4),
+        ("affordance", _replaced(("depth",), 1e308), 3),
+        ("affordance", _replaced(("params", "b0"), []), 3),
+        ("occupancy", _replaced(("occupied", 0, 2), 1e308), 3),
+        ("heatmap", _replaced(("heatmap", "positions", 0, 2), 1e308), 3),
+    ],
+    ids=["manifest-object-5", "manifest-missing-table", "table-queries-list",
+         "scene-parts-list", "checkpoint-params-list", "checkpoint-param-named-empty",
+         "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
+         "occupancy-index-1e308", "heatmap-position-1e308"],
+)
+def test_corrupted_artifact_exits_3_or_4(walk, tmp_path, capsys, artifact, mutate, code):
+    assert _run_corrupted(walk, tmp_path, artifact, mutate) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _json_paths(node, prefix=()):
+    """Every item's path in a JSON record, the first three of each list."""
+    if prefix:
+        yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:3])
+    else:
+        items = ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
+    # One artifact item at a time becomes a value of the wrong type or
+    # range; a corruption may happen to be valid, so exit 0 is allowed.
+    junk = [None, 5, -1, 0, "", "x", [], {}, [1], [[1]], True, 1e308, {"a": 1}]
+    rng = np.random.default_rng(0)
+    for artifact in sorted(READERS):
+        record = json.loads((walk / WALK_FILES[artifact]).read_text())
+        paths = list(_json_paths(record))
+        for i in rng.choice(len(paths), size=min(8, len(paths)), replace=False):
+            value = junk[int(rng.integers(len(junk)))]
+            case = tmp_path / f"{artifact}-{i}"
+            rc = _run_corrupted(walk, case, artifact, _replaced(paths[i], value))
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3, 4), (artifact, paths[i], value, err)
+            assert "Traceback" not in err, (artifact, paths[i], value)
 
 
 def _model_argv(ws, command, out):
@@ -578,6 +725,25 @@ def test_checkpoint_of_the_wrong_kind_exits_2(ws, tmp_path, capsys, command):
     assert cli.main(argv + ["--config", ws.config]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "checkpoint" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["reconstruct", "ground", "plan", "bench-views", "bench-strategy"]
+)
+def test_zero_step_checkpoint_exits_3(ws, tmp_path, capsys, command):
+    untrained = {}
+    for path in (ws.structure, ws.affordance):
+        data = json.loads(open(path).read())
+        data["steps_trained"] = 0
+        untrained[path] = tmp_path / pathlib.Path(path).name
+        untrained[path].write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = [str(untrained.get(arg, arg)) for arg in _model_argv(ws, command, out)]
+    assert cli.main(argv + ["--config", ws.config]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "no training steps" in err
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Flow-matching core tests: hand-derived values, closed forms, and
 finite-difference gradient checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -302,16 +303,15 @@ def test_flow_config_validation_and_presets():
         ("noise_scale", True),
         ("guidance_strength", math.nan),
         ("guidance_strength", "3"),
-        ("scale_targets", "yes"),
-        ("scale_targets", 1),
     ):
         with pytest.raises(ConfigError, match=field):
             fl.FlowConfig(**{field: value})
     assert fl.FlowConfig.for_structure().noise_scale == 1.0
     assert fl.FlowConfig.for_affordance_training().noise_scale == 5.0
     assert fl.FlowConfig.for_affordance_eval().noise_scale == 0.5
-    tweaked = fl.FlowConfig.for_affordance_eval(steps=20, guidance_strength=1.0)
+    tweaked = dataclasses.replace(
+        fl.FlowConfig.for_affordance_eval(), steps=20, guidance_strength=1.0
+    )
     assert tweaked.steps == 20 and tweaked.guidance_strength == 1.0
     assert tweaked.noise_scale == 0.5
     assert fl.FlowConfig().guidance_strength == 3.0
-    assert fl.FlowConfig().scale_targets is False

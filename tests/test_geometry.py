@@ -25,7 +25,8 @@ def _identity_view(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4):
 
 def _matrix_unproject_oracle(u, v, d, view):
     """Independent route: solve K @ cam = [u d, v d, d], then 4x4 pose multiply."""
-    k = view.intrinsics.matrix()
+    intr = view.intrinsics
+    k = np.array([[intr.fx, 0.0, intr.cx], [0.0, intr.fy, intr.cy], [0.0, 0.0, 1.0]])
     cam = np.linalg.solve(k, np.array([u * d, v * d, d]))
     hom = view.pose.matrix() @ np.array([*cam, 1.0])
     return hom[:3]

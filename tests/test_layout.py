@@ -3,6 +3,8 @@
 1. Every top-level function or class, and every public method, defined in
    ``src/voxaff`` is named somewhere in ``src/voxaff`` or ``perfbench/``
    outside its own definition: no library code exists that only tests call.
+   A method counts as named only through an attribute access (``x.name``),
+   not through a bare variable that happens to share its name.
 2. No module in ``src/voxaff`` imports a name it never uses.
 """
 
@@ -55,12 +57,12 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every identifier and attribute access in a module."""
+    """(name, line, is_attribute) of every identifier and attribute access."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def test_no_library_code_without_a_program_caller():
@@ -69,16 +71,18 @@ def test_no_library_code_without_a_program_caller():
     }
     refs = collections.defaultdict(list)
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            refs[name].append((path, line))
+        for name, line, is_attribute in _references(tree):
+            refs[name].append((path, line, is_attribute))
     uncalled, defined = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for qualname, node in _definitions(trees[path]):
             name = qualname.rsplit(".", 1)[-1]
+            is_method = "." in qualname
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             used = any(
                 not (other == path and start <= line <= node.end_lineno)
-                for other, line in refs[name]
+                and (is_attribute or not is_method)
+                for other, line, is_attribute in refs[name]
             )
             key = f"{path.stem}.{qualname}"
             defined.add(key)

@@ -15,11 +15,11 @@ from voxaff.voxel import AffordanceHeatmap
 def test_volumetric_iou_hand_cases():
     a = [(i, 0, 0) for i in range(8)]
     b = [(i, 0, 0) for i in range(4, 12)]
-    assert mx.volumetric_iou(a, a) == 1.0
-    assert mx.volumetric_iou(a, [(0, 5, 5)]) == 0.0
-    assert mx.volumetric_iou(a, b) == pytest.approx(4.0 / 12.0)
-    assert mx.volumetric_iou([], []) == 1.0
-    assert mx.volumetric_iou(a, []) == 0.0
+    assert mx.volumetric_iou(a, a, 12) == 1.0
+    assert mx.volumetric_iou(a, [(0, 5, 5)], 12) == 0.0
+    assert mx.volumetric_iou(a, b, 12) == pytest.approx(4.0 / 12.0)
+    assert mx.volumetric_iou([], [], 12) == 1.0
+    assert mx.volumetric_iou(a, [], 12) == 0.0
 
 
 def test_volumetric_iou_symmetric_and_matches_set_oracle():
@@ -27,8 +27,8 @@ def test_volumetric_iou_symmetric_and_matches_set_oracle():
     for _ in range(20):
         a = {tuple(row) for row in rng.integers(0, 4, size=(rng.integers(0, 30), 3))}
         b = {tuple(row) for row in rng.integers(0, 4, size=(rng.integers(0, 30), 3))}
-        got = mx.volumetric_iou(a, b)
-        assert got == mx.volumetric_iou(b, a)
+        got = mx.volumetric_iou(a, b, 4)
+        assert got == mx.volumetric_iou(b, a, 4)
         expect = 1.0 if not (a | b) else len(a & b) / len(a | b)
         assert got == expect
 
@@ -43,20 +43,18 @@ def test_volumetric_iou_duplicate_rows_count_once():
 def test_volumetric_iou_both_empty_is_one():
     empty = np.zeros((0, 3), dtype=np.int64)
     assert mx.volumetric_iou(empty, empty, r=8) == 1.0
-    assert mx.volumetric_iou(empty, empty) == 1.0
 
 
-def test_volumetric_iou_without_resolution_matches_set_oracle():
-    # Without r nothing bounds the indices: no two distinct triples may
-    # share a flat index, whatever their range or sign.
+def test_volumetric_iou_matches_set_oracle_at_any_resolution():
+    # No two distinct triples in [0, r)^3 may share a flat index.
     rng = np.random.default_rng(1)
-    for high in (2, 7, 1000):
+    for r in (2, 7, 1000):
         for _ in range(10):
-            a = rng.integers(-high, high, size=(rng.integers(0, 40), 3))
-            b = np.concatenate([a[: len(a) // 2], rng.integers(-high, high, size=(20, 3))])
+            a = rng.integers(0, r, size=(rng.integers(0, 40), 3))
+            b = np.concatenate([a[: len(a) // 2], rng.integers(0, r, size=(20, 3))])
             sa, sb = {tuple(row) for row in a}, {tuple(row) for row in b}
-            assert mx.volumetric_iou(a, b) == len(sa & sb) / len(sa | sb)
-    assert mx.volumetric_iou([(100, 0, 0)], [(0, 100, 0)]) == 0.0
+            assert mx.volumetric_iou(a, b, r) == len(sa & sb) / len(sa | sb)
+    assert mx.volumetric_iou([(100, 0, 0)], [(0, 100, 0)], 101) == 0.0
 
 
 def test_volumetric_iou_validates_range():

@@ -8,7 +8,14 @@ import pytest
 
 import voxaff.netcore as nc
 import voxaff.synthscene as sc
-from voxaff.errors import ConfigError, DataError, DomainError, NumericalError, ShapeMismatchError
+from voxaff.errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    NumericalError,
+    ShapeMismatchError,
+    UntrainedModelError,
+)
 from voxaff.flow import FlowConfig, cfm_loss_mse, cfm_loss_mse_grad, velocity_mask_loss
 
 
@@ -421,6 +428,7 @@ def test_checkpoint_echoes_trainer_config():
 
 def test_checkpoint_records_its_kind_and_refuses_another(tmp_path):
     model = _small_model()
+    model.steps_trained = 1  # a checkpoint with no training step is refused at load
     path = tmp_path / "s.model.json"
     nc.save_model(path, model, kind="structure")
     assert nc.model_to_dict(model, kind="structure")["kind"] == "structure"
@@ -431,6 +439,15 @@ def test_checkpoint_records_its_kind_and_refuses_another(tmp_path):
     nc.save_model(path, model)
     assert "kind" not in nc.model_to_dict(model)
     assert nc.load_model(path, kind="affordance").steps_trained == model.steps_trained
+
+
+def test_checkpoint_without_training_steps_is_refused_at_load(tmp_path):
+    path = tmp_path / "fresh.model.json"
+    nc.save_model(path, _small_model())
+    with pytest.raises(UntrainedModelError, match="no training steps"):
+        nc.load_model(path)
+    # The record itself still parses: only loading a checkpoint refuses it.
+    assert nc.model_from_dict(nc.model_to_dict(_small_model())).steps_trained == 0
 
 
 def test_checkpoint_rejects_malformed_records():

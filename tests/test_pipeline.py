@@ -17,7 +17,6 @@ from voxaff.errors import (
     DomainError,
     SupportError,
     UnknownQueryError,
-    UntrainedModelError,
 )
 from voxaff.flow import FlowConfig, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
@@ -119,15 +118,12 @@ def test_reconstruct_rejects_empty_observations():
         pl.fuse_observations([], R)
 
 
-def test_reconstruct_requires_training_unless_allowed():
+def test_reconstruct_with_an_untrained_model_returns_the_noise():
     obj = generate_object(2)
     obs = _observation(obj, _view()[0])
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
     cfg = FlowConfig(steps=5, noise_scale=1.0)
-    with pytest.raises(UntrainedModelError):
-        pl.reconstruct([obs], model, R, cfg, np.random.default_rng(0))
-
-    occ = pl.reconstruct([obs], model, R, cfg, np.random.default_rng(3), allow_untrained=True)
+    occ = pl.reconstruct([obs], model, R, cfg, np.random.default_rng(3))
     # A fresh model outputs zero velocity, so the latent is exactly the
     # initial noise and the occupancy is its positive entries.
     noise = np.random.default_rng(3).standard_normal(R**3)
@@ -146,9 +142,7 @@ def test_reconstruct_blank_views_fall_back_to_unconditional():
         view,
     )
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
-    occ = pl.reconstruct(
-        [blank], model, R, FlowConfig.for_structure(), np.random.default_rng(0), allow_untrained=True
-    )
+    occ = pl.reconstruct([blank], model, R, FlowConfig.for_structure(), np.random.default_rng(0))
     assert occ.ndim == 2 and occ.shape[1] == 3
 
 
@@ -186,16 +180,11 @@ def test_ground_unknown_query():
         )
 
 
-def test_ground_requires_training_unless_allowed():
+def test_ground_with_an_untrained_model_returns_the_noise():
     occ = occupied_indices(generate_object(1), R)
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
     cfg = FlowConfig(steps=1, noise_scale=0.5)
-    with pytest.raises(UntrainedModelError):
-        pl.ground(occ, "strike a nail", model, R, cfg, np.random.default_rng(0))
-
-    heat = pl.ground(
-        occ, "strike a nail", model, R, cfg, np.random.default_rng(13), allow_untrained=True
-    )
+    heat = pl.ground(occ, "strike a nail", model, R, cfg, np.random.default_rng(13))
     noise = 0.5 * np.random.default_rng(13).standard_normal(occ.shape[0])
     assert np.array_equal(heat.values, sigmoid(noise))
 
@@ -206,9 +195,7 @@ def test_ground_seed_and_rng_sensitivity():
     cfg = FlowConfig(steps=1, noise_scale=0.5)
 
     def run(rng):
-        return pl.ground(
-            occ, "strike a nail", model, R, cfg, rng=rng, allow_untrained=True
-        ).values
+        return pl.ground(occ, "strike a nail", model, R, cfg, rng=rng).values
 
     assert np.array_equal(run(np.random.default_rng(1)), run(np.random.default_rng(1)))
     assert not np.array_equal(run(np.random.default_rng(1)), run(np.random.default_rng(2)))

@@ -663,9 +663,10 @@ def _lengths_table(table: rd._RayTable) -> _LengthsTable:
 
 
 def _reference_check_support(heat: AffordanceHeatmap, occupied):
-    """The ``np.isin`` support check that the lattice test replaced, verbatim."""
+    """The ``np.isin`` support check that the lattice test replaced, verbatim
+    but for reading the rows unsorted: the count does not depend on order."""
     r = heat.resolution
-    occ = as_index_array(occupied)
+    occ = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
     occ = occ[np.all((occ >= 0) & (occ < r), axis=1)]
     missing = np.count_nonzero(~np.isin(flat_index(heat.positions, r), flat_index(occ, r)))
     if missing:
@@ -795,7 +796,7 @@ def test_support_check_matches_reference_counts():
         cells = rng.choice(r**3, size=int(rng.integers(1, 20)), replace=False)
         positions = np.column_stack(np.unravel_index(np.sort(cells), (r, r, r), order="F"))
         heat = AffordanceHeatmap(
-            resolution=r, positions=as_index_array(positions), values=rng.random(len(cells))
+            resolution=r, positions=as_index_array(positions, r), values=rng.random(len(cells))
         )
         occupied = positions[rng.random(len(positions)) < 0.7]
         stray = rng.integers(-1, r + 2, size=(int(rng.integers(0, 6)), 3))

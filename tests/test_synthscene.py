@@ -172,7 +172,7 @@ class TestEmbeddings:
 
     def test_default_queries_well_separated(self):
         table = sc.default_query_table()
-        embs = np.stack([table.embedding_of(q) for q in table.queries()])
+        embs = np.stack([table.embedding_of(q) for q in sorted(table.entries)])
         cos = embs @ embs.T
         np.fill_diagonal(cos, 0.0)
         assert np.abs(cos).max() < 0.9
@@ -256,8 +256,8 @@ class TestSerialization:
         path = tmp_path / "queries.json"
         sc.save_table(path, table)
         back = sc.load_table(path)
-        assert back.queries() == table.queries()
-        for q in table.queries():
+        assert sorted(back.entries) == sorted(table.entries)
+        for q in sorted(table.entries):
             assert np.array_equal(back.embedding_of(q), table.embedding_of(q))
             assert back.tag_of(q) == table.tag_of(q)
 

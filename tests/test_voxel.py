@@ -235,35 +235,34 @@ class TestPositionalEncoding:
 
 
 class TestConditionTokens:
+    """``pooled_condition``: the mean of the per-voxel tokens, each the
+    fused feature plus the voxel's positional code."""
+
     def test_zero_features_give_pure_positional_codes(self):
         g = vx.SparseVoxelGrid.from_entries(
             4, 12, [[1, 0, 0], [0, 0, 0]], np.zeros((2, 12)), [1, 1]
         )
-        tokens = vx.to_condition(g)
-        assert len(tokens) == 2
-        np.testing.assert_array_equal(
-            tokens.vectors, vx.encode_positions([[0, 0, 0], [1, 0, 0]], 4, 12)
-        )
+        codes = vx.encode_positions([[0, 0, 0], [1, 0, 0]], 4, 12)
+        np.testing.assert_array_equal(vx.pooled_condition(g), codes.mean(axis=0))
 
     def test_single_voxel_token_is_feature_plus_code(self):
         feat = 0.5 * np.ones((1, 12))
         g = vx.SparseVoxelGrid.from_entries(4, 12, [[2, 1, 3]], feat, [1])
-        tokens = vx.to_condition(g)
         np.testing.assert_array_equal(
-            tokens.vectors[0], feat[0] + vx.encode_positions([[2, 1, 3]], 4, 12)[0]
+            vx.pooled_condition(g), feat[0] + vx.encode_positions([[2, 1, 3]], 4, 12)[0]
         )
 
     def test_empty_grid_raises(self):
         with pytest.raises(EmptyConditionError):
-            vx.to_condition(vx.SparseVoxelGrid.empty(4, 12))
+            vx.pooled_condition(vx.SparseVoxelGrid.empty(4, 12))
 
     def test_pooled_is_token_mean(self):
         rng = np.random.default_rng(17)
         g = _random_grid(rng, r=4, channels=12, max_entries=9)
         while len(g) == 0:
             g = _random_grid(rng, r=4, channels=12, max_entries=9)
-        tokens = vx.to_condition(g)
-        np.testing.assert_allclose(tokens.pooled(), tokens.vectors.mean(axis=0), atol=0)
+        tokens = g.features + vx.encode_positions(g.indices, 4, 12)
+        np.testing.assert_array_equal(vx.pooled_condition(g), tokens.mean(axis=0))
 
 
 class TestDenseGrid:
@@ -359,11 +358,11 @@ class TestAsIndexArray:
         arr = vx.as_index_array(occupied, 8)
         assert arr.dtype == np.int64
         assert np.array_equal(arr, self._oracle(occupied))
-        assert np.array_equal(arr, vx.as_index_array(np.array(sorted(occupied))[::-1]))
+        assert np.array_equal(arr, vx.as_index_array(np.array(sorted(occupied))[::-1], 8))
 
     def test_list_with_duplicates_keeps_them(self):
         occupied = [(1, 2, 3), (1, 2, 3), (0, 0, 0), (2, 1, 0), (0, 0, 0), (np.int64(1), 0, 2)]
-        arr = vx.as_index_array(occupied)
+        arr = vx.as_index_array(occupied, 4)
         assert arr.shape == (6, 3) and arr.dtype == np.int64
         assert np.array_equal(arr, self._oracle(occupied))
 
@@ -376,7 +375,7 @@ class TestAsIndexArray:
         pairs = [(4, 5), (0, 1), (2, 3)]
         for occupied in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)], [(1, 2, 3, 4)], pairs):
             with pytest.raises(ValueError):
-                vx.as_index_array(occupied)
+                vx.as_index_array(occupied, 8)
 
     def test_out_of_range_triples_rejected(self):
         with pytest.raises(DomainError):
