@@ -586,9 +586,9 @@ READERS = {
 def _run_corrupted(walk, tmp_path, artifact, mutate):
     """Copy the walkthrough, rewrite one artifact as ``mutate`` of its
     record, and run the command that reads it."""
-    copy = tmp_path / "walk"
-    shutil.copytree(walk, copy)
-    files = {name: str(copy / rel) for name, rel in WALK_FILES.items()}
+    root = tmp_path / "walk"
+    shutil.copytree(walk, root)
+    files = {name: str(root / rel) for name, rel in WALK_FILES.items()}
     path = pathlib.Path(files[artifact])
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
     argv = [arg.format(**files) for arg in READERS[artifact]]
