@@ -179,12 +179,6 @@ def _load_dataset(dataset_dir):
     return objects, table, manifest
 
 
-def _checkpoint(path, run: RunConfig, kind: str):
-    """The ``kind`` model at ``path``, refused unless trained at the run's
-    resolution and channels; a checkpoint of another kind is refused too."""
-    return load_model(path, run.resolution, run.channels, kind)
-
-
 def _budget(args, run: RunConfig) -> int:
     """The view budget: ``--budget`` when given, else the run's."""
     budget = args.budget if args.budget is not None else run.budget
@@ -250,7 +244,7 @@ def cmd_reconstruct(args, run: RunConfig) -> int:
     if args.views < 1:
         raise ConfigError("views must be at least 1")
     obj = load_object(args.object)
-    model = _checkpoint(args.model, run, "structure")
+    model = load_model(args.model, run.resolution, run.channels, "structure")
     occ = reconstruct(
         _observe(obj, args.views, run),
         model,
@@ -294,7 +288,7 @@ def cmd_ground(args, run: RunConfig) -> int:
         heat = ground(
             occ,
             args.query,
-            _checkpoint(args.model, run, "affordance"),
+            load_model(args.model, run.resolution, run.channels, "affordance"),
             r,
             run.affordance_flow,
             rng=np.random.default_rng(run.seed),
@@ -318,8 +312,8 @@ def cmd_plan(args, run: RunConfig) -> int:
     obj = load_object(args.object)
     table = load_table(args.table) if args.table else default_query_table(run.channels)
     models = StageModels(
-        structure=_checkpoint(args.structure, run, "structure"),
-        affordance=_checkpoint(args.affordance, run, "affordance"),
+        structure=load_model(args.structure, run.resolution, run.channels, "structure"),
+        affordance=load_model(args.affordance, run.resolution, run.channels, "affordance"),
     )
     start = worst_initial_view(obj, args.query, run.candidates(), run.resolution, table)
     trace = active_loop(
@@ -363,8 +357,8 @@ def cmd_bench(args, run: RunConfig) -> int:
         if not (args.structure_single and args.structure_multi):
             raise ConfigError("views_vs_iou needs --structure-single and --structure-multi")
         models = {
-            "single_view": _checkpoint(args.structure_single, run, "structure"),
-            "multi_view": _checkpoint(args.structure_multi, run, "structure"),
+            "single_view": load_model(args.structure_single, run.resolution, run.channels, "structure"),
+            "multi_view": load_model(args.structure_multi, run.resolution, run.channels, "structure"),
         }
         kinds = sorted(models)
         for obj in objects:
@@ -406,8 +400,8 @@ def cmd_bench(args, run: RunConfig) -> int:
             raise ConfigError("strategy_vs_aiou needs --structure and --affordance")
         budget = _budget(args, run)
         models = StageModels(
-            structure=_checkpoint(args.structure, run, "structure"),
-            affordance=_checkpoint(args.affordance, run, "affordance"),
+            structure=load_model(args.structure, run.resolution, run.channels, "structure"),
+            affordance=load_model(args.affordance, run.resolution, run.channels, "affordance"),
         )
         candidates = run.candidates()
         evaluated = 0

@@ -33,10 +33,6 @@ class ShapeMismatchError(DomainError):
     """Arrays whose shapes must agree do not."""
 
 
-class BehindCameraError(DomainError):
-    """Point projects behind the camera (non-positive camera-frame depth)."""
-
-
 class CameraInsideCubeError(DomainError):
     """Ray casting requires the camera origin outside the voxel cube."""
 

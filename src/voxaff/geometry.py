@@ -8,9 +8,9 @@ Coordinate conventions, fixed for the whole package:
     top-left corner, u grows right, v grows down).
   * A pose stores the world-from-camera rotation and the camera origin in
     world coordinates, so ``p_world = R @ p_camera + t``.
-  * Depth values are camera-frame z coordinates (not ray lengths).  With
-    that convention ``unproject_pixel`` is an exact inverse of
-    ``project_point`` wherever depth is positive.
+  * Depth values are camera-frame z coordinates (not ray lengths), so
+    ``unproject_pixels`` inverts the pinhole projection wherever depth is
+    positive.
 
 All view sampling here is closed-form and deterministic: repeated calls
 with identical arguments return bit-identical poses.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DomainError
+from .errors import DomainError
 
 Array = np.ndarray
 
@@ -76,11 +76,11 @@ class CameraIntrinsics:
             raise DomainError("principal point must lie within the image")
 
 
-def eval_intrinsics(size: int = EVAL_IMAGE_SIZE, fov_deg: float = EVAL_FOV_DEG) -> CameraIntrinsics:
-    """Square evaluation camera with the given vertical field of view."""
+def eval_intrinsics(size: int = EVAL_IMAGE_SIZE) -> CameraIntrinsics:
+    """Square evaluation camera with the ``EVAL_FOV_DEG`` vertical field of view."""
     if size <= 0:
         raise DomainError("image size must be positive")
-    f = (size / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
+    f = (size / 2.0) / math.tan(math.radians(EVAL_FOV_DEG) / 2.0)
     c = size / 2.0
     return CameraIntrinsics(fx=f, fy=f, cx=c, cy=c, width=size, height=size)
 
@@ -124,32 +124,13 @@ class Viewpoint:
     pose: Pose
 
 
-def unproject_pixel(u: float, v: float, d: float, view: Viewpoint) -> Array:
-    """Lift pixel (u, v) at camera-frame depth d into world coordinates.
-
-    The camera-frame point is ``((u - cx) * d / fx, (v - cy) * d / fy, d)``;
-    it is then mapped through the world-from-camera pose.
-
-    Args:
-        u, v: continuous pixel coordinates within the image bounds.
-        d: camera-frame depth, >= 0.  d == 0 returns the camera origin.
-
-    Returns:
-        World-space 3-vector.
-    """
-    if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(d)):
-        raise DomainError(f"non-finite pixel/depth ({u}, {v}, {d})")
-    if d < 0:
-        raise DomainError(f"depth must be non-negative, got {d}")
-    intr = view.intrinsics
-    if not (0.0 <= u <= intr.width and 0.0 <= v <= intr.height):
-        raise DomainError(f"pixel ({u}, {v}) outside image bounds")
-    cam = np.array([(u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d])
-    return view.pose.rotation @ cam + view.pose.translation
-
-
 def unproject_pixels(us: Array, vs: Array, ds: Array, view: Viewpoint) -> Array:
-    """Vectorized :func:`unproject_pixel` for equal-length coordinate arrays."""
+    """Lift pixels (u, v) at camera-frame depths d into world coordinates.
+
+    Each camera-frame point is ``((u - cx) * d / fx, (v - cy) * d / fy, d)``,
+    mapped through the world-from-camera pose; d == 0 gives the camera
+    origin.  Returns an (n, 3) array for equal-length coordinate arrays.
+    """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
     ds = np.asarray(ds, dtype=float)
@@ -164,27 +145,6 @@ def unproject_pixels(us: Array, vs: Array, ds: Array, view: Viewpoint) -> Array:
         [(us - intr.cx) * ds / intr.fx, (vs - intr.cy) * ds / intr.fy, ds], axis=-1
     )
     return cam @ view.pose.rotation.T + view.pose.translation
-
-
-def project_point(p, view: Viewpoint) -> tuple[float, float, float]:
-    """Project a world point into (u, v, depth) for the given camera.
-
-    Exact inverse of :func:`unproject_pixel` whenever the camera-frame
-    depth is positive.  The returned pixel coordinates are continuous and
-    may fall outside the image bounds.
-
-    Raises:
-        BehindCameraError: camera-frame depth <= 0.
-    """
-    p = _vec3(p, "point")
-    cam = view.pose.rotation.T @ (p - view.pose.translation)
-    d = cam[2]
-    if d <= 0:
-        raise BehindCameraError(f"point has non-positive camera depth {d}")
-    intr = view.intrinsics
-    u = intr.cx + intr.fx * cam[0] / d
-    v = intr.cy + intr.fy * cam[1] / d
-    return float(u), float(v), float(d)
 
 
 def look_at(origin, target, up=_WORLD_UP) -> Pose:
@@ -219,88 +179,28 @@ def _up_for(direction: Array) -> Array:
     return _WORLD_UP
 
 
-def hemisphere_candidates(
-    k: int,
-    radius: float = VIEW_RADIUS,
-    target=(0.0, 0.0, 0.0),
-    intrinsics: CameraIntrinsics | None = None,
-) -> list[Viewpoint]:
-    """k candidate cameras on the upper hemisphere around ``target``.
+def hemisphere_candidates(k: int, intrinsics: CameraIntrinsics) -> list[Viewpoint]:
+    """k candidate cameras on the upper hemisphere of radius ``VIEW_RADIUS``.
 
     Positions follow a spherical Fibonacci lattice restricted to the upper
     hemisphere: candidate i sits at elevation ``z_i = 1 - i / (k - 1)``
     (the sequence starts at the pole and ends on the equator) and azimuth
     ``i * GOLDEN_ANGLE``.  For k == 1 the single candidate sits at the
-    pole.  Each camera looks at ``target`` with world +z up; the pole
+    pole.  Each camera looks at the origin with world +z up; the pole
     camera falls back to +y as its up direction.
 
     Returns a list of length k, deterministic and bit-identical across calls.
     """
     if k < 1:
         raise DomainError(f"candidate count must be >= 1, got {k}")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
-    target = _vec3(target, "target")
-    if intrinsics is None:
-        intrinsics = eval_intrinsics()
+    target = np.zeros(3)
     views = []
     for i in range(k):
         z = 1.0 if k == 1 else 1.0 - i / (k - 1)
         s = math.sqrt(max(0.0, 1.0 - z * z))
         phi = i * GOLDEN_ANGLE
         direction = np.array([s * math.cos(phi), s * math.sin(phi), z])
-        origin = target + radius * direction
-        pose = look_at(origin, target, up=_up_for(target - origin))
-        views.append(Viewpoint(intrinsics=intrinsics, pose=pose))
-    return views
-
-
-def radical_inverse_base2(i: int) -> float:
-    """Van der Corput radical inverse of ``i`` in base 2 (in [0, 1))."""
-    if i < 0:
-        raise DomainError("index must be non-negative")
-    inv = 0.0
-    bk = 0.5
-    while i > 0:
-        inv += (i & 1) * bk
-        i >>= 1
-        bk *= 0.5
-    return inv
-
-
-def hammersley_directions(n: int) -> Array:
-    """n unit directions on the full sphere from the 2D Hammersley set.
-
-    Sample i maps (i / n, radical_inverse_base2(i)) through the equal-area
-    sphere parameterization ``phi = 2 pi u``, ``z = 1 - 2 v``.  Directions
-    are pairwise distinct for any n >= 1.
-
-    Returns:
-        (n, 3) array of unit vectors.
-    """
-    if n < 1:
-        raise DomainError(f"direction count must be >= 1, got {n}")
-    us = np.arange(n, dtype=float) / n
-    vs = np.array([radical_inverse_base2(i) for i in range(n)])
-    z = 1.0 - 2.0 * vs
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = 2.0 * math.pi * us
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-
-
-def sphere_viewpoints(
-    n: int,
-    radius: float = VIEW_RADIUS,
-    target=(0.0, 0.0, 0.0),
-    intrinsics: CameraIntrinsics | None = None,
-) -> list[Viewpoint]:
-    """Cameras at ``hammersley_directions(n) * radius`` looking at ``target``."""
-    target = _vec3(target, "target")
-    if intrinsics is None:
-        intrinsics = eval_intrinsics()
-    views = []
-    for direction in hammersley_directions(n):
-        origin = target + radius * direction
+        origin = target + VIEW_RADIUS * direction
         pose = look_at(origin, target, up=_up_for(target - origin))
         views.append(Viewpoint(intrinsics=intrinsics, pose=pose))
     return views
@@ -318,26 +218,3 @@ def viewpoint_to_dict(view: Viewpoint) -> dict:
         "height": intr.height,
         "pose": [float(x) for x in view.pose.matrix().reshape(-1)],
     }
-
-
-def viewpoint_from_dict(data: dict) -> Viewpoint:
-    """Inverse of :func:`viewpoint_to_dict`."""
-    try:
-        intr = CameraIntrinsics(
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
-        )
-        pose_values = [float(x) for x in data["pose"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed viewpoint record: {exc}") from exc
-    if len(pose_values) != 16:
-        raise DomainError(f"pose must hold 16 numbers, got {len(pose_values)}")
-    m = np.array(pose_values).reshape(4, 4)
-    if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
-        raise DomainError("pose matrix must have homogeneous bottom row")
-    pose = Pose(rotation=m[:3, :3], translation=m[:3, 3])
-    return Viewpoint(intrinsics=intr, pose=pose)

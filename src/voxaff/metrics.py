@@ -8,7 +8,7 @@ oracles bit for bit.
 
 Empty-set conventions, stated once and applied throughout:
 - volumetric IoU of two empty sets is 1.0 (nothing to disagree on);
-- Chamfer distance and F-score require non-empty clouds and raise
+- Chamfer distance requires non-empty clouds and raises
   ``UndefinedMetricError`` otherwise;
 - per-threshold Chamfer terms where exactly one side is empty are
   excluded from the averaged aCD, with the exclusion count reported.
@@ -24,17 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
-from .geometry import eval_intrinsics, sphere_viewpoints, unproject_pixels
-from .render import raycast_depth
 from .voxel import AffordanceHeatmap, as_index_array, flat_index
 
 Array = np.ndarray
 
 #: Probability levels over which aIoU/aCD average.
 AFFORDANCE_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
-
-#: Default F-score distance threshold.
-FSCORE_TAU = 0.05
 
 
 def as_pointcloud(points) -> Array:
@@ -92,56 +87,6 @@ def chamfer(a, b) -> float:
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise UndefinedMetricError("chamfer distance needs two non-empty clouds")
     return 0.5 * float(_min_dists(a, b).mean()) + 0.5 * float(_min_dists(b, a).mean())
-
-
-def fscore(a, b, tau: float = FSCORE_TAU) -> float:
-    """Harmonic mean of precision/recall at distance threshold ``tau``."""
-    a = as_pointcloud(a)
-    b = as_pointcloud(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise UndefinedMetricError("f-score needs two non-empty clouds")
-    if tau <= 0:
-        raise DomainError("f-score threshold must be positive")
-    precision = float((_min_dists(a, b) <= tau).mean())
-    recall = float((_min_dists(b, a) <= tau).mean())
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def extract_pointcloud(
-    occupied,
-    r: int,
-    n_views: int = 100,
-    n_points: int = 10_000,
-    seed: int = 0,
-    image_size: int | None = None,
-) -> Array:
-    """Surface cloud of an occupancy: depth renders from spread-out views.
-
-    Casts depth from ``n_views`` sphere directions (low-discrepancy
-    sequence, radius 2), unprojects every hit pixel, and uniformly
-    subsamples to ``n_points`` with a seeded rng.  Fewer hits than
-    ``n_points`` keeps everything.
-    """
-    occ = as_index_array(occupied, r)
-    if occ.shape[0] == 0:
-        raise UndefinedMetricError("cannot extract a point cloud from empty occupancy")
-    intrinsics = eval_intrinsics(image_size) if image_size else eval_intrinsics()
-    views = sphere_viewpoints(n_views, intrinsics=intrinsics)
-    pieces = []
-    for view in views:
-        img = raycast_depth(occ, r, view)
-        vs, us = np.nonzero(img.values)
-        if us.size:
-            pieces.append(unproject_pixels(us + 0.5, vs + 0.5, img.values[vs, us], view))
-    if not pieces:
-        raise UndefinedMetricError("no view hit the occupancy")
-    cloud = np.concatenate(pieces, axis=0)
-    if cloud.shape[0] > n_points:
-        keep = np.random.default_rng(seed).choice(cloud.shape[0], size=n_points, replace=False)
-        cloud = cloud[np.sort(keep)]
-    return cloud
 
 
 # --- thresholded affordance metrics -----------------------------------------
@@ -291,17 +236,14 @@ def metrics_rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def write_metrics_csv(path, rows: list[dict], config_echo: dict | None = None):
-    """Write rows to ``path``; optionally a deterministic config sidecar.
-
-    The sidecar lands next to the CSV with a ``.config.json`` suffix.
-    """
+def write_metrics_csv(path, rows: list[dict], config_echo: dict):
+    """Write rows to ``path`` and a deterministic config sidecar next to it,
+    with a ``.config.json`` suffix in place of ``.csv``."""
     with open(path, "w") as f:
         f.write(metrics_rows_to_csv(rows))
-    if config_echo is not None:
-        sidecar = str(path)
-        if sidecar.endswith(".csv"):
-            sidecar = sidecar[: -len(".csv")]
-        with open(sidecar + ".config.json", "w") as f:
-            json.dump(config_echo, f, sort_keys=True)
-            f.write("\n")
+    sidecar = str(path)
+    if sidecar.endswith(".csv"):
+        sidecar = sidecar[: -len(".csv")]
+    with open(sidecar + ".config.json", "w") as f:
+        json.dump(config_echo, f, sort_keys=True)
+        f.write("\n")

@@ -134,9 +134,6 @@ class VelocityModel:
             if not np.all(np.isfinite(value)):
                 raise NumericalError(f"parameter {name} is not finite")
 
-    def __call__(self, tokens: Array, cond: Array, t: float) -> Array:
-        return forward(self, tokens, cond, t)
-
 
 def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float) -> Array:
     tokens = np.atleast_2d(np.asarray(tokens, dtype=float))
@@ -204,27 +201,6 @@ def backward(model: VelocityModel, loss_fn, batch) -> tuple[float, dict]:
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"gradient for {name} is not finite")
     return float(loss), grads
-
-
-def gradient_check(model: VelocityModel, loss_fn, batch, h: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
-    tokens, cond, t = batch
-    _, grads = backward(model, loss_fn, batch)
-    worst = 0.0
-    for name, param in model.params.items():
-        flat = param.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn(forward(model, tokens, cond, t))[0]
-            flat[i] = orig - h
-            lo = loss_fn(forward(model, tokens, cond, t))[0]
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * h)
-            analytic = grads[name].reshape(-1)[i]
-            scale = max(abs(numeric), abs(analytic), 1e-8)
-            worst = max(worst, abs(numeric - analytic) / scale)
-    return worst
 
 
 # --- optimizer --------------------------------------------------------------
@@ -477,9 +453,7 @@ def train_affordance(
 # --- checkpoints ------------------------------------------------------------
 
 
-def model_to_dict(
-    model: VelocityModel, trainer: TrainerConfig | None = None, kind: str | None = None
-) -> dict:
+def model_to_dict(model: VelocityModel, trainer: TrainerConfig, kind: str | None) -> dict:
     model.check()
     record = {
         "token_dim": model.token_dim,
@@ -491,10 +465,9 @@ def model_to_dict(
         "steps_trained": model.steps_trained,
         "params": {name: value.tolist() for name, value in sorted(model.params.items())},
     }
-    if trainer is not None:
-        echo = asdict(trainer)
-        echo["view_range"] = list(echo["view_range"])
-        record["trainer"] = echo
+    echo = asdict(trainer)
+    echo["view_range"] = list(echo["view_range"])
+    record["trainer"] = echo
     if kind is not None:
         record["kind"] = kind
     return record
@@ -525,17 +498,13 @@ def model_from_dict(data: dict) -> VelocityModel:
         raise DataError(f"malformed model record: {exc}") from exc
 
 
-def save_model(
-    path, model: VelocityModel, trainer: TrainerConfig | None = None, kind: str | None = None
-):
+def save_model(path, model: VelocityModel, trainer: TrainerConfig, kind: str | None = None):
     with open(path, "w") as f:
         json.dump(model_to_dict(model, trainer, kind), f, sort_keys=True)
         f.write("\n")
 
 
-def load_model(
-    path, resolution: int | None = None, channels: int | None = None, kind: str | None = None
-) -> VelocityModel:
+def load_model(path, resolution: int, channels: int, kind: str) -> VelocityModel:
     """Read a checkpoint, refusing one whose trainer record names another
     ``resolution`` or ``channels`` than the given ones, or whose ``kind``
     is not the given one (``ConfigError``), and one that records no
@@ -547,12 +516,12 @@ def load_model(
     with open(path) as f:
         data = json.load(f)
     record = data if isinstance(data, dict) else {}
-    if kind is not None and record.get("kind", kind) != kind:
+    if record.get("kind", kind) != kind:
         raise ConfigError(f"{path} is a checkpoint of kind {record['kind']!r}, the run needs {kind!r}")
     trainer = record.get("trainer")
     if isinstance(trainer, dict):
         for name, want in (("resolution", resolution), ("channels", channels)):
-            if want is not None and name in trainer and trainer[name] != want:
+            if name in trainer and trainer[name] != want:
                 raise ConfigError(f"{path} was trained at {name} {trainer[name]!r}, the run has {want}")
     model = model_from_dict(data)
     if model.steps_trained == 0:

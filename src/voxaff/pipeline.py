@@ -46,7 +46,6 @@ from .render import render_affordance, render_views
 from .synthscene import (
     QueryTable,
     SyntheticObject,
-    default_query_table,
     ground_truth_affordance,
     occupied_indices,
 )
@@ -122,7 +121,7 @@ def _velocity_for(model, cond, pe: Array, guidance: float):
     Passing a plain callable ``(x, t) -> v`` in place of a model is the
     oracle hook used by tests and baselines; it skips conditioning.
     """
-    if callable(model) and not isinstance(model, VelocityModel):
+    if not isinstance(model, VelocityModel):
         return model
     return _guided_velocity(model, cond, pe, guidance)
 
@@ -174,14 +173,12 @@ def ground(
     resolution: int,
     flow_cfg: FlowConfig,
     rng: np.random.Generator,
-    table: QueryTable | None = None,
+    table: QueryTable,
 ) -> AffordanceHeatmap:
     """Sample a probability heatmap for ``query`` over occupied voxels."""
     occ = as_index_array(occupied, resolution)
     if occ.shape[0] == 0:
         raise DataError("cannot ground a query on empty occupancy")
-    if table is None:
-        table = default_query_table(getattr(model, "cond_dim", 16))
     cond = table.embedding_of(query)
     pe = encode_positions(occ, resolution, PE_DIM)
     velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
@@ -224,7 +221,7 @@ def worst_initial_view(
     query: str,
     candidates,
     resolution: int,
-    table: QueryTable | None = None,
+    table: QueryTable,
 ) -> SelectedView:
     """Candidate seeing the least ground-truth affordance (lowest-index ties).
 
@@ -316,7 +313,7 @@ def active_loop(
     models: StageModels,
     config: PipelineConfig,
     rng: np.random.Generator,
-    table: QueryTable | None = None,
+    table: QueryTable,
 ) -> ViewTrace:
     """Iteratively observe, reconstruct, ground, and pick the next view.
 

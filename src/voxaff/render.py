@@ -29,11 +29,11 @@ against many occupancies, so it builds and caches the table of every
 camera it sees, keyed by (pose rotation and translation bytes,
 intrinsics, r); it checks support on the same flat boolean lattice it
 reads the hits from, and a 128^2 candidate at r = 8 then costs about
-0.4 ms, mostly the table read.  Depth and feature renders
-(``render_views``, ``raycast_depth``) read the table when their camera
-already has one cached, recovering the entry axis and distance of the hit
-bit-identically to a march; any other camera is marched to its first hit,
-since building a table costs more than one march.  The cache holds
+0.4 ms, mostly the table read.  Observation renders (``render_views``)
+read the table when their camera already has one cached, recovering the
+entry axis and distance of the hit bit-identically to a march; any other
+camera is marched to its first hit, since building a table costs more
+than one march.  The cache holds
 ``RAY_TABLE_CACHE_SIZE`` (64) tables, least recently used out first; the
 40-candidate lattice at 128^2 and r = 8 takes about 4.6 MB, and building
 it costs about as much as marching those 40 views twice (the walk to the
@@ -102,15 +102,6 @@ class ScalarImage:
 
     def total(self) -> float:
         return float(self.values.sum())
-
-
-def occupancy_cube(occupied, r: int) -> Array:
-    """(r, r, r) boolean lookup cube from a set/array of index triples."""
-    arr = as_index_array(occupied, r)
-    cube = np.zeros((r, r, r), dtype=bool)
-    if arr.shape[0]:
-        cube[arr[:, 0], arr[:, 1], arr[:, 2]] = True
-    return cube
 
 
 class _Rays(NamedTuple):
@@ -398,19 +389,6 @@ def _first_hits(occ: Array, view: Viewpoint):
     if table is None:
         return rays, _march(rays, r, occ)
     return rays, _read_table(table, rays, r, occ)
-
-
-def raycast_depth(occupied, r: int, view: Viewpoint) -> DepthImage:
-    """Depth of the first occupied cell along each pixel ray (0 = miss).
-
-    Depth is the camera-frame z of the point where the ray crosses into
-    the cell, so ``unproject_pixel(u + 0.5, v + 0.5, depth)`` reproduces
-    that entry-face point exactly.
-    """
-    rays, (hit, t_hit, _, _, _) = _first_hits(occupancy_cube(occupied, r), view)
-    depth = np.where(hit, t_hit * rays.z_per_t, 0.0)
-    intr = view.intrinsics
-    return DepthImage(width=intr.width, height=intr.height, values=depth.reshape(intr.height, intr.width))
 
 
 def render_views(

@@ -59,14 +59,20 @@ class ObjectPart:
         rot = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         tr = np.asarray(self.translation, dtype=float).reshape(3)
         sc = np.asarray(self.scale, dtype=float).reshape(3)
+        if not all(np.all(np.isfinite(arr)) for arr in (rot, tr, sc)):
+            raise DomainError("part rotation, translation and scale must be finite")
         if np.any(sc <= 0):
             raise DomainError("scale factors must be positive")
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
+        # Entries beyond +-1 cannot be orthonormal, and bounding them first
+        # keeps ``rot @ rot.T`` from overflowing.
+        if np.any(np.abs(rot) > 1.0 + 1e-9) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
             raise DomainError("part rotation must be orthonormal")
         if self.primitive == "torus_segment":
             required = {"major_radius", "minor_radius", "arc_start", "arc_end"}
             if not required <= set(self.params):
                 raise DomainError(f"torus segment needs params {sorted(required)}")
+            if not all(math.isfinite(self.params[name]) for name in required):
+                raise DomainError("torus params must be finite")
             if self.params["minor_radius"] <= 0 or self.params["major_radius"] <= 0:
                 raise DomainError("torus radii must be positive")
             if not -math.pi <= self.params["arc_start"] < self.params["arc_end"] <= math.pi:
@@ -92,11 +98,13 @@ class ObjectPart:
         if self.primitive == "cylinder":
             radial = q[:, 0] ** 2 + q[:, 1] ** 2 <= 1.0
             return radial & (np.abs(q[:, 2]) <= 1.0)
-        # torus segment: ring in the local xy-plane
+        # torus segment: ring in the local xy-plane.  A large finite radius
+        # may square past the float range; inf then reads as outside.
         major = self.params["major_radius"]
-        minor = self.params["minor_radius"]
+        minor = np.float64(self.params["minor_radius"])
         ring = np.hypot(q[:, 0], q[:, 1])
-        tube = (ring - major) ** 2 + q[:, 2] ** 2 <= minor**2
+        with np.errstate(over="ignore"):
+            tube = (ring - major) ** 2 + q[:, 2] ** 2 <= minor**2
         phi = np.arctan2(q[:, 1], q[:, 0])
         return tube & (phi >= self.params["arc_start"]) & (phi <= self.params["arc_end"])
 
@@ -118,10 +126,11 @@ class ObjectPart:
         major = self.params["major_radius"]
         minor = self.params["minor_radius"]
         ring = np.hypot(q[:, 0], q[:, 1])
-        tube = np.sqrt((ring - major) ** 2 + q[:, 2] ** 2) - minor
         phi = np.arctan2(q[:, 1], q[:, 0])
         angular = np.maximum(self.params["arc_start"] - phi, phi - self.params["arc_end"])
-        return np.maximum(np.maximum(tube, angular * major), 0.0)
+        with np.errstate(over="ignore"):
+            tube = np.sqrt((ring - major) ** 2 + q[:, 2] ** 2) - minor
+            return np.maximum(np.maximum(tube, angular * major), 0.0)
 
     def world_aabb(self) -> tuple[Array, Array]:
         """Conservative axis-aligned world bounds of the part."""
@@ -135,6 +144,18 @@ class ObjectPart:
         ) * (local * self.scale)
         world = corners @ self.rotation.T + self.translation
         return world.min(axis=0), world.max(axis=0)
+
+    def _hole_holds_cube(self) -> bool:
+        """Whether the whole cube lies in a torus segment's hole.
+
+        A cube point lies at most ``|p - t| / min(scale)`` from the local
+        origin, so if even the farthest cube corner is nearer than the
+        tube's inner edge ``major - minor``, no cube point is in the tube.
+        """
+        if self.primitive != "torus_segment":
+            return False
+        farthest = float(np.linalg.norm(np.abs(self.translation) + 0.5)) / float(self.scale.min())
+        return farthest < self.params["major_radius"] - self.params["minor_radius"]
 
 
 @dataclass(frozen=True)
@@ -155,7 +176,7 @@ class SyntheticObject:
             raise DomainError("object needs at least one affordance-tagged part")
         for part in self.parts:
             lo, hi = part.world_aabb()
-            if np.any(lo > 0.5) or np.any(hi < -0.5):
+            if np.any(lo > 0.5) or np.any(hi < -0.5) or part._hole_holds_cube():
                 raise DomainError(f"part {part.part_label} misses the normalized cube")
         object.__setattr__(self, "parts", tuple(self.parts))
 
@@ -257,11 +278,9 @@ def default_query_table(dim: int = DEFAULT_CHANNELS) -> QueryTable:
 
 
 def ground_truth_affordance(
-    obj: SyntheticObject, query: str, r: int, table: QueryTable | None = None
+    obj: SyntheticObject, query: str, r: int, table: QueryTable
 ) -> AffordanceHeatmap:
     """Binary affordance over occupied voxels: 1 inside any part carrying the tag."""
-    if table is None:
-        table = default_query_table()
     tag = table.tag_of(query)
     occupied = occupied_indices(obj, r)
     centers = (occupied + 0.5) / r - 0.5
@@ -536,7 +555,7 @@ def object_from_dict(data: dict) -> SyntheticObject:
             template=str(data["template"]),
             parts=parts,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed scene record: {exc}") from exc
 
 

@@ -133,21 +133,6 @@ class SparseVoxelGrid:
             weights=np.zeros(0, dtype=np.int64),
         )
 
-    @classmethod
-    def from_entries(cls, resolution, channels, indices, features, weights) -> "SparseVoxelGrid":
-        """Build a grid from unsorted (but unique) entries."""
-        indices = _check_indices(np.asarray(indices), resolution)
-        features = np.asarray(features, dtype=float).reshape(indices.shape[0], channels)
-        weights = np.asarray(weights, dtype=np.int64).reshape(indices.shape[0])
-        order = _lexsort_rows(indices) if indices.shape[0] > 1 else slice(None)
-        return cls(
-            resolution=resolution,
-            channels=channels,
-            indices=indices[order],
-            features=features[order],
-            weights=weights[order],
-        )
-
 
 @dataclass(frozen=True)
 class DenseGrid:
@@ -229,14 +214,6 @@ class AffordanceHeatmap:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    @classmethod
-    def from_entries(cls, resolution: int, entries: dict, logits: bool = False) -> "AffordanceHeatmap":
-        """Build from an ``{(ix, iy, iz): value}`` mapping (any order)."""
-        items = sorted((tuple(int(c) for c in k), float(v)) for k, v in entries.items())
-        positions = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3)
-        values = np.array([v for _, v in items], dtype=float)
-        return cls(resolution=resolution, positions=positions, values=values, logits=logits)
 
     def check_support(self, occupied) -> Array:
         """Raise unless every heated position appears in ``occupied``.

@@ -102,7 +102,7 @@ def test_train_artifacts_and_rerun(ws, tmp_path):
     losses = (ws.ckpt / "structure.losses.csv").read_text().splitlines()
     assert losses[0] == "step,loss"
     assert len(losses) == 1 + TINY["trainer"]["steps"]
-    model = load_model(ws.structure)
+    model = load_model(ws.structure, 8, 16, "structure")
     assert model.steps_trained == TINY["trainer"]["steps"]
     echo = json.loads((ws.ckpt / "structure.config.json").read_text())
     assert echo["kind"] == "structure"
@@ -125,7 +125,7 @@ def test_train_artifacts_and_rerun(ws, tmp_path):
 def test_train_affordance_artifacts(ws):
     losses = (ws.ckpt / "affordance.losses.csv").read_text().splitlines()
     assert len(losses) == 1 + TINY["trainer"]["steps"]
-    assert load_model(ws.affordance).steps_trained == TINY["trainer"]["steps"]
+    assert load_model(ws.affordance, 8, 16, "affordance").steps_trained == TINY["trainer"]["steps"]
 
 
 # --- reconstruct and ground -------------------------------------------------------
@@ -168,7 +168,9 @@ def test_ground_prediction_and_truth_outputs(ws, tmp_path):
     )
     assert rc == 0
     stored = json.loads(gt_path.read_text())["heatmap"]
-    expected = ground_truth_affordance(load_object(obj_path), "strike a nail", 8)
+    expected = ground_truth_affordance(
+        load_object(obj_path), "strike a nail", 8, default_query_table()
+    )
     assert stored == heatmap_to_dict(expected)
 
 
@@ -607,6 +609,20 @@ def _replaced(path, value):
     return mutate
 
 
+def _torus_head(major_radius):
+    """A mutation that makes the scene's second part (the hammer's head) a
+    torus segment of the given major radius."""
+    def mutate(record):
+        record = copy.deepcopy(record)
+        record["parts"][1].update(
+            primitive="torus_segment",
+            params={"major_radius": major_radius, "minor_radius": 0.05,
+                    "arc_start": -1.0, "arc_end": 1.0},
+        )
+        return record
+    return mutate
+
+
 @pytest.mark.parametrize(
     "artifact, mutate, code",
     [
@@ -614,6 +630,9 @@ def _replaced(path, value):
         ("manifest", _replaced(("table",), "missing.json"), 3),
         ("table", _replaced(("queries",), [1]), 3),
         ("scene", _replaced(("parts",), [1]), 3),
+        ("scene", _replaced(("parts", 0, "rotation", 0), 1e308), 3),
+        ("scene", _replaced(("parts", 0, "scale", 0), math.inf), 3),
+        ("scene", _torus_head(1e308), 3),
         ("structure", _replaced(("params",), [1]), 3),
         ("structure", _replaced(("params", ""), [1.0]), 3),
         ("structure", _replaced(("params", "Wout", 0, 0), math.nan), 4),
@@ -623,10 +642,14 @@ def _replaced(path, value):
         ("heatmap", _replaced(("heatmap", "positions", 0, 2), 1e308), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "table-queries-list",
-         "scene-parts-list", "checkpoint-params-list", "checkpoint-param-named-empty",
+         "scene-parts-list", "scene-rotation-1e308", "scene-scale-inf",
+         "scene-torus-radius-1e308", "checkpoint-params-list", "checkpoint-param-named-empty",
          "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308"],
 )
+# A warning from numpy would print more lines before the message, so
+# warnings fail these runs instead of being collected by pytest.
+@pytest.mark.filterwarnings("error")
 def test_corrupted_artifact_exits_3_or_4(walk, tmp_path, capsys, artifact, mutate, code):
     assert _run_corrupted(walk, tmp_path, artifact, mutate) == code
     err = capsys.readouterr().err
@@ -647,6 +670,7 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
+@pytest.mark.filterwarnings("error")
 def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
     # One artifact item at a time becomes a value of the wrong type or
     # range; a corruption may happen to be valid, so exit 0 is allowed.
@@ -662,6 +686,8 @@ def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
             err = capsys.readouterr().err
             assert rc in (0, 2, 3, 4), (artifact, paths[i], value, err)
             assert "Traceback" not in err, (artifact, paths[i], value)
+            # A refusal is one line; a run that succeeds writes nothing.
+            assert len(err.strip().splitlines()) == (rc != 0), (artifact, paths[i], value, err)
 
 
 def _model_argv(ws, command, out):

@@ -2,9 +2,10 @@
 
 Oracles used here are independent of the implementation: unprojection is
 checked against a homogeneous 4x4 matrix route (solve K for the camera
-ray, then apply the pose matrix), look_at against projective properties
-(the target must land on the principal point), and the view samplers
-against direct evaluation of their documented closed forms.
+ray, then apply the pose matrix) and against the scalar camera model in
+``oracles``, look_at against projective properties (the target must land
+on the principal point), and the view sampler against direct evaluation
+of its documented closed form.
 """
 
 import json
@@ -13,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from voxaff.errors import BehindCameraError, DomainError
+from oracles import project_point, unproject_pixel, viewpoint_from_dict
+from voxaff.errors import DomainError
 from voxaff import geometry as geo
 
 
@@ -49,17 +51,20 @@ def _random_view(rng):
     return geo.Viewpoint(intrinsics=intr, pose=pose)
 
 
+def _unproject(u, v, d, view):
+    """The library's vectorised unprojection of a single pixel."""
+    return geo.unproject_pixels([u], [v], [d], view)[0]
+
+
 class TestUnprojectProject:
     def test_identity_camera_center_ray(self):
         view = _identity_view()
-        np.testing.assert_array_equal(
-            geo.unproject_pixel(0.0, 0.0, 1.0, view), [0.0, 0.0, 1.0]
-        )
+        np.testing.assert_array_equal(_unproject(0.0, 0.0, 1.0, view), [0.0, 0.0, 1.0])
 
     def test_zero_depth_returns_camera_origin(self):
         rng = np.random.default_rng(3)
         view = _random_view(rng)
-        out = geo.unproject_pixel(10.0, 20.0, 0.0, view)
+        out = _unproject(10.0, 20.0, 0.0, view)
         np.testing.assert_allclose(out, view.pose.translation, atol=0)
 
     def test_rotated_translated_case_by_hand(self):
@@ -71,7 +76,7 @@ class TestUnprojectProject:
         view = geo.Viewpoint(
             intrinsics=intr, pose=geo.Pose(rotation=rot, translation=np.array([1.0, 0.0, 0.0]))
         )
-        out = geo.unproject_pixel(164.0, 64.0, 2.0, view)
+        out = _unproject(164.0, 64.0, 2.0, view)
         np.testing.assert_allclose(out, [1.0, 2.0, 2.0], atol=1e-12)
         np.testing.assert_allclose(
             out, _matrix_unproject_oracle(164.0, 64.0, 2.0, view), atol=1e-12
@@ -85,7 +90,7 @@ class TestUnprojectProject:
             v = rng.uniform(0, view.intrinsics.height)
             d = rng.uniform(0.1, 5.0)
             np.testing.assert_allclose(
-                geo.unproject_pixel(u, v, d, view),
+                _unproject(u, v, d, view),
                 _matrix_unproject_oracle(u, v, d, view),
                 atol=1e-12,
             )
@@ -97,8 +102,8 @@ class TestUnprojectProject:
             u = rng.uniform(0, view.intrinsics.width)
             v = rng.uniform(0, view.intrinsics.height)
             d = rng.uniform(1e-3, 10.0)
-            p = geo.unproject_pixel(u, v, d, view)
-            u2, v2, d2 = geo.project_point(p, view)
+            p = _unproject(u, v, d, view)
+            u2, v2, d2 = project_point(p, view)
             assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(d2 - d) < 1e-9
 
     def test_vectorized_matches_scalar(self):
@@ -110,36 +115,36 @@ class TestUnprojectProject:
         batch = geo.unproject_pixels(us, vs, ds, view)
         for i in range(32):
             np.testing.assert_allclose(
-                batch[i], geo.unproject_pixel(us[i], vs[i], ds[i], view), atol=1e-12
+                batch[i], unproject_pixel(us[i], vs[i], ds[i], view), atol=1e-12
             )
 
     def test_point_behind_camera_rejected(self):
         view = _identity_view()
-        with pytest.raises(BehindCameraError):
-            geo.project_point([0.0, 0.0, -1.0], view)
-        with pytest.raises(BehindCameraError):
-            geo.project_point([0.0, 0.0, 0.0], view)  # zero depth also rejected
+        with pytest.raises(DomainError, match="non-positive camera depth"):
+            project_point([0.0, 0.0, -1.0], view)
+        with pytest.raises(DomainError, match="non-positive camera depth"):
+            project_point([0.0, 0.0, 0.0], view)  # zero depth also rejected
 
     def test_non_finite_rejected(self):
         view = _identity_view()
         with pytest.raises(DomainError):
-            geo.unproject_pixel(float("nan"), 0.0, 1.0, view)
+            _unproject(float("nan"), 0.0, 1.0, view)
         with pytest.raises(DomainError):
-            geo.unproject_pixel(0.0, 0.0, float("inf"), view)
+            _unproject(0.0, 0.0, float("inf"), view)
         with pytest.raises(DomainError):
-            geo.project_point([np.nan, 0.0, 1.0], view)
+            project_point([np.nan, 0.0, 1.0], view)
 
     def test_out_of_bounds_pixel_rejected(self):
         view = _identity_view(width=4, height=4)
         with pytest.raises(DomainError):
-            geo.unproject_pixel(5.0, 0.0, 1.0, view)
+            unproject_pixel(5.0, 0.0, 1.0, view)
         with pytest.raises(DomainError):
-            geo.unproject_pixel(0.0, -1.0, 1.0, view)
+            unproject_pixel(0.0, -1.0, 1.0, view)
 
     def test_negative_depth_rejected(self):
         view = _identity_view()
         with pytest.raises(DomainError):
-            geo.unproject_pixel(0.0, 0.0, -0.5, view)
+            _unproject(0.0, 0.0, -0.5, view)
 
 
 class TestLookAt:
@@ -160,7 +165,7 @@ class TestLookAt:
                 continue
             pose = geo.look_at(origin, target)
             view = geo.Viewpoint(intrinsics=intr, pose=pose)
-            u, v, d = geo.project_point(target, view)
+            u, v, d = project_point(target, view)
             assert abs(u - intr.cx) < 1e-9
             assert abs(v - intr.cy) < 1e-9
             assert abs(d - np.linalg.norm(forward)) < 1e-9
@@ -188,12 +193,12 @@ class TestLookAt:
 
 class TestHemisphereCandidates:
     def test_single_candidate_sits_at_pole(self):
-        (view,) = geo.hemisphere_candidates(1, radius=2.0)
+        (view,) = geo.hemisphere_candidates(1, geo.eval_intrinsics())
         np.testing.assert_allclose(view.pose.translation, [0.0, 0.0, 2.0], atol=1e-12)
 
     def test_positions_match_documented_sequence(self):
         k, radius = 40, 2.0
-        views = geo.hemisphere_candidates(k, radius=radius)
+        views = geo.hemisphere_candidates(k, geo.eval_intrinsics())
         assert len(views) == k
         golden = math.pi * (3.0 - math.sqrt(5.0))
         for i, view in enumerate(views):
@@ -205,74 +210,35 @@ class TestHemisphereCandidates:
             np.testing.assert_allclose(view.pose.translation, expected, atol=1e-12)
 
     def test_all_candidates_on_upper_hemisphere_at_radius(self):
-        target = np.array([0.1, -0.2, 0.05])
-        for view in geo.hemisphere_candidates(25, radius=1.5, target=target):
-            offset = view.pose.translation - target
-            assert abs(np.linalg.norm(offset) - 1.5) < 1e-12
+        for view in geo.hemisphere_candidates(25, geo.eval_intrinsics()):
+            offset = view.pose.translation
+            assert abs(np.linalg.norm(offset) - geo.VIEW_RADIUS) < 1e-12
             assert offset[2] >= -1e-12
 
     def test_candidates_look_at_target(self):
-        target = np.array([0.05, 0.1, 0.0])
-        for view in geo.hemisphere_candidates(10, radius=2.0, target=target):
-            u, v, _ = geo.project_point(target, view)
+        for view in geo.hemisphere_candidates(10, geo.eval_intrinsics()):
+            u, v, d = project_point(np.zeros(3), view)
             assert abs(u - view.intrinsics.cx) < 1e-9
             assert abs(v - view.intrinsics.cy) < 1e-9
+            assert abs(d - geo.VIEW_RADIUS) < 1e-9
 
     def test_bit_identical_across_calls(self):
-        a = geo.hemisphere_candidates(40)
-        b = geo.hemisphere_candidates(40)
+        a = geo.hemisphere_candidates(40, geo.eval_intrinsics())
+        b = geo.hemisphere_candidates(40, geo.eval_intrinsics())
         for va, vb in zip(a, b):
             assert np.array_equal(va.pose.rotation, vb.pose.rotation)
             assert np.array_equal(va.pose.translation, vb.pose.translation)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(DomainError):
-            geo.hemisphere_candidates(0)
-        with pytest.raises(DomainError):
-            geo.hemisphere_candidates(5, radius=0.0)
-
-
-class TestHammersley:
-    def test_radical_inverse_first_eight(self):
-        expected = [0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
-        got = [geo.radical_inverse_base2(i) for i in range(8)]
-        assert got == expected
-
-    def test_first_direction_is_north_pole(self):
-        dirs = geo.hammersley_directions(4)
-        np.testing.assert_array_equal(dirs[0], [0.0, 0.0, 1.0])
-
-    def test_matches_direct_formula_n4(self):
-        dirs = geo.hammersley_directions(4)
-        for i in range(4):
-            u = i / 4
-            v = geo.radical_inverse_base2(i)
-            z = 1.0 - 2.0 * v
-            s = math.sqrt(1.0 - z * z)
-            expected = [s * math.cos(2 * math.pi * u), s * math.sin(2 * math.pi * u), z]
-            np.testing.assert_allclose(dirs[i], expected, atol=1e-15)
-
-    def test_unit_norm(self):
-        dirs = geo.hammersley_directions(257)
-        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-
-    def test_pairwise_distinct_up_to_1e4(self):
-        dirs = geo.hammersley_directions(10_000)
-        assert len(np.unique(dirs, axis=0)) == 10_000
-
-    def test_sphere_viewpoints_look_at_target(self):
-        for view in geo.sphere_viewpoints(9, radius=2.0):
-            u, v, d = geo.project_point([0.0, 0.0, 0.0], view)
-            assert abs(u - view.intrinsics.cx) < 1e-9
-            assert abs(v - view.intrinsics.cy) < 1e-9
-            assert abs(d - 2.0) < 1e-9
+            geo.hemisphere_candidates(0, geo.eval_intrinsics())
 
 
 class TestSerialization:
     def test_viewpoint_round_trip_is_exact(self):
         rng = np.random.default_rng(23)
         view = _random_view(rng)
-        back = geo.viewpoint_from_dict(json.loads(json.dumps(geo.viewpoint_to_dict(view))))
+        back = viewpoint_from_dict(json.loads(json.dumps(geo.viewpoint_to_dict(view))))
         assert np.array_equal(back.pose.rotation, view.pose.rotation)
         assert np.array_equal(back.pose.translation, view.pose.translation)
         assert back.intrinsics == view.intrinsics
@@ -289,8 +255,8 @@ class TestSerialization:
 
     def test_malformed_record_rejected(self):
         with pytest.raises(DomainError):
-            geo.viewpoint_from_dict({"fx": 1.0})
+            viewpoint_from_dict({"fx": 1.0})
         good = geo.viewpoint_to_dict(_identity_view())
         bad = dict(good, pose=good["pose"][:12])
         with pytest.raises(DomainError):
-            geo.viewpoint_from_dict(bad)
+            viewpoint_from_dict(bad)

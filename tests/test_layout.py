@@ -1,11 +1,17 @@
-"""Source-layout rules, checked with ``ast`` over the package and the benchmark.
+"""Source-layout rules, checked with ``ast`` over the package and the program
+paths that use it (``src/voxaff``, ``perfbench/`` and ``tools/``).
 
 1. Every top-level function or class, and every public method, defined in
-   ``src/voxaff`` is named somewhere in ``src/voxaff`` or ``perfbench/``
-   outside its own definition: no library code exists that only tests call.
-   A method counts as named only through an attribute access (``x.name``),
-   not through a bare variable that happens to share its name.
+   ``src/voxaff`` is named somewhere on a program path outside its own
+   definition: no library code exists that only tests call.  A method
+   counts as named only through an attribute access (``x.name``), not
+   through a bare variable that happens to share its name.
 2. No module in ``src/voxaff`` imports a name it never uses.
+3. Every parameter in ``src/voxaff`` that defaults to ``None`` is left out
+   by at least one direct program call, so no ``None`` fallback runs only
+   under tests.  A function that a program names other than as a callee
+   (``trainer = netcore.train_structure``) may be called indirectly, so
+   it counts as leaving every default out.
 """
 
 from __future__ import annotations
@@ -16,28 +22,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "voxaff"
-PROGRAM_DIRS = (PACKAGE, ROOT / "perfbench")
-
-#: Definitions kept although no program path calls them.
-ALLOWED_UNCALLED = {
-    # Paper metrics (Chamfer, F-score, point clouds from occupancy) stay
-    # part of the library's metric set.
-    "metrics.fscore",
-    "metrics.extract_pointcloud",
-    # The finite-difference oracle behind the analytic-gradient gate.
-    "netcore.gradient_check",
-    # The scalar camera model: the reference that the camera round-trip
-    # gate and the vectorised ``unproject_pixels`` are checked against.
-    "geometry.unproject_pixel",
-    "geometry.project_point",
-    # Inverse of ``viewpoint_to_dict``; the round trip pins the viewpoint
-    # records that ``trace.json`` holds.
-    "geometry.viewpoint_from_dict",
-    # Builders from unsorted entries: the metric-oracle and view-selection
-    # gates and the fusion unit tests make their inputs with them.
-    "voxel.SparseVoxelGrid.from_entries",
-    "voxel.AffordanceHeatmap.from_entries",
-}
+PROGRAM_DIRS = (PACKAGE, ROOT / "perfbench", ROOT / "tools")
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -65,15 +50,17 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno, True
 
 
+def _program_trees() -> dict:
+    return {path: _parse(path) for root in PROGRAM_DIRS for path in sorted(root.glob("*.py"))}
+
+
 def test_no_library_code_without_a_program_caller():
-    trees = {
-        path: _parse(path) for root in PROGRAM_DIRS for path in sorted(root.glob("*.py"))
-    }
+    trees = _program_trees()
     refs = collections.defaultdict(list)
     for path, tree in trees.items():
         for name, line, is_attribute in _references(tree):
             refs[name].append((path, line, is_attribute))
-    uncalled, defined = [], set()
+    uncalled = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qualname, node in _definitions(trees[path]):
             name = qualname.rsplit(".", 1)[-1]
@@ -84,12 +71,9 @@ def test_no_library_code_without_a_program_caller():
                 and (is_attribute or not is_method)
                 for other, line, is_attribute in refs[name]
             )
-            key = f"{path.stem}.{qualname}"
-            defined.add(key)
-            if not used and key not in ALLOWED_UNCALLED:
-                uncalled.append(key)
+            if not used:
+                uncalled.append(f"{path.stem}.{qualname}")
     assert not uncalled, f"defined but never named by the program: {uncalled}"
-    assert ALLOWED_UNCALLED <= defined, f"stale allowlist: {ALLOWED_UNCALLED - defined}"
 
 
 def test_no_unused_imports():
@@ -107,3 +91,73 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _functions(tree: ast.Module):
+    """(function node, is_method) of every top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item, True
+
+
+def _none_defaults(fn: ast.FunctionDef, is_method: bool):
+    """(name, positional index or None) of each parameter defaulting to None.
+
+    The index counts the arguments a call passes, so a method's ``self``
+    (or ``cls``) is skipped.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if is_method and not static else 0
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    for arg, default in pairs:
+        if isinstance(default, ast.Constant) and default.value is None:
+            index = positional.index(arg) - skip if arg in positional else None
+            yield arg.arg, index
+
+
+def _name(node: ast.Name | ast.Attribute) -> str:
+    return node.id if isinstance(node, ast.Name) else node.attr
+
+
+def _omits(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether ``call`` may leave parameter ``name`` out (a starred
+    argument or ``**kwargs`` may, so it counts as leaving it out)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    if index is not None and len(call.args) > index:
+        return False
+    return all(k.arg != name for k in call.keywords)
+
+
+def test_none_defaults_are_left_out_by_a_program_call():
+    trees = _program_trees()
+    named = (ast.Name, ast.Attribute)
+    calls, values = collections.defaultdict(list), collections.defaultdict(list)
+    for path, tree in trees.items():
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, named):
+                calls[_name(node.func)].append((path, node))
+            elif isinstance(node, named) and id(node) not in callees:
+                values[_name(node)].append((path, node.lineno))
+    flagged = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, is_method in _functions(trees[path]):
+
+            def outside(other, line):
+                return not (other == path and fn.lineno <= line <= fn.end_lineno)
+
+            if any(outside(other, line) for other, line in values[fn.name]):
+                continue
+            direct = [call for other, call in calls[fn.name] if outside(other, call.lineno)]
+            for name, index in _none_defaults(fn, is_method):
+                if not any(_omits(call, name, index) for call in direct):
+                    flagged.append(f"{path.stem}.{fn.name}({name}=None)")
+    assert not flagged, f"None defaults that every program call overrides: {flagged}"

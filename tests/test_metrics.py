@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import voxaff.metrics as mx
+from oracles import heatmap_from_entries
 from voxaff.errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
-from voxaff.voxel import AffordanceHeatmap
 
 
 # --- volumetric IoU ----------------------------------------------------------
@@ -112,66 +112,11 @@ def test_chamfer_rejects_empty():
         mx.chamfer(np.zeros((0, 3)), np.zeros((3, 3)))
 
 
-# --- f-score -----------------------------------------------------------------
-
-
-def test_fscore_hand_cases():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 3))
-    assert mx.fscore(a, a) == 1.0
-    assert mx.fscore(a, a + 100.0) == 0.0
-
-
-def test_fscore_matches_brute_force():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((9, 3)) * 0.05
-    b = rng.standard_normal((6, 3)) * 0.05
-    tau = 0.05
-    prec = np.mean([min(np.linalg.norm(p - q) for q in b) <= tau for p in a])
-    rec = np.mean([min(np.linalg.norm(p - q) for p in a) <= tau for q in b])
-    expect = 0.0 if prec + rec == 0 else 2 * prec * rec / (prec + rec)
-    assert mx.fscore(a, b, tau) == expect
-    assert mx.fscore(a, b, tau) == mx.fscore(b, a, tau)
-
-
-def test_fscore_validates():
-    with pytest.raises(UndefinedMetricError):
-        mx.fscore(np.zeros((0, 3)), np.zeros((2, 3)))
-    with pytest.raises(DomainError):
-        mx.fscore(np.zeros((2, 3)), np.zeros((2, 3)), tau=0.0)
-
-
-# --- point-cloud extraction --------------------------------------------------
-
-
-def test_extract_pointcloud_single_voxel_stays_on_its_faces():
-    r = 9
-    cloud = mx.extract_pointcloud([(4, 4, 4)], r, n_views=16, image_size=48, seed=0)
-    assert cloud.shape[0] > 0
-    center = np.array([(4 + 0.5) / r - 0.5] * 3)
-    assert np.max(np.abs(cloud - center)) <= 0.5 / r + 1e-9
-
-
-def test_extract_pointcloud_deterministic_and_subsampled():
-    occ = [(i, j, 4) for i in range(3, 6) for j in range(3, 6)]
-    a = mx.extract_pointcloud(occ, 8, n_views=12, n_points=50, image_size=32, seed=7)
-    b = mx.extract_pointcloud(occ, 8, n_views=12, n_points=50, image_size=32, seed=7)
-    assert a.shape == (50, 3)
-    assert np.array_equal(a, b)
-    c = mx.extract_pointcloud(occ, 8, n_views=12, n_points=50, image_size=32, seed=8)
-    assert not np.array_equal(a, c)
-
-
-def test_extract_pointcloud_empty_occupancy_rejected():
-    with pytest.raises(UndefinedMetricError):
-        mx.extract_pointcloud([], 8, n_views=4, image_size=16)
-
-
 # --- aIoU / aCD --------------------------------------------------------------
 
 
 def _heat(r, entries):
-    return AffordanceHeatmap.from_entries(r, entries, logits=False)
+    return heatmap_from_entries(r, entries)
 
 
 def test_aiou_acd_identical_heatmaps():
@@ -229,7 +174,7 @@ def test_aiou_acd_monotone_sanity_and_validation():
     gt = _heat(8, {(0, 0, 0): 1.0, (1, 0, 0): 1.0})
     assert mx.aiou_acd(pred, gt, 8).aiou <= mx.aiou_acd(gt, gt, 8).aiou
     with pytest.raises(DataError):
-        mx.aiou_acd(AffordanceHeatmap.from_entries(8, {(0, 0, 0): 2.0}, logits=True), gt, 8)
+        mx.aiou_acd(heatmap_from_entries(8, {(0, 0, 0): 2.0}, logits=True), gt, 8)
     with pytest.raises(DomainError):
         mx.aiou_acd(pred, _heat(16, {(0, 0, 0): 1.0}), 8)
 

@@ -8,6 +8,7 @@ import pytest
 
 import voxaff.netcore as nc
 import voxaff.synthscene as sc
+from oracles import gradient_check, project_point
 from voxaff.errors import (
     ConfigError,
     DataError,
@@ -52,7 +53,7 @@ def test_time_embedding_structure():
 def test_fresh_model_outputs_zero_velocities():
     model = _small_model()
     rng = np.random.default_rng(1)
-    v = model(rng.standard_normal((6, 3)), rng.standard_normal(2), 0.3)
+    v = nc.forward(model, rng.standard_normal((6, 3)), rng.standard_normal(2), 0.3)
     assert np.array_equal(v, np.zeros(6))
 
 
@@ -63,8 +64,8 @@ def test_untrained_condition_path_is_inert():
     rng = np.random.default_rng(2)
     model.params["Wout"] = rng.standard_normal(model.params["Wout"].shape)
     tokens = rng.standard_normal((5, 3))
-    a = model(tokens, np.zeros(2), 0.5)
-    b = model(tokens, rng.standard_normal(2) * 10.0, 0.5)
+    a = nc.forward(model, tokens, np.zeros(2), 0.5)
+    b = nc.forward(model, tokens, rng.standard_normal(2) * 10.0, 0.5)
     assert np.array_equal(a, b)
 
 
@@ -78,7 +79,7 @@ def test_depth_zero_affine_map_hand_oracle():
     cond = rng.standard_normal(1)
     t = 0.4
     temb = nc.time_embedding(t)
-    v = model(tokens, cond, t)
+    v = nc.forward(model, tokens, cond, t)
     for i in range(3):
         row = np.concatenate([tokens[i], cond, temb])
         expect = sum(row[j] * w[j, 0] for j in range(model.in_dim)) + 0.25
@@ -90,18 +91,18 @@ def test_forward_is_per_token_and_permutation_equivariant():
     rng = np.random.default_rng(6)
     tokens = rng.standard_normal((7, 3))
     cond = rng.standard_normal(2)
-    v = model(tokens, cond, 0.6)
+    v = nc.forward(model, tokens, cond, 0.6)
     perm = rng.permutation(7)
-    assert np.array_equal(model(tokens[perm], cond, 0.6), v[perm])
-    assert np.array_equal(model(tokens[:3], cond, 0.6), v[:3])
+    assert np.array_equal(nc.forward(model, tokens[perm], cond, 0.6), v[perm])
+    assert np.array_equal(nc.forward(model, tokens[:3], cond, 0.6), v[:3])
 
 
 def test_forward_validates_widths():
     model = _small_model()
     with pytest.raises(ShapeMismatchError):
-        model(np.zeros((2, 4)), np.zeros(2), 0.5)
+        nc.forward(model, np.zeros((2, 4)), np.zeros(2), 0.5)
     with pytest.raises(ShapeMismatchError):
-        model(np.zeros((2, 3)), np.zeros(3), 0.5)
+        nc.forward(model, np.zeros((2, 3)), np.zeros(3), 0.5)
 
 
 def test_model_check_catches_corruption():
@@ -138,7 +139,7 @@ def test_gradients_match_finite_differences_mse_path():
     batch = (rng.standard_normal((5, 3)), rng.standard_normal(2), 0.35)
     x0 = rng.standard_normal(5)
     eps = rng.standard_normal(5)
-    assert nc.gradient_check(model, _mse_loss_fn(x0, eps), batch) < 1e-4
+    assert gradient_check(model, _mse_loss_fn(x0, eps), batch) < 1e-4
 
 
 def test_gradients_match_finite_differences_mask_path():
@@ -147,7 +148,7 @@ def test_gradients_match_finite_differences_mask_path():
     batch = (rng.standard_normal((6, 3)), rng.standard_normal(2), 0.8)
     eps = rng.standard_normal(6) * 5.0
     gt = (rng.random(6) < 0.5).astype(float)
-    assert nc.gradient_check(model, lambda v: velocity_mask_loss(v, eps, gt), batch) < 1e-4
+    assert gradient_check(model, lambda v: velocity_mask_loss(v, eps, gt), batch) < 1e-4
 
 
 def test_gradcheck_also_covers_depth_zero():
@@ -156,7 +157,7 @@ def test_gradcheck_also_covers_depth_zero():
     rng = np.random.default_rng(18)
     batch = (rng.standard_normal((4, 2)), rng.standard_normal(1), 0.5)
     x0, eps = rng.standard_normal(4), rng.standard_normal(4)
-    assert nc.gradient_check(model, _mse_loss_fn(x0, eps), batch) < 1e-4
+    assert gradient_check(model, _mse_loss_fn(x0, eps), batch) < 1e-4
 
 
 def test_zero_loss_point_gives_zero_gradients():
@@ -307,8 +308,8 @@ def test_full_dropout_never_trains_condition_path():
     model = result.model
     rng = np.random.default_rng(7)
     tokens = rng.standard_normal((10, model.token_dim))
-    uncond = model(tokens, np.zeros(model.cond_dim), 0.5)
-    cond = model(tokens, rng.standard_normal(model.cond_dim), 0.5)
+    uncond = nc.forward(model, tokens, np.zeros(model.cond_dim), 0.5)
+    cond = nc.forward(model, tokens, rng.standard_normal(model.cond_dim), 0.5)
     assert np.array_equal(uncond, cond)
 
 
@@ -371,7 +372,7 @@ class _ScriptedRng:
 
 
 def test_random_hemisphere_view_geometry():
-    from voxaff.geometry import eval_intrinsics, project_point
+    from voxaff.geometry import eval_intrinsics
 
     intr = eval_intrinsics(32)
     rng = np.random.default_rng(8)
@@ -395,12 +396,19 @@ def test_random_hemisphere_view_handles_pole():
 
 # --- checkpoints -------------------------------------------------------------
 
+#: The trainer record of a checkpoint, and the run sizes that load it.
+TRAINER = nc.TrainerConfig()
+
+
+def _load(path, kind="structure"):
+    return nc.load_model(path, TRAINER.resolution, TRAINER.channels, kind)
+
 
 def test_checkpoint_round_trip_is_exact(tmp_path):
     result = nc.train_affordance(_tiny_dataset(1), _fast_cfg(steps=12))
     path = tmp_path / "aff.model.json"
-    nc.save_model(path, result.model, trainer=_fast_cfg(steps=12))
-    loaded = nc.load_model(path)
+    nc.save_model(path, result.model, _fast_cfg(steps=12))
+    loaded = _load(path, "affordance")
     assert loaded.token_dim == result.model.token_dim
     assert loaded.steps_trained == 12
     for name in result.model.params:
@@ -408,19 +416,19 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(9)
     tokens = rng.standard_normal((4, loaded.token_dim))
     cond = rng.standard_normal(loaded.cond_dim)
-    assert np.array_equal(loaded(tokens, cond, 0.5), result.model(tokens, cond, 0.5))
+    assert np.array_equal(nc.forward(loaded, tokens, cond, 0.5), nc.forward(result.model, tokens, cond, 0.5))
 
 
 def test_checkpoint_bytes_stable(tmp_path):
     model = _randomize(_small_model(seed=30), 31)
-    nc.save_model(tmp_path / "a.model.json", model)
-    nc.save_model(tmp_path / "b.model.json", model)
+    nc.save_model(tmp_path / "a.model.json", model, TRAINER)
+    nc.save_model(tmp_path / "b.model.json", model, TRAINER)
     assert (tmp_path / "a.model.json").read_bytes() == (tmp_path / "b.model.json").read_bytes()
 
 
 def test_checkpoint_echoes_trainer_config():
     model = _small_model()
-    record = nc.model_to_dict(model, trainer=nc.TrainerConfig())
+    record = nc.model_to_dict(model, TRAINER, None)
     assert record["trainer"]["learning_rate"] == 2e-2
     assert record["trainer"]["view_range"] == [1, 8]
     assert "params" in record and "Wout" in record["params"]
@@ -430,31 +438,31 @@ def test_checkpoint_records_its_kind_and_refuses_another(tmp_path):
     model = _small_model()
     model.steps_trained = 1  # a checkpoint with no training step is refused at load
     path = tmp_path / "s.model.json"
-    nc.save_model(path, model, kind="structure")
-    assert nc.model_to_dict(model, kind="structure")["kind"] == "structure"
-    assert nc.load_model(path, kind="structure").steps_trained == model.steps_trained
+    nc.save_model(path, model, TRAINER, "structure")
+    assert nc.model_to_dict(model, TRAINER, "structure")["kind"] == "structure"
+    assert _load(path, "structure").steps_trained == model.steps_trained
     with pytest.raises(ConfigError, match="kind 'structure'"):
-        nc.load_model(path, kind="affordance")
+        _load(path, "affordance")
     # Without a recorded kind a checkpoint loads as either kind.
-    nc.save_model(path, model)
-    assert "kind" not in nc.model_to_dict(model)
-    assert nc.load_model(path, kind="affordance").steps_trained == model.steps_trained
+    nc.save_model(path, model, TRAINER)
+    assert "kind" not in nc.model_to_dict(model, TRAINER, None)
+    assert _load(path, "affordance").steps_trained == model.steps_trained
 
 
 def test_checkpoint_without_training_steps_is_refused_at_load(tmp_path):
     path = tmp_path / "fresh.model.json"
-    nc.save_model(path, _small_model())
+    nc.save_model(path, _small_model(), TRAINER)
     with pytest.raises(UntrainedModelError, match="no training steps"):
-        nc.load_model(path)
+        _load(path)
     # The record itself still parses: only loading a checkpoint refuses it.
-    assert nc.model_from_dict(nc.model_to_dict(_small_model())).steps_trained == 0
+    assert nc.model_from_dict(nc.model_to_dict(_small_model(), TRAINER, None)).steps_trained == 0
 
 
 def test_checkpoint_rejects_malformed_records():
     with pytest.raises(DataError):
         nc.model_from_dict({"token_dim": 3})
     model = _small_model()
-    record = nc.model_to_dict(model)
+    record = nc.model_to_dict(model, TRAINER, None)
     record["params"]["W0"] = [[1.0], [2.0]]
     with pytest.raises((DataError, ShapeMismatchError)):
         nc.model_from_dict(record)

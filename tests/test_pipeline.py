@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import voxaff.pipeline as pl
+from oracles import raycast_depth
 import voxaff.render as rd
 from voxaff.errors import (
     CandidatesExhaustedError,
@@ -21,8 +22,9 @@ from voxaff.errors import (
 from voxaff.flow import FlowConfig, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
 from voxaff.netcore import VelocityModel
-from voxaff.render import DepthImage, raycast_depth, render_views
+from voxaff.render import DepthImage, render_views
 from voxaff.synthscene import (
+    default_query_table,
     generate_object,
     ground_truth_affordance,
     ground_truth_occupancy,
@@ -32,6 +34,7 @@ from voxaff.voxel import AffordanceHeatmap
 
 R = 8
 CHANNELS = 16
+TABLE = default_query_table()
 
 
 def _view(k=1, image_size=32):
@@ -60,7 +63,7 @@ def _affordance_oracle(gt_heat):
 
 
 def _oracle_models(obj, query):
-    gt_heat = ground_truth_affordance(obj, query, R)
+    gt_heat = ground_truth_affordance(obj, query, R, TABLE)
     return pl.StageModels(
         structure=_structure_oracle(obj), affordance=_affordance_oracle(gt_heat)
     )
@@ -153,9 +156,9 @@ def test_ground_recovers_mask_and_aligns_positions():
     obj = generate_object(1)
     query = "strike a nail"
     occ = occupied_indices(obj, R)
-    gt_heat = ground_truth_affordance(obj, query, R)
+    gt_heat = ground_truth_affordance(obj, query, R, TABLE)
     cfg = FlowConfig(steps=1, noise_scale=0.5)
-    heat = pl.ground(occ, query, _affordance_oracle(gt_heat), R, cfg, np.random.default_rng(13))
+    heat = pl.ground(occ, query, _affordance_oracle(gt_heat), R, cfg, np.random.default_rng(13), TABLE)
     assert np.array_equal(heat.positions, occ)
     assert not heat.logits
     assert np.all((heat.values > 0.0) & (heat.values < 1.0))
@@ -167,7 +170,7 @@ def test_ground_rejects_empty_occupancy():
     with pytest.raises(DataError):
         pl.ground(
             np.zeros((0, 3), dtype=np.int64), "strike a nail", model, R,
-            FlowConfig.for_affordance_eval(), np.random.default_rng(0),
+            FlowConfig.for_affordance_eval(), np.random.default_rng(0), TABLE,
         )
 
 
@@ -176,7 +179,7 @@ def test_ground_unknown_query():
     with pytest.raises(UnknownQueryError):
         pl.ground(
             occ, "fly to the moon", lambda x, t: x, R,
-            FlowConfig.for_affordance_eval(), np.random.default_rng(0),
+            FlowConfig.for_affordance_eval(), np.random.default_rng(0), TABLE,
         )
 
 
@@ -184,7 +187,7 @@ def test_ground_with_an_untrained_model_returns_the_noise():
     occ = occupied_indices(generate_object(1), R)
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
     cfg = FlowConfig(steps=1, noise_scale=0.5)
-    heat = pl.ground(occ, "strike a nail", model, R, cfg, np.random.default_rng(13))
+    heat = pl.ground(occ, "strike a nail", model, R, cfg, np.random.default_rng(13), TABLE)
     noise = 0.5 * np.random.default_rng(13).standard_normal(occ.shape[0])
     assert np.array_equal(heat.values, sigmoid(noise))
 
@@ -195,7 +198,7 @@ def test_ground_seed_and_rng_sensitivity():
     cfg = FlowConfig(steps=1, noise_scale=0.5)
 
     def run(rng):
-        return pl.ground(occ, "strike a nail", model, R, cfg, rng=rng).values
+        return pl.ground(occ, "strike a nail", model, R, cfg, rng=rng, table=TABLE).values
 
     assert np.array_equal(run(np.random.default_rng(1)), run(np.random.default_rng(1)))
     assert not np.array_equal(run(np.random.default_rng(1)), run(np.random.default_rng(2)))
@@ -296,8 +299,8 @@ def test_worst_initial_view_minimizes_true_visibility():
     obj = generate_object(1)
     query = "strike a nail"
     cands = _view(12)
-    res = pl.worst_initial_view(obj, query, cands, R)
-    heat = ground_truth_affordance(obj, query, R)
+    res = pl.worst_initial_view(obj, query, cands, R, TABLE)
+    heat = ground_truth_affordance(obj, query, R, TABLE)
     expected = tuple(pl.visibility_score(heat.positions, heat, v) for v in cands)
     assert res.scores == expected
     assert res.index == min(range(12), key=lambda i: (res.scores[i], i))
@@ -306,7 +309,7 @@ def test_worst_initial_view_minimizes_true_visibility():
 
 def test_worst_initial_view_rejects_degenerate_query():
     with pytest.raises(DegenerateQueryError):
-        pl.worst_initial_view(generate_object(0), "strike a nail", _view(4), R)
+        pl.worst_initial_view(generate_object(0), "strike a nail", _view(4), R, TABLE)
 
 
 # --- the active loop ----------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_active_loop_budget_one_records_no_selection():
     cfg = _loop_config()
     trace = pl.active_loop(
         obj, query, cfg.candidates()[0], 1, "active", _oracle_models(obj, query), cfg,
-        np.random.default_rng(0),
+        np.random.default_rng(0), TABLE,
     )
     assert trace.budget == 1 and len(trace.steps) == 1
     step = trace.steps[0]
@@ -344,6 +347,7 @@ def test_active_loop_active_is_deterministic_and_never_revisits():
             _oracle_models(obj, query),
             cfg,
             rng=np.random.default_rng(3),
+            table=TABLE,
         )
 
     t1, t2 = run(), run()
@@ -372,7 +376,7 @@ def test_active_loop_sequential_ignores_rng_and_walks_the_circle():
 
     def run(seed):
         return pl.active_loop(
-            obj, query, initial, 3, "sequential", models, cfg, rng=np.random.default_rng(seed)
+            obj, query, initial, 3, "sequential", models, cfg, np.random.default_rng(seed), TABLE
         )
 
     t1, t2 = run(7), run(99)
@@ -410,6 +414,7 @@ def test_active_loop_random_is_seeded_and_avoids_visited():
             models,
             cfg,
             rng=np.random.default_rng(seed),
+            table=TABLE,
         )
 
     t1, t2 = run(5), run(5)
@@ -443,7 +448,7 @@ def test_active_loop_trace_does_not_depend_on_cached_ray_tables(strategy):
 
     def run():
         trace = pl.active_loop(
-            obj, query, cfg.candidates()[0], 3, strategy, models, cfg, rng=np.random.default_rng(8)
+            obj, query, cfg.candidates()[0], 3, strategy, models, cfg, np.random.default_rng(8), TABLE
         )
         assert all(step.occupied.shape[0] for step in trace.steps)
         return json.dumps(pl.trace_to_dict(trace), sort_keys=True)
@@ -461,9 +466,9 @@ def test_active_loop_validates_inputs():
     cfg = _loop_config()
     start, rng = cfg.candidates()[0], np.random.default_rng(0)
     with pytest.raises(DomainError):
-        pl.active_loop(obj, "strike a nail", start, 0, "active", models, cfg, rng)
+        pl.active_loop(obj, "strike a nail", start, 0, "active", models, cfg, rng, TABLE)
     with pytest.raises(ConfigError):
-        pl.active_loop(obj, "strike a nail", start, 1, "spiral", models, cfg, rng)
+        pl.active_loop(obj, "strike a nail", start, 1, "spiral", models, cfg, rng, TABLE)
 
 
 def test_active_loop_empty_reconstruction_degrades_gracefully():
@@ -474,10 +479,10 @@ def test_active_loop_empty_reconstruction_degrades_gracefully():
     # the occupancy threshold and the grounded heatmap must be empty.
     models = pl.StageModels(
         structure=lambda x, t: x + 1.0,
-        affordance=_affordance_oracle(ground_truth_affordance(obj, query, R)),
+        affordance=_affordance_oracle(ground_truth_affordance(obj, query, R, TABLE)),
     )
     trace = pl.active_loop(
-        obj, query, cfg.candidates()[0], 2, "active", models, cfg, np.random.default_rng(0)
+        obj, query, cfg.candidates()[0], 2, "active", models, cfg, np.random.default_rng(0), TABLE
     )
     step = trace.steps[0]
     assert step.occupied.shape == (0, 3)

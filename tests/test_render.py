@@ -14,6 +14,7 @@ import pytest
 
 import voxaff.pipeline as pl
 import voxaff.render as rd
+from oracles import heatmap_from_entries, occupancy_cube, raycast_depth
 import voxaff.synthscene as sc
 from voxaff.errors import CameraInsideCubeError, DomainError, SupportError
 from voxaff.geometry import (
@@ -163,7 +164,7 @@ def test_center_voxel_axis_ray_depth_exact():
     # from (0,0,2) straight down -z enters through the z = +1/18 face, and
     # the camera-frame z of that point is 2 - 1/18.
     view = _single_pixel_view()
-    img = rd.raycast_depth([(4, 4, 4)], 9, view)
+    img = raycast_depth([(4, 4, 4)], 9, view)
     assert img.values.shape == (1, 1)
     assert img.values[0, 0] == pytest.approx(2.0 - 1.0 / 18.0, abs=1e-12)
 
@@ -175,7 +176,7 @@ def test_axis_rays_from_all_six_sides():
     for axis in range(3):
         for side in (-1, 1):
             view = _axis_view(axis, side, intr)
-            img = rd.raycast_depth([(4, 4, 4)], 9, view)
+            img = raycast_depth([(4, 4, 4)], 9, view)
             assert img.values[0, 0] == pytest.approx(2.0 - 1.0 / 18.0, abs=1e-12), (axis, side)
 
 
@@ -186,7 +187,7 @@ def test_top_slab_constant_depth():
     r = 8
     occupied = [(ix, iy, r - 1) for ix in range(r) for iy in range(r)]
     view = _axis_view(2, 1, eval_intrinsics(64))
-    img = rd.raycast_depth(occupied, r, view)
+    img = raycast_depth(occupied, r, view)
     hits = img.values > 0
     assert hits.any() and not hits.all()
     assert np.max(np.abs(img.values[hits] - 1.5)) < 1e-12
@@ -194,7 +195,7 @@ def test_top_slab_constant_depth():
 
 def test_miss_pixels_read_zero_and_empty_scene_is_black():
     view = _axis_view(2, 1, eval_intrinsics(32))
-    img = rd.raycast_depth(np.zeros((0, 3), dtype=np.int64), 8, view)
+    img = raycast_depth(np.zeros((0, 3), dtype=np.int64), 8, view)
     assert img.values.shape == (32, 32)
     assert not img.values.any()
 
@@ -205,13 +206,13 @@ def test_camera_inside_cube_rejected():
         pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.2])),
     )
     with pytest.raises(CameraInsideCubeError):
-        rd.raycast_depth([(0, 0, 0)], 8, view)
+        raycast_depth([(0, 0, 0)], 8, view)
     boundary = Viewpoint(
         intrinsics=eval_intrinsics(16),
         pose=Pose(rotation=np.eye(3), translation=np.array([0.5, 0.0, 0.0])),
     )
     with pytest.raises(CameraInsideCubeError):
-        rd.raycast_depth([(0, 0, 0)], 8, boundary)
+        raycast_depth([(0, 0, 0)], 8, boundary)
 
 
 # --- marching oracle --------------------------------------------------------
@@ -247,7 +248,7 @@ def test_depth_matches_fine_ray_marching(seed):
     obj = sc.generate_object(seed)
     occ = sc.ground_truth_occupancy(obj, r).values[..., 0] > 0
     view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[seed % 40]
-    img = rd.raycast_depth(sc.occupied_indices(obj, r), r, view)
+    img = raycast_depth(sc.occupied_indices(obj, r), r, view)
     t_step = 5e-4
     oracle = _march_depths(occ, view, t_step)
     marched = ~np.isnan(oracle)
@@ -272,7 +273,7 @@ def test_unprojected_hits_land_on_cell_faces():
         occupied = sc.occupied_indices(obj, r)
         centers = (occupied + 0.5) / r - 0.5
         view = hemisphere_candidates(40, intrinsics=eval_intrinsics(24))[(7 * seed) % 40]
-        img = rd.raycast_depth(occupied, r, view)
+        img = raycast_depth(occupied, r, view)
         vs, us = np.nonzero(img.values)
         assert len(us) > 0
         points = unproject_pixels(us + 0.5, vs + 0.5, img.values[vs, us], view)
@@ -285,16 +286,16 @@ def test_occlusion_added_voxels_behind_do_not_change_image():
     wall = [(2, iy, iz) for iy in range(r) for iz in range(r)]
     behind = wall + [(6, iy, iz) for iy in range(r) for iz in range(r)]
     view = _axis_view(0, -1, eval_intrinsics(48))
-    front = rd.raycast_depth(wall, r, view)
-    both = rd.raycast_depth(behind, r, view)
+    front = raycast_depth(wall, r, view)
+    both = raycast_depth(behind, r, view)
     assert np.array_equal(front.values, both.values)
 
 
 def test_render_is_deterministic():
     obj = sc.generate_object(2)
     view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[13]
-    a = rd.raycast_depth(sc.occupied_indices(obj, 8), 8, view)
-    b = rd.raycast_depth(sc.occupied_indices(obj, 8), 8, view)
+    a = raycast_depth(sc.occupied_indices(obj, 8), 8, view)
+    b = raycast_depth(sc.occupied_indices(obj, 8), 8, view)
     assert np.array_equal(a.values, b.values)
 
 
@@ -320,7 +321,7 @@ def test_render_views_depth_matches_raycast():
     obj = sc.generate_object(4)
     view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[5]
     depth, _ = rd.render_views(obj, view, r=8, channels=16)
-    plain = rd.raycast_depth(sc.occupied_indices(obj, 8), 8, view)
+    plain = raycast_depth(sc.occupied_indices(obj, 8), 8, view)
     assert np.array_equal(depth.values, plain.values)
 
 
@@ -339,10 +340,10 @@ def test_render_views_normals_flip_with_camera_side():
 def test_render_affordance_reads_first_hit_value():
     r = 8
     wall = [(2, iy, iz) for iy in range(r) for iz in range(r)]
-    heat = AffordanceHeatmap.from_entries(r, {(2, 4, 4): 0.7}, logits=False)
+    heat = heatmap_from_entries(r, {(2, 4, 4): 0.7})
     view = _axis_view(0, -1, eval_intrinsics(48))
     img = rd.render_affordance(wall, heat, view)
-    occ = rd.occupancy_cube(wall, r)
+    occ = occupancy_cube(wall, r)
     hit, _, cells, _, _, _ = _traverse(occ, view)
     expect = np.zeros(hit.shape[0])
     expect[hit] = (cells[hit] == [2, 4, 4]).all(axis=1) * 0.7
@@ -355,14 +356,14 @@ def test_render_affordance_respects_occlusion():
     r = 8
     wall = [(2, iy, iz) for iy in range(r) for iz in range(r)]
     hidden = wall + [(6, 4, 4)]
-    heat = AffordanceHeatmap.from_entries(r, {(6, 4, 4): 1.0}, logits=False)
+    heat = heatmap_from_entries(r, {(6, 4, 4): 1.0})
     view = _axis_view(0, -1, eval_intrinsics(48))
     img = rd.render_affordance(hidden, heat, view)
     assert img.total() == 0.0
 
 
 def test_render_affordance_requires_support():
-    heat = AffordanceHeatmap.from_entries(8, {(1, 1, 1): 0.5}, logits=False)
+    heat = heatmap_from_entries(8, {(1, 1, 1): 0.5})
     view = _axis_view(0, -1, eval_intrinsics(16))
     with pytest.raises(SupportError):
         rd.render_affordance([(2, 2, 2)], heat, view)
@@ -461,7 +462,7 @@ def _assert_table_matches_march(occupied, r, view, rng):
     render's hit mask, cell and heat, and every array the depth renders use."""
     occupied = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
     strides = np.array([1, r, r * r])
-    occ = rd.occupancy_cube(occupied, r)
+    occ = occupancy_cube(occupied, r)
     marched = _traverse(occ, view)
     hit, _, cells, _, _, _ = marched
     first = cells @ strides
@@ -576,7 +577,7 @@ def test_render_affordance_rejects_camera_inside_cube():
         intrinsics=eval_intrinsics(16),
         pose=Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.2])),
     )
-    heat = AffordanceHeatmap.from_entries(8, {(0, 0, 0): 0.5}, logits=False)
+    heat = heatmap_from_entries(8, {(0, 0, 0): 0.5})
     with pytest.raises(CameraInsideCubeError):
         rd.render_affordance([(0, 0, 0)], heat, view)
 
@@ -591,7 +592,7 @@ def test_ray_table_arrays_are_read_only():
 
 def test_ray_table_cache_keys_on_intrinsics_and_resolution():
     rd._ray_tables.clear()
-    pose = hemisphere_candidates(40)[11].pose
+    pose = hemisphere_candidates(40, eval_intrinsics())[11].pose
     views = [Viewpoint(intrinsics=eval_intrinsics(size), pose=pose) for size in (16, 24)]
     tables = [rd._ray_table(view, 8) for view in views]
     rd._ray_table(views[0], 12)
@@ -642,7 +643,7 @@ def test_depth_renders_of_an_uncached_camera_leave_the_cache_alone():
     rd._ray_tables.clear()
     tables = {rd._table_key(view, r): rd._ray_table(view, r) for view in cands[:2]}
     rd.render_views(obj, cands[2], r)
-    rd.raycast_depth(sc.occupied_indices(obj, r), r, cands[2])
+    raycast_depth(sc.occupied_indices(obj, r), r, cands[2])
     assert list(rd._ray_tables) == list(tables)
     assert all(rd._ray_tables[key] is table for key, table in tables.items())
 

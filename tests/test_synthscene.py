@@ -12,6 +12,8 @@ from voxaff.errors import DomainError, UnknownQueryError
 from voxaff import synthscene as sc
 from voxaff.voxel import dense_threshold
 
+TABLE = sc.default_query_table()
+
 
 def _sphere_object(center, radius, tag="grasp"):
     part = sc.ObjectPart(
@@ -128,28 +130,80 @@ class TestOccupancy:
         np.testing.assert_array_equal(sc.occupied_indices(obj, 8), dense_threshold(occ, 0.0))
 
 
+def _ring(**params):
+    """A torus-segment part at the origin; ``params`` override its defaults."""
+    defaults = {"major_radius": 0.2, "minor_radius": 0.05, "arc_start": -1.0, "arc_end": 1.0}
+    return sc.ObjectPart(
+        primitive="torus_segment",
+        rotation=np.eye(3),
+        translation=np.zeros(3),
+        scale=np.ones(3),
+        part_label="ring",
+        affordance_tags=("grasp",),
+        params={**defaults, **params},
+    )
+
+
+class TestPartChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rotation", np.array([[1e308, 0, 0], [0, 1, 0], [0, 0, 1]])),
+            ("translation", np.array([np.inf, 0.0, 0.0])),
+            ("scale", np.array([np.nan, 1.0, 1.0])),
+            ("scale", np.array([np.inf, 1.0, 1.0])),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_unbounded_placement_rejected(self, field, value):
+        fields = dict(
+            primitive="box", rotation=np.eye(3), translation=np.zeros(3), scale=np.ones(3),
+            part_label="slab",
+        )
+        with pytest.raises(DomainError):
+            sc.ObjectPart(**{**fields, field: value})
+
+    def test_non_finite_torus_param_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            _ring(major_radius=float("nan"))
+
+    def test_torus_whose_hole_holds_the_cube_misses_it(self):
+        with pytest.raises(DomainError, match="misses the normalized cube"):
+            sc.SyntheticObject(
+                object_id="ring-0", seed=0, template="mug", parts=(_ring(major_radius=1e308),)
+            )
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_tube_is_evaluated_without_a_warning(self):
+        obj = sc.SyntheticObject(
+            object_id="ring-0", seed=0, template="mug", parts=(_ring(minor_radius=1e200),)
+        )
+        assert sc.occupied_indices(obj, 4).shape[0] > 0
+        assert sc.part_index_of_points(obj, np.zeros((1, 3))).tolist() == [0]
+
+
 class TestAffordance:
     def test_hammer_grasp_marks_exactly_handle_voxels(self):
         obj = sc.generate_object(1)  # hammer
         handle = next(p for p in obj.parts if "grasp" in p.affordance_tags)
-        heat = sc.ground_truth_affordance(obj, "grasp the handle", 8)
+        heat = sc.ground_truth_affordance(obj, "grasp the handle", 8, TABLE)
         centers = (heat.positions + 0.5) / 8 - 0.5
         np.testing.assert_array_equal(heat.values.astype(bool), handle.contains(centers))
 
     def test_support_is_occupancy_and_values_binary(self):
         obj = sc.generate_object(2)  # chair
-        heat = sc.ground_truth_affordance(obj, "sit on the seat", 8)
+        heat = sc.ground_truth_affordance(obj, "sit on the seat", 8, TABLE)
         np.testing.assert_array_equal(heat.positions, sc.occupied_indices(obj, 8))
         assert set(np.unique(heat.values)) <= {0.0, 1.0}
         assert heat.values.sum() > 0
 
     def test_unknown_query_rejected(self):
         with pytest.raises(UnknownQueryError):
-            sc.ground_truth_affordance(sc.generate_object(0), "fly to the moon", 8)
+            sc.ground_truth_affordance(sc.generate_object(0), "fly to the moon", 8, TABLE)
 
     def test_absent_tag_gives_all_zero(self):
         obj = sc.generate_object(0)  # mug: no "sit" part
-        heat = sc.ground_truth_affordance(obj, "sit on the seat", 8)
+        heat = sc.ground_truth_affordance(obj, "sit on the seat", 8, TABLE)
         assert heat.values.sum() == 0.0
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from voxaff.errors import DomainError, EmptyConditionError, ShapeMismatchError, SupportError
+from oracles import sparse_grid_from_entries
 from voxaff import geometry as geo
 from voxaff import voxel as vx
 
@@ -24,7 +25,7 @@ def _random_grid(rng, r=4, channels=3, max_entries=10):
     flat = rng.choice(r**3, size=n, replace=False) if n else np.array([], dtype=int)
     indices = np.stack([flat % r, (flat // r) % r, flat // (r * r)], axis=-1).astype(np.int64)
     indices = indices.reshape(-1, 3)
-    return vx.SparseVoxelGrid.from_entries(
+    return sparse_grid_from_entries(
         r,
         channels,
         indices,
@@ -65,7 +66,7 @@ class TestSparseVoxelGrid:
             )
 
     def test_from_entries_sorts(self):
-        g = vx.SparseVoxelGrid.from_entries(
+        g = sparse_grid_from_entries(
             4, 1, [[1, 0, 0], [0, 2, 1], [0, 0, 3]], [[1.0], [2.0], [3.0]], [1, 1, 1]
         )
         assert g.indices.tolist() == [[0, 0, 3], [0, 2, 1], [1, 0, 0]]
@@ -147,8 +148,8 @@ class TestFusion:
         assert np.array_equal(fused.weights, g.weights)
 
     def test_disjoint_union(self):
-        a = vx.SparseVoxelGrid.from_entries(4, 1, [[0, 0, 0]], [[1.0]], [1])
-        b = vx.SparseVoxelGrid.from_entries(4, 1, [[3, 3, 3]], [[2.0]], [2])
+        a = sparse_grid_from_entries(4, 1, [[0, 0, 0]], [[1.0]], [1])
+        b = sparse_grid_from_entries(4, 1, [[3, 3, 3]], [[2.0]], [2])
         fused = vx.fuse([a, b])
         assert fused.indices.tolist() == [[0, 0, 0], [3, 3, 3]]
         assert fused.features.tolist() == [[1.0], [2.0]]
@@ -156,8 +157,8 @@ class TestFusion:
 
     def test_shared_voxel_weighted_mean_by_hand(self):
         # (1*[2,4] + 3*[4,8]) / 4 = [3.5, 7.0], weight 4.
-        a = vx.SparseVoxelGrid.from_entries(4, 2, [[1, 2, 3]], [[2.0, 4.0]], [1])
-        b = vx.SparseVoxelGrid.from_entries(4, 2, [[1, 2, 3]], [[4.0, 8.0]], [3])
+        a = sparse_grid_from_entries(4, 2, [[1, 2, 3]], [[2.0, 4.0]], [1])
+        b = sparse_grid_from_entries(4, 2, [[1, 2, 3]], [[4.0, 8.0]], [3])
         fused = vx.fuse([a, b])
         assert fused.features.tolist() == [[3.5, 7.0]]
         assert fused.weights.tolist() == [4]
@@ -239,7 +240,7 @@ class TestConditionTokens:
     fused feature plus the voxel's positional code."""
 
     def test_zero_features_give_pure_positional_codes(self):
-        g = vx.SparseVoxelGrid.from_entries(
+        g = sparse_grid_from_entries(
             4, 12, [[1, 0, 0], [0, 0, 0]], np.zeros((2, 12)), [1, 1]
         )
         codes = vx.encode_positions([[0, 0, 0], [1, 0, 0]], 4, 12)
@@ -247,7 +248,7 @@ class TestConditionTokens:
 
     def test_single_voxel_token_is_feature_plus_code(self):
         feat = 0.5 * np.ones((1, 12))
-        g = vx.SparseVoxelGrid.from_entries(4, 12, [[2, 1, 3]], feat, [1])
+        g = sparse_grid_from_entries(4, 12, [[2, 1, 3]], feat, [1])
         np.testing.assert_array_equal(
             vx.pooled_condition(g), feat[0] + vx.encode_positions([[2, 1, 3]], 4, 12)[0]
         )
