@@ -14,8 +14,8 @@ import pytest
 
 import voxaff.pipeline as pl
 import voxaff.render as rd
-from oracles import heatmap_from_entries, occupancy_cube, raycast_depth
 import voxaff.synthscene as sc
+from oracles import heatmap_from_entries, occupancy_cube, raycast_depth
 from voxaff.errors import CameraInsideCubeError, DomainError, SupportError
 from voxaff.geometry import (
     CameraIntrinsics,
