@@ -36,10 +36,9 @@ camera is marched to its first hit, since building a table costs more
 than one march.  The cache holds
 ``RAY_TABLE_CACHE_SIZE`` (64) tables, least recently used out first; the
 40-candidate lattice at 128^2 and r = 8 takes about 4.6 MB, and building
-it costs about as much as marching those 40 views twice (the walk to the
+it costs about 1.5 to 2 times a march of those 40 views (the walk to the
 exit, then deduplicating its rows).  Beyond 64 cameras in rotation the
-cache thrashes and each affordance render costs about one table build,
-close to two marches.
+cache thrashes and each affordance render costs about one table build.
 """
 
 from __future__ import annotations
