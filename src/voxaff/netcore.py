@@ -378,17 +378,19 @@ def train_structure(
     r, channels = cfg.resolution, cfg.channels
     intrinsics = eval_intrinsics(cfg.view_pixels)
     pe = encode_positions(flat_order_indices(r), r, PE_DIM)
-    clean = [ground_truth_occupancy(obj, r).flat()[:, 0] for obj in dataset]
+    truths = [ground_truth_occupancy(obj, r) for obj in dataset]
+    clean = [truth.flat()[:, 0] for truth in truths]
+    lattices = [truth.values[..., 0] > 0 for truth in truths]
     zero_cond = np.zeros(channels)
 
     def sample(rng):
         pick = int(rng.integers(len(dataset)))
-        obj, x0 = dataset[pick], clean[pick]
+        obj, x0, occ = dataset[pick], clean[pick], lattices[pick]
         n_views = int(rng.integers(cfg.view_range[0], cfg.view_range[1] + 1))
         grids = []
         for _ in range(n_views):
             view = random_hemisphere_view(rng, intrinsics)
-            depth_img, feats = render_views(obj, view, r, channels)
+            depth_img, feats = render_views(obj, view, r, channels, occ=occ)
             grids.append(backproject_view(depth_img.values, feats, view, r))
         cond = pooled_condition(fuse(grids))
         if rng.random() < cfg.cfg_dropout:

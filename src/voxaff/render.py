@@ -16,7 +16,14 @@ signed flat step per axis) and one running flat index into the lattice
 grown by a one-cell border.  Border cells read "past the exit", so one
 gather per step finds both first hits and exits, and finished rays are
 compacted out.  A step adds ``t_delta`` to the chosen axis's ``t_max``
-only, so every float is that of the textbook walk.
+only, so every float is that of the textbook walk.  A first-hit march
+first drops every ray whose line misses the bounding box of the occupied
+cells grown by one cell (the slab test of Kay & Kajiya, in grid units,
+as for the cube): such a ray reads as a miss, and the rays kept still
+start at the cube entry, so their floats are unchanged.  The unit
+camera-frame pixel directions depend only on the intrinsics and are
+cached per ``CameraIntrinsics``; each view then costs one rotation and
+the slab tests.
 
 The cells a ray crosses do not depend on the occupancy, so a camera's
 *ray table* (the walk of every pixel ray to the cube exit, identical cell
@@ -43,13 +50,14 @@ cache thrashes and each affordance render costs about one table build.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CameraInsideCubeError, DomainError, ShapeMismatchError
-from .geometry import Viewpoint
+from .geometry import CameraIntrinsics, Viewpoint
 from .synthscene import SyntheticObject, ground_truth_occupancy, surface_features
 from .voxel import AffordanceHeatmap, _frozen, as_index_array, flat_index, flat_order_indices
 
@@ -115,18 +123,40 @@ class _Rays(NamedTuple):
     reaches: Array  # (n,) bool: the ray meets the cube ahead of the camera
 
 
-def _ray_setup(view: Viewpoint, r: int) -> _Rays:
-    """Unit pixel-center ray directions and their slab entry into the r^3 cube."""
-    intr = view.intrinsics
+@functools.lru_cache(maxsize=8)
+def _pixel_rays(intr: CameraIntrinsics) -> tuple[Array, Array]:
+    """Unit camera-frame pixel-center directions of ``intr`` and the
+    camera-frame z per unit ray length, shared by every pose."""
     h, w = intr.height, intr.width
-    n = h * w
-
     uu = (np.arange(w) + 0.5 - intr.cx) / intr.fx
     vv = (np.arange(h) + 0.5 - intr.cy) / intr.fy
     du, dv = np.meshgrid(uu, vv)
-    dirs_cam = np.stack([du, dv, np.ones_like(du)], axis=-1).reshape(n, 3)
+    dirs_cam = np.stack([du, dv, np.ones_like(du)], axis=-1).reshape(h * w, 3)
     inv_norm = 1.0 / np.linalg.norm(dirs_cam, axis=1)
-    dirs = (dirs_cam * inv_norm[:, None]) @ view.pose.rotation.T
+    return _frozen(dirs_cam * inv_norm[:, None]), _frozen(inv_norm)
+
+
+def _slab(og: Array, dg: Array, lo, hi):
+    """Kay & Kajiya slab test of rays ``og + t * dg`` (grid units) against
+    the box [lo, hi] per axis: per-axis near and far ``t`` as (3, n)
+    arrays, and which rays run parallel to a slab outside it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - og) / dg
+        t_hi = (hi - og) / dg
+    parallel = dg == 0.0
+    t_near = np.where(parallel, -np.inf, np.minimum(t_lo, t_hi)).T
+    t_far = np.where(parallel, np.inf, np.maximum(t_lo, t_hi)).T
+    outside = (og < lo) | (og > hi)
+    miss_parallel = (
+        (parallel[:, 0] & outside[0]) | (parallel[:, 1] & outside[1]) | (parallel[:, 2] & outside[2])
+    )
+    return t_near, t_far, miss_parallel
+
+
+def _ray_setup(view: Viewpoint, r: int) -> _Rays:
+    """Unit pixel-center ray directions and their slab entry into the r^3 cube."""
+    unit_cam, inv_norm = _pixel_rays(view.intrinsics)
+    dirs = unit_cam @ view.pose.rotation.T
 
     origin = view.pose.translation
     if np.max(np.abs(origin)) <= 0.5:
@@ -134,17 +164,7 @@ def _ray_setup(view: Viewpoint, r: int) -> _Rays:
 
     og = (origin + 0.5) * r
     dg = dirs * r
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (0.0 - og) / dg
-        t_hi = (float(r) - og) / dg
-    parallel = dg == 0.0
-    t_near = np.where(parallel, -np.inf, np.minimum(t_lo, t_hi)).T
-    t_far = np.where(parallel, np.inf, np.maximum(t_lo, t_hi)).T
-    outside = (og < 0.0) | (og > r)
-    miss_parallel = (
-        (parallel[:, 0] & outside[0]) | (parallel[:, 1] & outside[1]) | (parallel[:, 2] & outside[2])
-    )
+    t_near, t_far, miss_parallel = _slab(og, dg, 0.0, float(r))
 
     # Per-axis maxima and minima, one column at a time: numpy reduces a
     # length-3 axis far slower.  Ties name the lowest axis, as argmax does.
@@ -153,6 +173,25 @@ def _ray_setup(view: Viewpoint, r: int) -> _Rays:
     enter_axis = np.where(t_near[0] == t_enter, 0, np.where(t_near[1] == t_enter, 1, 2))
     reaches = (t_enter <= t_exit) & (t_exit > 0.0) & ~miss_parallel
     return _Rays(dirs, inv_norm, og, dg, t_enter, enter_axis, reaches)
+
+
+def _meets_box(rays: _Rays, idx: Array, occ: Array) -> Array:
+    """Which of the rays ``idx`` cross the bounding box of the cells set in
+    ``occ``, grown by one cell and clipped to the cube; none for an empty
+    ``occ``.  The margin absorbs float error at edge and corner ties, so a
+    ray that misses the box cannot meet an occupied cell in the walk."""
+    r = occ.shape[0]
+    lo, hi = np.zeros(3), np.zeros(3)
+    for axis in range(3):
+        filled = np.flatnonzero(occ.any(axis=tuple(a for a in range(3) if a != axis)))
+        if filled.size == 0:
+            return np.zeros(idx.size, dtype=bool)
+        lo[axis] = max(filled[0] - 1, 0)
+        hi[axis] = min(filled[-1] + 2, r)
+    t_near, t_far, miss_parallel = _slab(rays.og, rays.dg[idx], lo, hi)
+    t_in = np.maximum(np.maximum(t_near[0], t_near[1]), t_near[2])
+    t_out = np.minimum(np.minimum(t_far[0], t_far[1]), t_far[2])
+    return (t_in <= t_out) & ~miss_parallel
 
 
 def _march(rays: _Rays, r: int, occ: Array | None = None):
@@ -183,6 +222,9 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
     code = code.ravel(order="F")
 
     idx = np.nonzero(rays.reaches)[0]
+    if occ is not None:
+        # A ray that misses the occupied box reads as a miss without a walk.
+        idx = idx[_meets_box(rays, idx, occ)]
     og = rays.og
     d = rays.dg[idx]
     t = rays.t_enter[idx]
@@ -209,6 +251,8 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
     del d, pos, cell, next_bound, t_max, t_delta, step, steps, rows, axis
 
     for k in range(3 * r + 2):
+        if idx.size == 0:
+            break
         here = code[flat]
         if occ is None:
             table[idx, k] = here
@@ -225,8 +269,6 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
             idx, flat = idx[keep], flat[keep]
             mx, my, mz, dx, dy, dz = mx[keep], my[keep], mz[keep], dx[keep], dy[keep], dz[keep]
             fx, fy, fz = fx[keep], fy[keep], fz[keep]
-            if idx.size == 0:
-                break
         # Step along the smallest t_max, ties x before y before z as in
         # argmin; only that axis gets its one t_delta add.  The minimum is
         # one of its operands, so t is the chosen t_max exactly.
@@ -391,14 +433,17 @@ def _first_hits(occ: Array, view: Viewpoint):
 
 
 def render_views(
-    obj: SyntheticObject, view: Viewpoint, r: int, channels: int = 16
+    obj: SyntheticObject, view: Viewpoint, r: int, channels: int = 16, *, occ: Array | None = None
 ) -> tuple[DepthImage, Array]:
     """Render one posed observation of an object: depth plus surface features.
 
     Features carry the hit part's label embedding and the entry-face
-    normal (see ``surface_features``); missed pixels stay zero.
+    normal (see ``surface_features``); missed pixels stay zero.  ``occ``
+    is the object's (r, r, r) boolean ground-truth occupancy, for a
+    caller that renders one object many times; left out, it is built here.
     """
-    occ = ground_truth_occupancy(obj, r).values[..., 0] > 0
+    if occ is None:
+        occ = ground_truth_occupancy(obj, r).values[..., 0] > 0
     rays, (hit, t_hit, _, axis_hit, sign_hit) = _first_hits(occ, view)
     intr = view.intrinsics
     h, w = intr.height, intr.width

@@ -19,7 +19,9 @@ seeded hash of the string expands to pseudo-random unit vectors.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UnknownQueryError
-from .voxel import AffordanceHeatmap, DenseGrid, dense_threshold
+from .voxel import AffordanceHeatmap, DenseGrid, _frozen, dense_threshold
 
 Array = np.ndarray
 
@@ -39,6 +41,7 @@ DEFAULT_CHANNELS = 16
 
 _ROT_RING_XZ = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 _ROT_AXIS_X = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_CORNERS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,15 @@ class ObjectPart:
                 raise DomainError("torus radii must be positive")
             if not -math.pi <= self.params["arc_start"] < self.params["arc_end"] <= math.pi:
                 raise DomainError("arc must satisfy -pi <= start < end <= pi")
+        # Squared local coordinates are largest at a corner, so finite
+        # squares at the corners of [-1, 1]^3 (twice the cube)
+        # keep ``contains`` and ``boundary_excess`` from overflowing on any
+        # point near the cube.  A tiny scale can break that.
+        with np.errstate(over="ignore"):
+            local = ((_CORNERS - tr) @ rot) / sc
+            reach = np.sum(local * local, axis=1)
+        if not np.all(np.isfinite(reach)):
+            raise DomainError("part scale too small for its placement: cube points overflow")
         for arr in (rot, tr, sc):
             arr.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
@@ -231,9 +243,13 @@ def query_embedding(query: str, dim: int = DEFAULT_CHANNELS) -> Array:
     return hash_embedding(query, dim, salt="query")
 
 
+@functools.lru_cache(maxsize=256)
 def label_embedding(label: str, dim: int) -> Array:
-    """Stand-in visual-feature identity for a part label (unit norm)."""
-    return hash_embedding(label, dim, salt="part")
+    """Stand-in visual-feature identity for a part label (unit norm, read-only).
+
+    Cached: every render embeds the labels of the same few parts.
+    """
+    return _frozen(hash_embedding(label, dim, salt="part"))
 
 
 @dataclass(frozen=True)

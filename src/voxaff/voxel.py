@@ -7,6 +7,12 @@ center of cell (i, j, k) is ``(i + 0.5) / r - 0.5`` per axis.
 Index triples are (ix, iy, iz).  Sparse entries are kept sorted
 lexicographically by that triple.  Dense grids use the "x fastest" flat
 layout: flat = ix + r * iy + r^2 * iz, with channels contiguous per cell.
+
+Sorting, grouping and the sorted/unique checks run on one integer key per
+triple, ``(ix * r + iy) * r + iz`` (ix most significant, so key order is
+lexicographic order and equal triples share a key): a stable ``argsort``
+of the keys sorts, one ``!=`` between neighbouring sorted keys finds the
+groups, and one ``np.diff`` checks order and uniqueness.
 """
 
 from __future__ import annotations
@@ -36,9 +42,30 @@ def _frozen(a: Array) -> Array:
     return a
 
 
-def _lexsort_rows(indices: Array):
-    """Order that sorts (ix, iy, iz) rows lexicographically, ix most significant."""
-    return np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0]))
+def _lex_keys(indices: Array, r: int) -> Array:
+    """Flat key ``(ix*r + iy)*r + iz`` of (n, 3) triples in [0, r)^3: it
+    orders rows as lexicographic order does, and equal rows share a key."""
+    return (indices[:, 0] * r + indices[:, 1]) * r + indices[:, 2]
+
+
+def _group_by_key(indices: Array, r: int):
+    """Stable order that sorts ``indices`` lexicographically, the sorted
+    rows, and the start of each run of equal rows among them."""
+    keys = _lex_keys(indices, r)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return order, indices[order], start
+
+
+def _check_sorted_unique(indices: Array, r: int, unsorted: str, repeated: str):
+    """Raise ``DomainError(unsorted)`` unless (n, 3) triples in [0, r)^3 are
+    sorted lexicographically, then ``DomainError(repeated)`` unless unique."""
+    steps = np.diff(_lex_keys(indices, r))
+    if np.any(steps < 0):
+        raise DomainError(unsorted)
+    if np.any(steps == 0):
+        raise DomainError(repeated)
 
 
 def _check_indices(indices: Array, r: int, name: str = "indices") -> Array:
@@ -66,9 +93,7 @@ def as_index_array(occupied, r: int) -> Array:
     """Normalize a set/sequence/array of index triples in [0, r)^3 to a sorted (n, 3) array."""
     arr = _index_rows(occupied)
     _check_indices(arr, r, "occupancy indices")
-    if arr.shape[0] > 1:
-        arr = arr[_lexsort_rows(arr)]
-    return arr
+    return arr[np.argsort(_lex_keys(arr, r), kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -110,12 +135,12 @@ class SparseVoxelGrid:
             raise DomainError("weights must be >= 1")
         if not np.all(np.isfinite(features)):
             raise DomainError("features must be finite")
-        if indices.shape[0] > 1:
-            order_ok = np.array_equal(indices, indices[_lexsort_rows(indices)])
-            if not order_ok:
-                raise DomainError("entries must be sorted lexicographically by index")
-        if indices.shape[0] != len(np.unique(indices, axis=0)):
-            raise DomainError("entries must have unique indices")
+        _check_sorted_unique(
+            indices,
+            self.resolution,
+            "entries must be sorted lexicographically by index",
+            "entries must have unique indices",
+        )
         object.__setattr__(self, "indices", _frozen(indices))
         object.__setattr__(self, "features", _frozen(features))
         object.__setattr__(self, "weights", _frozen(weights.astype(np.int64)))
@@ -204,11 +229,12 @@ class AffordanceHeatmap:
             raise DomainError("heatmap values must be finite")
         if not self.logits and values.size and (values.min() < 0.0 or values.max() > 1.0):
             raise DomainError("probability heatmap values must lie in [0, 1]")
-        if positions.shape[0] > 1:
-            if not np.array_equal(positions, positions[_lexsort_rows(positions)]):
-                raise DomainError("positions must be sorted lexicographically")
-        if positions.shape[0] != len(np.unique(positions, axis=0)):
-            raise DomainError("positions must be unique")
+        _check_sorted_unique(
+            positions,
+            self.resolution,
+            "positions must be sorted lexicographically",
+            "positions must be unique",
+        )
         object.__setattr__(self, "positions", _frozen(positions))
         object.__setattr__(self, "values", _frozen(values))
 
@@ -274,11 +300,9 @@ def backproject_view(
     pix_feats = feats[vs[inside], us[inside]]
 
     cells = np.clip(np.floor((points + 0.5) * r).astype(np.int64), 0, r - 1)
-    order = _lexsort_rows(cells)
-    cells = cells[order]
-    pix_feats = pix_feats[order]
-    uniq, start = np.unique(cells, axis=0, return_index=True)
-    sums = np.add.reduceat(pix_feats, start, axis=0)
+    order, cells, start = _group_by_key(cells, r)
+    uniq = cells[start]
+    sums = np.add.reduceat(pix_feats[order], start, axis=0)
     counts = np.diff(np.append(start, cells.shape[0]))
     means = sums / counts[:, None]
     return SparseVoxelGrid(
@@ -312,15 +336,13 @@ def fuse(grids) -> SparseVoxelGrid:
     weights = np.concatenate([g.weights for g in grids])
     weighted = np.concatenate([g.features * g.weights[:, None] for g in grids], axis=0)
 
-    order = _lexsort_rows(indices)
-    indices, weights, weighted = indices[order], weights[order], weighted[order]
-    uniq, start = np.unique(indices, axis=0, return_index=True)
-    w_sums = np.add.reduceat(weights, start)
-    f_sums = np.add.reduceat(weighted, start, axis=0)
+    order, indices, start = _group_by_key(indices, r)
+    w_sums = np.add.reduceat(weights[order], start)
+    f_sums = np.add.reduceat(weighted[order], start, axis=0)
     return SparseVoxelGrid(
         resolution=r,
         channels=channels,
-        indices=uniq,
+        indices=indices[start],
         features=f_sums / w_sums[:, None],
         weights=w_sums,
     )
@@ -374,11 +396,8 @@ def dense_threshold(latent: DenseGrid, threshold: float = 0.0) -> Array:
     """Indices of cells whose first channel exceeds ``threshold`` (sorted)."""
     if latent.channels < 1:
         raise DomainError("latent grid needs at least one channel")
-    mask = latent.flat()[:, 0] > threshold
-    picked = flat_order_indices(latent.resolution)[mask]
-    if picked.shape[0] > 1:
-        picked = picked[_lexsort_rows(picked)]
-    return picked.copy()
+    # ``argwhere`` walks the [ix, iy, iz] array in C order: ix most significant.
+    return np.argwhere(latent.values[..., 0] > threshold).astype(np.int64, copy=False)
 
 
 def heatmap_to_dict(heat: AffordanceHeatmap) -> dict:

@@ -23,7 +23,7 @@ from voxaff.errors import DomainError
 from voxaff.geometry import CameraIntrinsics, Pose, Viewpoint, _vec3
 from voxaff.netcore import backward, forward
 from voxaff.render import DepthImage, _first_hits
-from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, _lexsort_rows, as_index_array
+from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, as_index_array
 
 
 def unproject_pixel(u: float, v: float, d: float, view: Viewpoint) -> np.ndarray:
@@ -99,7 +99,7 @@ def sparse_grid_from_entries(resolution, channels, indices, features, weights) -
     indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
     features = np.asarray(features, dtype=float).reshape(indices.shape[0], channels)
     weights = np.asarray(weights, dtype=np.int64).reshape(indices.shape[0])
-    order = _lexsort_rows(indices) if indices.shape[0] > 1 else slice(None)
+    order = np.lexsort(indices.T[::-1]) if indices.shape[0] > 1 else slice(None)
     return SparseVoxelGrid(
         resolution=resolution,
         channels=channels,

@@ -632,6 +632,8 @@ def _torus_head(major_radius):
         ("scene", _replaced(("parts",), [1]), 3),
         ("scene", _replaced(("parts", 0, "rotation", 0), 1e308), 3),
         ("scene", _replaced(("parts", 0, "scale", 0), math.inf), 3),
+        ("scene", _replaced(("parts", 0, "scale", 0), 1e-320), 3),
+        ("scene", _replaced(("parts", 0, "scale", 0), 1e-300), 3),
         ("scene", _torus_head(1e308), 3),
         ("scene", _replaced(("parts", 0, "translation", 0), 10**400), 3),
         ("structure", _replaced(("params",), [1]), 3),
@@ -644,6 +646,7 @@ def _torus_head(major_radius):
     ],
     ids=["manifest-object-5", "manifest-missing-table", "table-queries-list",
          "scene-parts-list", "scene-rotation-1e308", "scene-scale-inf",
+         "scene-scale-1e-320", "scene-scale-1e-300",
          "scene-torus-radius-1e308", "scene-translation-int-1e400", "checkpoint-params-list", "checkpoint-param-named-empty",
          "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308"],

@@ -6,6 +6,7 @@ random objects, and the unprojection consistency guarantee (hit pixels
 unproject back onto the face of the reported cell).
 """
 
+import itertools
 import json
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ from voxaff.geometry import (
     CameraIntrinsics,
     Pose,
     Viewpoint,
+    _up_for,
     eval_intrinsics,
     hemisphere_candidates,
     look_at,
@@ -452,6 +454,174 @@ def test_march_matches_reference_when_no_ray_meets_the_cube():
     )
     assert not rd._ray_setup(view, 8).reaches.any()
     _assert_march_matches_reference(view, 8, [np.ones((8, 8, 8), dtype=bool)])
+
+
+# --- the box cull against the reference walk ----------------------------------
+
+
+def _reference_ray_setup(view: Viewpoint, r: int) -> rd._Rays:
+    """The per-view ray set-up that ``rd._ray_setup`` replaced: every pixel
+    direction recomputed from the intrinsics, kept as its reference."""
+    intr = view.intrinsics
+    h, w = intr.height, intr.width
+    n = h * w
+    uu = (np.arange(w) + 0.5 - intr.cx) / intr.fx
+    vv = (np.arange(h) + 0.5 - intr.cy) / intr.fy
+    du, dv = np.meshgrid(uu, vv)
+    dirs_cam = np.stack([du, dv, np.ones_like(du)], axis=-1).reshape(n, 3)
+    inv_norm = 1.0 / np.linalg.norm(dirs_cam, axis=1)
+    dirs = (dirs_cam * inv_norm[:, None]) @ view.pose.rotation.T
+    og = (view.pose.translation + 0.5) * r
+    dg = dirs * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (0.0 - og) / dg
+        t_hi = (float(r) - og) / dg
+    parallel = dg == 0.0
+    t_near = np.where(parallel, -np.inf, np.minimum(t_lo, t_hi))
+    t_far = np.where(parallel, np.inf, np.maximum(t_lo, t_hi))
+    miss_parallel = np.any(parallel & ((og < 0.0) | (og > r)), axis=1)
+    t_enter = np.max(t_near, axis=1)
+    t_exit = np.min(t_far, axis=1)
+    enter_axis = np.argmax(t_near, axis=1)
+    reaches = (t_enter <= t_exit) & (t_exit > 0.0) & ~miss_parallel
+    return rd._Rays(dirs, inv_norm, og, dg, t_enter, enter_axis, reaches)
+
+
+def _sphere_views(rng, count: int, pixels: int, targets) -> list:
+    """Cameras at random directions on the full view sphere, each aimed at
+    one of ``targets`` (world points) in turn."""
+    views = []
+    for i in range(count):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        pose = look_at(1.4 * direction, targets[i % len(targets)], up=_up_for(-direction))
+        views.append(Viewpoint(intrinsics=eval_intrinsics(pixels), pose=pose))
+    return views
+
+
+def _single_cell(r: int, cell) -> np.ndarray:
+    occ = np.zeros((r, r, r), dtype=bool)
+    occ[tuple(cell)] = True
+    return occ
+
+
+def test_ray_setup_matches_reference():
+    # Cached pixel rays change no float: random, candidate, axis-aligned
+    # (exact zero components) and non-square cameras, at two resolutions.
+    rng = np.random.default_rng(5)
+    views = [random_hemisphere_view(rng, eval_intrinsics(64)) for _ in range(6)]
+    views += hemisphere_candidates(40, intrinsics=eval_intrinsics(32))[::8]
+    views += [_axis_view(axis, side, eval_intrinsics(15)) for axis in range(3) for side in (-1, 1)]
+    pose = views[0].pose
+    views.append(Viewpoint(CameraIntrinsics(fx=20.0, fy=24.0, cx=9.0, cy=6.5, width=17, height=12), pose))
+    for view in views:
+        for r in (8, 16):
+            got, want = rd._ray_setup(view, r), _reference_ray_setup(view, r)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_pixel_rays_are_cached_read_only_per_intrinsics():
+    intr = eval_intrinsics(24)
+    unit, inv_norm = rd._pixel_rays(intr)
+    assert rd._pixel_rays(eval_intrinsics(24))[0] is unit
+    assert not unit.flags.writeable and not inv_norm.flags.writeable
+    assert rd._pixel_rays(eval_intrinsics(32))[0].shape == (32 * 32, 3)
+
+
+@pytest.mark.parametrize("r", [8, 16])
+def test_cull_matches_reference_on_single_cells_at_corners_and_centre(r):
+    # One occupied cell at each cube corner and at the centre, seen from
+    # all round the sphere: cameras aimed at the cell's centre, at one of
+    # its lattice corners, and at the cube's centre.
+    rng = np.random.default_rng(r + 1)
+    for cell in [*itertools.product((0, r - 1), repeat=3), (r // 2,) * 3]:
+        centre = (np.array(cell) + 0.5) / r - 0.5
+        corner = np.array(cell) / r - 0.5
+        views = _sphere_views(rng, 6, 24, [centre, corner, np.zeros(3)])
+        _assert_march_matches_reference_first_hits(views, r, [_single_cell(r, cell)])
+
+
+def _plane_view(origin, pixels: int = 15) -> Viewpoint:
+    """Camera at ``origin`` looking straight down -z, camera x along world x:
+    its central pixel column has an exactly zero x direction, its central
+    row an exactly zero y direction, and its central pixel looks along -z."""
+    rotation = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
+    pose = Pose(rotation=rotation, translation=np.asarray(origin, dtype=float))
+    return Viewpoint(intrinsics=eval_intrinsics(pixels), pose=pose)
+
+
+def test_cull_matches_reference_on_rays_in_the_grown_box_faces_and_edges():
+    # Cells 3..4 on every axis at r = 8: the grown box is [2, 6]^3 in grid
+    # units, world -0.25 and 0.25.  Central pixel rays lie exactly in its
+    # face planes x = const and y = const, and the central ray of a camera
+    # over a face edge runs along that edge.
+    r = 8
+    block = np.zeros((r, r, r), dtype=bool)
+    block[3:5, 3:5, 3:5] = True
+    sparse = np.zeros((r, r, r), dtype=bool)
+    sparse[3, 3, 3] = sparse[4, 4, 4] = True
+    planes = (-0.25, 0.25)
+    views = [_plane_view((x, y, 2.0)) for x in planes for y in (*planes, 0.0, 0.1)]
+    views += [_plane_view((x, y, 2.0)) for x in (0.0, 0.1) for y in planes]
+    for view in views:
+        rays = rd._ray_setup(view, r)
+        dg = rays.dg.reshape(15, 15, 3)
+        assert np.all(dg[:, 7, 0] == 0.0) and np.all(dg[7, :, 1] == 0.0)
+        assert np.isin(rays.og[:2], (2.0, 6.0)).any()
+    # Oblique rays in a face plane: cameras on the plane x = -0.25 aimed
+    # at points of it, so their central row has no x direction.
+    for target in ([-0.25, 0.0, 0.0], [-0.25, 0.25, 0.25], [-0.25, -0.25, 0.25]):
+        pose = look_at([-0.25, 1.5, 1.2], target, up=[1.0, 0.0, 0.0])
+        view = Viewpoint(intrinsics=eval_intrinsics(15), pose=pose)
+        assert np.all(rd._ray_setup(view, r).dg.reshape(15, 15, 3)[7, :, 0] == 0.0)
+        views.append(view)
+    _assert_march_matches_reference_first_hits(views, r, [block, sparse])
+
+
+def test_cull_matches_reference_when_the_grown_box_is_the_whole_cube():
+    # Opposite corner cells (the box is the cube before growing) and cells
+    # one in from them (growing reaches the cube exactly).
+    r = 8
+    rng = np.random.default_rng(3)
+    corners, inner = np.zeros((r, r, r), dtype=bool), np.zeros((r, r, r), dtype=bool)
+    corners[0, 0, 0] = corners[r - 1, r - 1, r - 1] = True
+    inner[1, 1, 1] = inner[r - 2, r - 2, r - 2] = True
+    views = _sphere_views(rng, 12, 24, [np.zeros(3), np.full(3, 0.375), np.full(3, -0.375)])
+    views += [_axis_view(axis, side, eval_intrinsics(15)) for axis in range(3) for side in (-1, 1)]
+    _assert_march_matches_reference_first_hits(views, r, [corners, inner])
+
+
+def test_cull_matches_reference_at_r1():
+    rng = np.random.default_rng(1)
+    views = _sphere_views(rng, 8, 16, [np.zeros(3), np.full(3, 0.5), np.array([0.5, -0.5, 0.0])])
+    views += [_axis_view(axis, side, eval_intrinsics(15)) for axis in range(3) for side in (-1, 1)]
+    full, empty = np.ones((1, 1, 1), dtype=bool), np.zeros((1, 1, 1), dtype=bool)
+    _assert_march_matches_reference_first_hits(views, 1, [full, empty])
+
+
+def _assert_march_matches_reference_first_hits(views, r, occupancies):
+    for view in views:
+        rays = rd._ray_setup(view, r)
+        for occ in occupancies:
+            with np.errstate(invalid="ignore"):  # the reference's 0/0 on a parallel axis
+                want = _reference_march(rays, r, occ)
+            got = rd._march(rays, r, occ)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_render_views_with_a_given_occupancy_matches_the_built_one():
+    rng = np.random.default_rng(9)
+    for seed in (1000, 1003):
+        obj = sc.generate_object(seed)
+        occ = _truth_cube(seed, 8)
+        for view in [random_hemisphere_view(rng, eval_intrinsics(32)) for _ in range(3)]:
+            built = rd.render_views(obj, view, 8)
+            given = rd.render_views(obj, view, 8, occ=occ)
+            assert np.array_equal(given[0].values, built[0].values)
+            assert np.array_equal(given[1], built[1])
 
 
 # --- ray tables ---------------------------------------------------------------

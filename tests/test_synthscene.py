@@ -152,6 +152,9 @@ class TestPartChecks:
             ("translation", np.array([np.inf, 0.0, 0.0])),
             ("scale", np.array([np.nan, 1.0, 1.0])),
             ("scale", np.array([np.inf, 1.0, 1.0])),
+            # Cube points divide past the float range, or square past it.
+            ("scale", np.array([1e-320, 1.0, 1.0])),
+            ("scale", np.array([1e-300, 1.0, 1.0])),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -162,6 +165,18 @@ class TestPartChecks:
         )
         with pytest.raises(DomainError):
             sc.ObjectPart(**{**fields, field: value})
+
+    @pytest.mark.parametrize("primitive", ["box", "sphere", "cylinder"])
+    @pytest.mark.filterwarnings("error")
+    def test_small_scale_is_evaluated_without_a_warning(self, primitive):
+        # Local coordinates near 1e150 square to about 1e300, still finite.
+        part = sc.ObjectPart(
+            primitive=primitive, rotation=np.eye(3), translation=np.zeros(3),
+            scale=np.array([1e-150, 0.2, 0.2]), part_label="sliver",
+        )
+        points = sc.voxel_centers(8)
+        assert not part.contains(points).any()
+        assert np.all(part.boundary_excess(points) >= 0)
 
     def test_non_finite_torus_param_rejected(self):
         with pytest.raises(DomainError, match="finite"):
@@ -223,6 +238,14 @@ class TestEmbeddings:
         np.testing.assert_allclose(
             le[:3], [-0.35350558, -0.20848744, 0.23001771], atol=1e-7
         )
+
+    def test_label_embedding_is_a_cached_read_only_hash_embedding(self):
+        le = sc.label_embedding("chair_back", 13)
+        assert not le.flags.writeable
+        assert np.array_equal(le, sc.hash_embedding("chair_back", 13, salt="part"))
+        assert sc.label_embedding("chair_back", 13) is le
+        with pytest.raises(ValueError):
+            le[0] = 0.0
 
     def test_default_queries_well_separated(self):
         table = sc.default_query_table()

@@ -381,3 +381,82 @@ class TestAsIndexArray:
     def test_out_of_range_triples_rejected(self):
         with pytest.raises(DomainError):
             vx.as_index_array({(0, 0, 4)}, 4)
+
+
+class TestFlatKeys:
+    """Sorting, grouping and the sorted/unique checks on flat keys agree with
+    the lexsort plus ``np.unique(axis=0)`` form they replaced."""
+
+    UNSORTED = [[1, 0, 0], [0, 0, 0]]
+    DUPLICATED = [[0, 1, 2], [0, 1, 2]]
+    BOTH = [[2, 0, 1], [0, 3, 0], [2, 0, 1]]
+
+    @staticmethod
+    def _reference_error(indices, unsorted, repeated):
+        """The message the lexsort and ``np.unique`` checks raise, or None."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+        if indices.shape[0] > 1:
+            order = np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0]))
+            if not np.array_equal(indices, indices[order]):
+                return unsorted
+        if indices.shape[0] != len(np.unique(indices, axis=0)):
+            return repeated
+        return None
+
+    @staticmethod
+    def _grid(indices):
+        n = len(indices)
+        return vx.SparseVoxelGrid(
+            resolution=4, channels=1, indices=np.array(indices, dtype=np.int64).reshape(n, 3),
+            features=np.zeros((n, 1)), weights=np.ones(n, dtype=np.int64),
+        )
+
+    @staticmethod
+    def _heat(indices):
+        n = len(indices)
+        return vx.AffordanceHeatmap(
+            resolution=4, positions=np.array(indices, dtype=np.int64).reshape(n, 3),
+            values=np.full(n, 0.5),
+        )
+
+    GRID = ("entries must be sorted lexicographically by index", "entries must have unique indices")
+    HEAT = ("positions must be sorted lexicographically", "positions must be unique")
+
+    @pytest.mark.parametrize(
+        "indices, which",
+        [(UNSORTED, 0), (DUPLICATED, 1), (BOTH, 0)],
+        ids=["unsorted", "duplicated", "unsorted-and-duplicated"],
+    )
+    def test_grid_and_heatmap_messages(self, indices, which):
+        with pytest.raises(DomainError, match=f"^{self.GRID[which]}$"):
+            self._grid(indices)
+        with pytest.raises(DomainError, match=f"^{self.HEAT[which]}$"):
+            self._heat(indices)
+
+    def test_checks_match_reference_on_random_rows(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(0, 7))
+            rows = rng.integers(0, 4, size=(n, 3))
+            if n > 1 and rng.random() < 0.5:
+                rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
+            for build, messages in ((self._grid, self.GRID), (self._heat, self.HEAT)):
+                want = self._reference_error(rows, *messages)
+                try:
+                    build(rows.tolist())
+                    got = None
+                except DomainError as exc:
+                    got = str(exc)
+                assert got == want, rows
+
+    def test_group_by_key_matches_lexsort_and_unique(self):
+        rng = np.random.default_rng(1)
+        for r in (1, 3, 8):
+            for n in (1, 2, 40, 500):
+                cells = rng.integers(0, r, size=(n, 3))
+                order, rows, start = vx._group_by_key(cells, r)
+                want = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+                uniq, first = np.unique(cells[want], axis=0, return_index=True)
+                assert np.array_equal(order, want)
+                assert np.array_equal(rows, cells[want])
+                assert np.array_equal(start, first) and np.array_equal(rows[start], uniq)
