@@ -69,6 +69,8 @@ def _check_sorted_unique(indices: Array, r: int, unsorted: str, repeated: str):
 
 
 def _check_indices(indices: Array, r: int, name: str = "indices") -> Array:
+    if r**3 > 2**63:
+        raise DomainError(f"resolution {r} too large: cell keys below r^3 must fit in int64")
     indices = np.asarray(indices)
     if indices.size == 0:
         indices = indices.reshape(0, 3)

@@ -449,6 +449,16 @@ class TestFlatKeys:
                     got = str(exc)
                 assert got == want, rows
 
+    def test_keys_stay_exact_up_to_the_largest_resolution(self):
+        # At r = 2^21 the largest key is 2^63 - 1; one more and keys would wrap.
+        top = 2**21 - 1
+        rows = [[top, top, top - 1], [top, top, top]]
+        assert len(vx.AffordanceHeatmap(resolution=2**21, positions=rows, values=[0.5, 0.5])) == 2
+        with pytest.raises(DomainError, match="^positions must be sorted lexicographically$"):
+            vx.AffordanceHeatmap(resolution=2**21, positions=rows[::-1], values=[0.5, 0.5])
+        with pytest.raises(DomainError, match="too large"):
+            vx.AffordanceHeatmap(resolution=2**21 + 1, positions=[[0, 0, 0]], values=[0.5])
+
     def test_group_by_key_matches_lexsort_and_unique(self):
         rng = np.random.default_rng(1)
         for r in (1, 3, 8):
