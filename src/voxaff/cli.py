@@ -55,7 +55,7 @@ from .synthscene import (
     save_object,
     save_table,
 )
-from .voxel import flat_index, heatmap_from_dict, heatmap_to_dict
+from .voxel import _lex_keys, heatmap_from_dict, heatmap_to_dict
 
 
 @dataclass(frozen=True)
@@ -469,13 +469,10 @@ def _load_heatmap_file(path):
 
 
 def _aligned_values(a, b):
-    """Value vectors of two heatmaps over the union of their supports.
-
-    The union is in lexicographic (ix, iy, iz) order: reversed columns
-    make the flat index ``iz + r*iy + r^2*ix`` sort that way.
-    """
+    """Value vectors of two heatmaps over the union of their supports,
+    in lexicographic (ix, iy, iz) order."""
     r = max(a.resolution, b.resolution)
-    flat = [flat_index(h.positions[:, ::-1], r) for h in (a, b)]
+    flat = [_lex_keys(h.positions, r) for h in (a, b)]
     keys = np.union1d(*flat)
     out = np.zeros((2, keys.size))
     for values, heat, keyed in zip(out, (a, b), flat):

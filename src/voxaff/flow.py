@@ -36,12 +36,19 @@ def _check_same_shape(a: Array, b: Array, what: str):
         raise ShapeMismatchError(f"{what}: shapes {np.shape(a)} and {np.shape(b)} differ")
 
 
+#: Largest accepted ``FlowConfig.noise_scale``.
+MAX_NOISE_SCALE = 1e150
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Sampler/corruption settings.
 
     ``noise_scale`` is the standard deviation of the Gaussian eps used
-    both to corrupt training targets and to initialize sampling.
+    both to corrupt training targets and to initialize sampling.  It is
+    at most ``MAX_NOISE_SCALE`` (1e150), so that squares and products of
+    noise draws, as the losses and the first layer form them, stay
+    finite.
     """
 
     steps: int = 5
@@ -54,8 +61,8 @@ class FlowConfig:
         check_real("noise_scale", self.noise_scale)
         if self.steps < 1:
             raise ConfigError(f"need at least one Euler step, got {self.steps}")
-        if not self.noise_scale > 0:
-            raise ConfigError(f"noise scale must be positive, got {self.noise_scale}")
+        if not 0 < self.noise_scale <= MAX_NOISE_SCALE:
+            raise ConfigError(f"noise scale must lie in (0, {MAX_NOISE_SCALE:g}], got {self.noise_scale}")
 
     @classmethod
     def for_structure(cls) -> "FlowConfig":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
-from .voxel import AffordanceHeatmap, as_index_array, flat_index
+from .voxel import AffordanceHeatmap, as_index_array, cell_centers, flat_index
 
 Array = np.ndarray
 
@@ -46,8 +46,7 @@ def as_pointcloud(points) -> Array:
 
 def voxel_center_cloud(indices, r: int) -> Array:
     """Centers of the given cells as a point cloud."""
-    arr = as_index_array(indices, r)
-    return (arr + 0.5) / r - 0.5
+    return cell_centers(as_index_array(indices, r), r)
 
 
 # --- occupancy metrics -------------------------------------------------------

@@ -156,10 +156,13 @@ def _forward_cached(model: VelocityModel, tokens: Array, cond: Array, t: float):
     x = _stack_inputs(model, tokens, cond, t)
     acts = [x]
     h = x
-    for k in range(model.depth):
-        h = np.tanh(h @ model.params[f"W{k}"] + model.params[f"b{k}"])
-        acts.append(h)
-    v = (h @ model.params["Wout"] + model.params["bout"])[:, 0]
+    # A layer sum that overflows saturates its tanh; a non-finite velocity
+    # is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(model.depth):
+            h = np.tanh(h @ model.params[f"W{k}"] + model.params[f"b{k}"])
+            acts.append(h)
+        v = (h @ model.params["Wout"] + model.params["bout"])[:, 0]
     if not np.all(np.isfinite(v)):
         raise NumericalError("velocity forward pass produced non-finite values")
     return v, acts
@@ -378,9 +381,8 @@ def train_structure(
     r, channels = cfg.resolution, cfg.channels
     intrinsics = eval_intrinsics(cfg.view_pixels)
     pe = encode_positions(flat_order_indices(r), r, PE_DIM)
-    truths = [ground_truth_occupancy(obj, r) for obj in dataset]
-    clean = [truth.flat()[:, 0] for truth in truths]
-    lattices = [truth.values[..., 0] > 0 for truth in truths]
+    lattices = [ground_truth_occupancy(obj, r) for obj in dataset]
+    clean = [np.where(lat.ravel(order="F"), 1.0, -1.0) for lat in lattices]
     zero_cond = np.zeros(channels)
 
     def sample(rng):

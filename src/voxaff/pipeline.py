@@ -51,10 +51,8 @@ from .synthscene import (
 )
 from .voxel import (
     AffordanceHeatmap,
-    DenseGrid,
     as_index_array,
     backproject_view,
-    dense_threshold,
     encode_positions,
     flat_order_indices,
     fuse,
@@ -152,7 +150,7 @@ def reconstruct(
 
     Returns the sorted (n, 3) occupied index set: voxels whose sampled
     latent exceeds 0.  Views that see nothing fall back to unconditional
-    sampling.
+    sampling.  A latent that is not finite raises ``DomainError``.
     """
     fused = fuse_observations(views, resolution)
     try:
@@ -162,8 +160,11 @@ def reconstruct(
     pe = encode_positions(flat_order_indices(resolution), resolution, PE_DIM)
     velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
     latent = euler_sample(velocity, (resolution**3,), flow_cfg, rng)
-    dense = DenseGrid.from_flat(resolution, 1, latent[:, None])
-    return dense_threshold(dense, 0.0)
+    if not np.all(np.isfinite(latent)):
+        raise DomainError("sampled occupancy latent must be finite")
+    # ``argwhere`` walks the [ix, iy, iz] lattice in C order: sorted triples.
+    lattice = latent.reshape((resolution,) * 3, order="F") > 0
+    return np.argwhere(lattice).astype(np.int64, copy=False)
 
 
 def ground(

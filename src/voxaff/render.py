@@ -439,11 +439,12 @@ def render_views(
 
     Features carry the hit part's label embedding and the entry-face
     normal (see ``surface_features``); missed pixels stay zero.  ``occ``
-    is the object's (r, r, r) boolean ground-truth occupancy, for a
-    caller that renders one object many times; left out, it is built here.
+    is the object's boolean lattice ``ground_truth_occupancy(obj, r)``,
+    for a caller that renders one object many times; left out, it is
+    built here.
     """
     if occ is None:
-        occ = ground_truth_occupancy(obj, r).values[..., 0] > 0
+        occ = ground_truth_occupancy(obj, r)
     rays, (hit, t_hit, _, axis_hit, sign_hit) = _first_hits(occ, view)
     intr = view.intrinsics
     h, w = intr.height, intr.width

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UnknownQueryError
-from .voxel import AffordanceHeatmap, DenseGrid, _frozen, dense_threshold
+from .voxel import AffordanceHeatmap, _frozen, cell_centers, flat_order_indices
 
 Array = np.ndarray
 
@@ -59,6 +59,11 @@ class ObjectPart:
     def __post_init__(self):
         if self.primitive not in PRIMITIVES:
             raise DomainError(f"unknown primitive {self.primitive!r}")
+        if not isinstance(self.part_label, str):
+            raise DomainError(f"part label must be a string, got {type(self.part_label).__name__}")
+        tags = self.affordance_tags
+        if not isinstance(tags, (list, tuple)) or not all(isinstance(tag, str) for tag in tags):
+            raise DomainError("affordance tags must be a list of strings")
         rot = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         tr = np.asarray(self.translation, dtype=float).reshape(3)
         sc = np.asarray(self.scale, dtype=float).reshape(3)
@@ -205,23 +210,20 @@ class SyntheticObject:
 
 def voxel_centers(r: int) -> Array:
     """(r^3, 3) cell centers in the x-fastest flat order."""
-    from .voxel import flat_order_indices
-
-    return (flat_order_indices(r) + 0.5) / r - 0.5
+    return cell_centers(flat_order_indices(r), r)
 
 
-def ground_truth_occupancy(obj: SyntheticObject, r: int) -> DenseGrid:
-    """Dense +-1 occupancy sampled at voxel centers (+1 inside any part)."""
+def ground_truth_occupancy(obj: SyntheticObject, r: int) -> Array:
+    """Read-only (r, r, r) boolean lattice, indexed ``[ix, iy, iz]``, that
+    is True where the cell's center falls inside any part."""
     if r < 1:
         raise DomainError("resolution must be >= 1")
-    inside = obj.contains(voxel_centers(r))
-    flat = np.where(inside, 1.0, -1.0)[:, None]
-    return DenseGrid.from_flat(r, 1, flat)
+    return _frozen(obj.contains(voxel_centers(r)).reshape((r,) * 3, order="F"))
 
 
 def occupied_indices(obj: SyntheticObject, r: int) -> Array:
     """Sorted index triples of cells whose centers fall inside the object."""
-    return dense_threshold(ground_truth_occupancy(obj, r), 0.0)
+    return np.argwhere(ground_truth_occupancy(obj, r)).astype(np.int64, copy=False)
 
 
 def hash_embedding(text: str, dim: int, salt: str) -> Array:
@@ -299,7 +301,7 @@ def ground_truth_affordance(
     """Binary affordance over occupied voxels: 1 inside any part carrying the tag."""
     tag = table.tag_of(query)
     occupied = occupied_indices(obj, r)
-    centers = (occupied + 0.5) / r - 0.5
+    centers = cell_centers(occupied, r)
     hot = np.zeros(occupied.shape[0], dtype=bool)
     for part in obj.parts:
         if tag in part.affordance_tags:
@@ -560,7 +562,7 @@ def object_from_dict(data: dict) -> SyntheticObject:
                 translation=np.array(p["translation"], dtype=float),
                 scale=np.array(p["scale"], dtype=float),
                 part_label=p["part_label"],
-                affordance_tags=tuple(p["affordance_tags"]),
+                affordance_tags=p["affordance_tags"],
                 params=dict(p.get("params", {})),
             )
             for p in data["parts"]

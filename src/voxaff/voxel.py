@@ -2,11 +2,14 @@
 
 The scene volume is the cube [-0.5, 0.5]^3 split into r^3 cells.  A world
 point p falls into cell ``floor((p + 0.5) * r)`` clamped to [0, r-1]; the
-center of cell (i, j, k) is ``(i + 0.5) / r - 0.5`` per axis.
+center of cell (i, j, k) is ``(i + 0.5) / r - 0.5`` per axis
+(``cell_centers``).
 
 Index triples are (ix, iy, iz).  Sparse entries are kept sorted
-lexicographically by that triple.  Dense grids use the "x fastest" flat
-layout: flat = ix + r * iy + r^2 * iz, with channels contiguous per cell.
+lexicographically by that triple.  A dense occupancy is an (r, r, r)
+boolean lattice indexed ``[ix, iy, iz]``; flattened, it uses the "x
+fastest" order flat = ix + r * iy + r^2 * iz (numpy's ``order="F"``),
+and ``np.argwhere`` of it lists the occupied triples in sorted order.
 
 Sorting, grouping and the sorted/unique checks run on one integer key per
 triple, ``(ix * r + iy) * r + iz`` (ix most significant, so key order is
@@ -161,43 +164,14 @@ class SparseVoxelGrid:
         )
 
 
-@dataclass(frozen=True)
-class DenseGrid:
-    """Dense r^3 x channels field over the cube, values indexed [ix, iy, iz, c]."""
-
-    resolution: int
-    channels: int
-    values: Array  # (r, r, r, channels) float64
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise DomainError("resolution must be >= 1")
-        if self.channels < 1:
-            raise DomainError("channel count must be >= 1")
-        values = np.asarray(self.values, dtype=float)
-        r = self.resolution
-        if values.shape != (r, r, r, self.channels):
-            raise ShapeMismatchError(
-                f"values shape {values.shape} != {(r, r, r, self.channels)}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("values must be finite")
-        object.__setattr__(self, "values", _frozen(values))
-
-    def flat(self) -> Array:
-        """(r^3, channels) view in x-fastest order: row ix + r*iy + r^2*iz."""
-        return self.values.transpose(2, 1, 0, 3).reshape(-1, self.channels)
-
-    @classmethod
-    def from_flat(cls, resolution: int, channels: int, flat: Array) -> "DenseGrid":
-        flat = np.asarray(flat, dtype=float).reshape(resolution**3, channels)
-        cube = flat.reshape(resolution, resolution, resolution, channels).transpose(2, 1, 0, 3)
-        return cls(resolution=resolution, channels=channels, values=cube)
-
-
 def flat_index(indices: Array, r: int) -> Array:
     """Flat x-fastest cell index ``ix + r*iy + r^2*iz`` of (n, 3) index triples."""
     return indices[:, 0] + r * indices[:, 1] + r * r * indices[:, 2]
+
+
+def cell_centers(indices: Array, r: int) -> Array:
+    """World-space centers of (n, 3) index triples at resolution ``r``."""
+    return (indices + 0.5) / r - 0.5
 
 
 @functools.lru_cache(maxsize=32)
@@ -392,14 +366,6 @@ def pooled_condition(grid: SparseVoxelGrid) -> Array:
         raise EmptyConditionError("cannot build conditioning tokens from an empty grid")
     tokens = grid.features + encode_positions(grid.indices, grid.resolution, grid.channels)
     return tokens.mean(axis=0)
-
-
-def dense_threshold(latent: DenseGrid, threshold: float = 0.0) -> Array:
-    """Indices of cells whose first channel exceeds ``threshold`` (sorted)."""
-    if latent.channels < 1:
-        raise DomainError("latent grid needs at least one channel")
-    # ``argwhere`` walks the [ix, iy, iz] array in C order: ix most significant.
-    return np.argwhere(latent.values[..., 0] > threshold).astype(np.int64, copy=False)
 
 
 def heatmap_to_dict(heat: AffordanceHeatmap) -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import voxaff.cli as cli
+from voxaff.flow import MAX_NOISE_SCALE
 from voxaff.netcore import load_model
 from voxaff.pipeline import worst_initial_view
 from voxaff.synthscene import (
@@ -463,10 +464,11 @@ def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
         {"steps": True},
         {"noise_scale": math.inf},
         {"noise_scale": True},
+        {"noise_scale": 1e308},
         {"guidance_strength": math.nan},
         {"scale_targets": "yes"},  # not a flow field: refused as unknown
     ],
-    ids=["steps-2.5", "steps-true", "noise_scale-inf", "noise_scale-true",
+    ids=["steps-2.5", "steps-true", "noise_scale-inf", "noise_scale-true", "noise_scale-1e308",
          "guidance_strength-nan", "scale_targets-yes"],
 )
 def test_bad_flow_value_exits_2(tmp_path, capsys, flow, fields):
@@ -475,7 +477,29 @@ def test_bad_flow_value_exits_2(tmp_path, capsys, flow, fields):
     rc = cli.main(["gen-dataset", "--count", "1", "--config", str(bad),
                    "--out", str(tmp_path / "d")])
     assert rc == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_scale_at_its_bound_runs_without_a_warning(ws, tmp_path, capsys):
+    flows = ("structure_flow", "affordance_flow", "affordance_train_flow")
+    config = tmp_path / "noisy.json"
+    config.write_text(json.dumps({**TINY, **{f: {"noise_scale": MAX_NOISE_SCALE} for f in flows}}))
+    ckpt, obj, query = tmp_path / "ckpt", str(ws.data / "object_0001.json"), "strike a nail"
+    for argv in (
+        ["train", "--kind", "structure", "--dataset", str(ws.data), "--out", str(ckpt)],
+        ["train", "--kind", "affordance", "--dataset", str(ws.data), "--out", str(ckpt)],
+        ["reconstruct", "--model", str(ckpt / "structure.model.json"), "--object", obj,
+         "--out", str(tmp_path / "recon.json")],
+        ["ground", "--model", str(ckpt / "affordance.model.json"), "--object", obj,
+         "--query", query, "--out", str(tmp_path / "heat.json")],
+        ["plan", "--structure", str(ckpt / "structure.model.json"),
+         "--affordance", str(ckpt / "affordance.model.json"), "--object", obj,
+         "--query", query, "--out", str(tmp_path / "plan")],
+    ):
+        assert cli.main(argv + ["--config", str(config)]) == 0, argv[0]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -636,6 +660,8 @@ def _torus_head(major_radius):
         ("scene", _replaced(("parts", 0, "scale", 0), 1e-300), 3),
         ("scene", _torus_head(1e308), 3),
         ("scene", _replaced(("parts", 0, "translation", 0), 10**400), 3),
+        ("scene", _replaced(("parts", 0, "part_label"), ["handle"]), 3),
+        ("scene", _replaced(("parts", 0, "affordance_tags", 0), ["grasp"]), 3),
         ("structure", _replaced(("params",), [1]), 3),
         ("structure", _replaced(("params", ""), [1.0]), 3),
         ("structure", _replaced(("params", "Wout", 0, 0), math.nan), 4),
@@ -647,7 +673,8 @@ def _torus_head(major_radius):
     ids=["manifest-object-5", "manifest-missing-table", "table-queries-list",
          "scene-parts-list", "scene-rotation-1e308", "scene-scale-inf",
          "scene-scale-1e-320", "scene-scale-1e-300",
-         "scene-torus-radius-1e308", "scene-translation-int-1e400", "checkpoint-params-list", "checkpoint-param-named-empty",
+         "scene-torus-radius-1e308", "scene-translation-int-1e400", "scene-label-list",
+         "scene-tag-list", "checkpoint-params-list", "checkpoint-param-named-empty",
          "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308"],
 )
@@ -660,14 +687,24 @@ def test_corrupted_artifact_exits_3_or_4(walk, tmp_path, capsys, artifact, mutat
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308])
+@pytest.mark.filterwarnings("error")
+def test_huge_first_layer_weight_saturates_without_a_warning(walk, tmp_path, capsys, value):
+    # The weight on the noisy latent overflows the first layer's sum, and
+    # its tanh saturates, as it does for any large enough weight.
+    assert _run_corrupted(walk, tmp_path, "structure", _replaced(("params", "W0", 0, 0), value)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _json_paths(node, prefix=()):
-    """Every item's path in a JSON record, the first three of each list."""
+    """Every item's path in a JSON record: every dict key, the first entry
+    of each list."""
     if prefix:
         yield prefix
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
-        items = enumerate(node[:3])
+        items = enumerate(node[:1])
     else:
         items = ()
     for key, child in items:
@@ -678,12 +715,13 @@ def _json_paths(node, prefix=()):
 def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
     # One artifact item at a time becomes a value of the wrong type or
     # range; a corruption may happen to be valid, so exit 0 is allowed.
-    junk = [None, 5, -1, 0, "", "x", [], {}, [1], [[1]], True, 1e308, {"a": 1}]
+    junk = [None, 5, -1, 0, "", "x", [], {}, [1], [[1]], True, 1e308, {"a": 1},
+            -1e308, 2**70, 0.5, [1, 2, 3], "nan"]
     rng = np.random.default_rng(0)
     for artifact in sorted(READERS):
         record = json.loads((walk / WALK_FILES[artifact]).read_text())
         paths = list(_json_paths(record))
-        for i in rng.choice(len(paths), size=min(8, len(paths)), replace=False):
+        for i in range(len(paths)):
             value = junk[int(rng.integers(len(junk)))]
             case = tmp_path / f"{artifact}-{i}"
             rc = _run_corrupted(walk, case, artifact, _replaced(paths[i], value))

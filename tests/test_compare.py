@@ -1,5 +1,7 @@
-"""``tools/compare.py``: quartiles, win counts, digest equality and the paired runs."""
+"""``tools/compare.py``: quartiles, win counts, digest equality and the paired runs;
+``tools/walkdiff.py``: the artifact digest comparison."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -7,10 +9,18 @@ import subprocess
 
 import pytest
 
-PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare.py"
-spec = importlib.util.spec_from_file_location("compare", PATH)
-compare = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare)
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare = _load("compare")
+walkdiff = _load("walkdiff")
 
 
 def _run(primary, setup, output="a", warmup="w"):
@@ -77,3 +87,18 @@ def test_main_runs_both_committed_revisions_for_the_benchmark_run_seconds(tmp_pa
     assert bench["revisions"]["change"]["rev"] == "HEAD"
     assert bench["revisions"]["parent"]["sha"] != bench["revisions"]["change"]["sha"]
     assert bench["results"][0]["summary"]["primary_ms"]["change_wins"] == 2
+
+
+def test_walkdiff_lists_files_that_differ_or_exist_on_one_side(tmp_path):
+    for side, files in (
+        ("a", {"same.json": "1", "sub/same.csv": "x", "moved.json": "2", "only_a.json": "3"}),
+        ("b", {"same.json": "1", "sub/same.csv": "x", "moved.json": "2 ", "sub/only_b.csv": "4"}),
+    ):
+        for name, text in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    a, b = walkdiff.digests(tmp_path / "a"), walkdiff.digests(tmp_path / "b")
+    assert sorted(a) == ["moved.json", "only_a.json", "same.json", "sub/same.csv"]
+    assert a["same.json"] == hashlib.sha256(b"1").hexdigest()
+    assert walkdiff.differing(a, b) == ["moved.json", "only_a.json", "sub/only_b.csv"]
+    assert walkdiff.differing(a, a) == []

@@ -51,8 +51,7 @@ def _structure_oracle(obj):
     With x <- x - 1.0 * (x - star) the result is star up to one rounding,
     and the +-1 targets keep the sign (hence the thresholded set) exact.
     """
-    flat = ground_truth_occupancy(obj, R).flat()[:, 0]
-    star = np.where(flat > 0, 1.0, -1.0)
+    star = np.where(ground_truth_occupancy(obj, R).ravel(order="F"), 1.0, -1.0)
     return lambda x, t: x - star
 
 
@@ -92,8 +91,7 @@ def test_reconstruct_recovers_occupancy_from_exact_velocity():
     gt = occupied_indices(obj, R)
     cfg = FlowConfig(steps=1, noise_scale=1.0)
     eps_hat = np.random.default_rng(5).standard_normal(R**3)
-    flat = ground_truth_occupancy(obj, R).flat()[:, 0]
-    star = np.where(flat > 0, 1.0, -1.0)
+    star = np.where(ground_truth_occupancy(obj, R).ravel(order="F"), 1.0, -1.0)
 
     def velocity(x, t):
         return eps_hat - star
@@ -111,6 +109,40 @@ def test_reconstruct_x_dependent_oracle_is_rng_robust():
         cfg = FlowConfig(steps=1, noise_scale=1.0)
         occ = pl.reconstruct([obs], _structure_oracle(obj), R, cfg, np.random.default_rng(seed))
         assert np.array_equal(occ, gt)
+
+
+def _reconstruct_from_latent(monkeypatch, latent):
+    """``reconstruct`` with the sampler replaced by one that returns ``latent``."""
+    monkeypatch.setattr(pl, "euler_sample", lambda velocity, shape, cfg, rng: latent)
+    obs = _observation(generate_object(0), _view()[0])
+    return pl.reconstruct([obs], lambda x, t: x, R, FlowConfig(steps=1), np.random.default_rng(0))
+
+
+def test_reconstruct_indices_follow_the_scan_oracle(monkeypatch):
+    latent = np.random.default_rng(19).standard_normal(R**3) - 0.3
+    got = _reconstruct_from_latent(monkeypatch, latent)
+    expected = [
+        (ix, iy, iz)
+        for ix in range(R)
+        for iy in range(R)
+        for iz in range(R)
+        if latent[ix + R * iy + R * R * iz] > 0
+    ]
+    assert got.dtype == np.int64 and [tuple(row) for row in got] == expected
+
+
+@pytest.mark.parametrize("sign, count", [(-1.0, 0), (1.0, R**3)], ids=["all-negative", "all-positive"])
+def test_reconstruct_of_a_one_signed_latent_is_empty_or_full(monkeypatch, sign, count):
+    occ = _reconstruct_from_latent(monkeypatch, np.full(R**3, sign))
+    assert occ.shape == (count, 3) and occ.dtype == np.int64
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_reconstruct_refuses_a_non_finite_latent(monkeypatch, bad):
+    latent = np.ones(R**3)
+    latent[5] = bad
+    with pytest.raises(DomainError, match="finite"):
+        _reconstruct_from_latent(monkeypatch, latent)
 
 
 def test_reconstruct_rejects_empty_observations():

@@ -248,7 +248,7 @@ def _march_depths(occ: np.ndarray, view: Viewpoint, t_step: float):
 def test_depth_matches_fine_ray_marching(seed):
     r = 8
     obj = sc.generate_object(seed)
-    occ = sc.ground_truth_occupancy(obj, r).values[..., 0] > 0
+    occ = sc.ground_truth_occupancy(obj, r)
     view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[seed % 40]
     img = raycast_depth(sc.occupied_indices(obj, r), r, view)
     t_step = 5e-4
@@ -375,7 +375,7 @@ def test_render_affordance_requires_support():
 
 
 def _truth_cube(seed: int, r: int) -> np.ndarray:
-    return sc.ground_truth_occupancy(sc.generate_object(seed), r).values[..., 0] > 0
+    return sc.ground_truth_occupancy(sc.generate_object(seed), r)
 
 
 def _assert_march_matches_reference(view, r, occupancies):

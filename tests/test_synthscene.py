@@ -10,7 +10,6 @@ import pytest
 
 from voxaff.errors import DomainError, UnknownQueryError
 from voxaff import synthscene as sc
-from voxaff.voxel import dense_threshold
 
 TABLE = sc.default_query_table()
 
@@ -95,12 +94,23 @@ class TestOccupancy:
             for iy in range(r):
                 for iz in range(r):
                     center = (np.array([ix, iy, iz]) + 0.5) / r - 0.5
-                    expected = 1.0 if np.linalg.norm(center - [0.1, -0.05, 0.0]) <= 0.3 else -1.0
-                    assert occ.values[ix, iy, iz, 0] == expected
+                    expected = np.linalg.norm(center - [0.1, -0.05, 0.0]) <= 0.3
+                    assert occ[ix, iy, iz] == expected
 
-    def test_values_are_plus_minus_one(self):
-        occ = sc.ground_truth_occupancy(sc.generate_object(7), 8)
-        assert set(np.unique(occ.values)) <= {-1.0, 1.0}
+    def test_lattice_layout_is_x_fastest(self):
+        obj, r = sc.generate_object(7), 8
+        occ = sc.ground_truth_occupancy(obj, r)
+        assert occ.shape == (r, r, r) and occ.dtype == bool and not occ.flags.writeable
+        centers = sc.voxel_centers(r)
+        inside = obj.contains(centers)
+        for ix in range(r):
+            for iy in range(r):
+                for iz in range(r):
+                    flat = ix + r * iy + r * r * iz
+                    np.testing.assert_array_equal(
+                        centers[flat], (np.array([ix, iy, iz]) + 0.5) / r - 0.5
+                    )
+                    assert occ[ix, iy, iz] == inside[flat]
 
     def test_voxel_count_tracks_analytic_volume(self):
         radius = 0.4
@@ -121,13 +131,21 @@ class TestOccupancy:
         )
         obj = sc.SyntheticObject(object_id="slab-0", seed=0, template="chair", parts=(part,))
         r = 8
-        occ = sc.ground_truth_occupancy(obj, r).values[..., 0]
+        occ = sc.ground_truth_occupancy(obj, r)
         np.testing.assert_array_equal(occ, occ[::-1, :, :])
 
-    def test_occupied_indices_match_dense_threshold(self):
-        obj = sc.generate_object(3)
-        occ = sc.ground_truth_occupancy(obj, 8)
-        np.testing.assert_array_equal(sc.occupied_indices(obj, 8), dense_threshold(occ, 0.0))
+    def test_occupied_indices_are_the_lattice_cells_in_scan_order(self):
+        obj, r = sc.generate_object(3), 8
+        occ = sc.ground_truth_occupancy(obj, r)
+        expected = [
+            (ix, iy, iz)
+            for ix in range(r)
+            for iy in range(r)
+            for iz in range(r)
+            if occ[ix, iy, iz]
+        ]
+        got = sc.occupied_indices(obj, r)
+        assert got.dtype == np.int64 and [tuple(row) for row in got] == expected
 
 
 def _ring(**params):

@@ -266,40 +266,9 @@ class TestConditionTokens:
         np.testing.assert_array_equal(vx.pooled_condition(g), tokens.mean(axis=0))
 
 
-class TestDenseGrid:
-    def test_flat_layout_is_x_fastest(self):
-        r = 2
-        values = np.zeros((r, r, r, 1))
-        for ix in range(r):
-            for iy in range(r):
-                for iz in range(r):
-                    values[ix, iy, iz, 0] = ix + r * iy + r * r * iz
-        dense = vx.DenseGrid(resolution=r, channels=1, values=values)
-        np.testing.assert_array_equal(dense.flat()[:, 0], np.arange(r**3))
-        back = vx.DenseGrid.from_flat(r, 1, dense.flat())
-        np.testing.assert_array_equal(back.values, dense.values)
-
-    def test_threshold_matches_scan_oracle(self):
-        rng = np.random.default_rng(19)
-        r = 4
-        dense = vx.DenseGrid(resolution=r, channels=1, values=rng.standard_normal((r, r, r, 1)))
-        got = vx.dense_threshold(dense, 0.3)
-        expected = sorted(
-            (ix, iy, iz)
-            for ix in range(r)
-            for iy in range(r)
-            for iz in range(r)
-            if dense.values[ix, iy, iz, 0] > 0.3
-        )
-        assert [tuple(row) for row in got] == expected
-
-    def test_all_below_gives_empty(self):
-        dense = vx.DenseGrid(resolution=2, channels=1, values=-np.ones((2, 2, 2, 1)))
-        assert vx.dense_threshold(dense, 0.0).shape == (0, 3)
-
-    def test_all_above_gives_full_cube(self):
-        dense = vx.DenseGrid(resolution=2, channels=1, values=np.ones((2, 2, 2, 1)))
-        assert vx.dense_threshold(dense, 0.0).shape == (8, 3)
+def test_cell_centers_are_the_cell_midpoints():
+    centers = vx.cell_centers(np.array([[0, 0, 0], [7, 3, 1]]), 8)
+    np.testing.assert_array_equal(centers, [[-0.4375] * 3, [0.4375, -0.0625, -0.3125]])
 
 
 class TestHeatmap:
