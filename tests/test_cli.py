@@ -720,16 +720,15 @@ def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
     rng = np.random.default_rng(0)
     for artifact in sorted(READERS):
         record = json.loads((walk / WALK_FILES[artifact]).read_text())
-        paths = list(_json_paths(record))
-        for i in range(len(paths)):
+        for i, path in enumerate(_json_paths(record)):
             value = junk[int(rng.integers(len(junk)))]
             case = tmp_path / f"{artifact}-{i}"
-            rc = _run_corrupted(walk, case, artifact, _replaced(paths[i], value))
+            rc = _run_corrupted(walk, case, artifact, _replaced(path, value))
             err = capsys.readouterr().err
-            assert rc in (0, 2, 3, 4), (artifact, paths[i], value, err)
-            assert "Traceback" not in err, (artifact, paths[i], value)
+            assert rc in (0, 2, 3, 4), (artifact, path, value, err)
+            assert "Traceback" not in err, (artifact, path, value)
             # A refusal is one line; a run that succeeds writes nothing.
-            assert len(err.strip().splitlines()) == (rc != 0), (artifact, paths[i], value, err)
+            assert len(err.strip().splitlines()) == (rc != 0), (artifact, path, value, err)
 
 
 def _model_argv(ws, command, out):

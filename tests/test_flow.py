@@ -296,6 +296,9 @@ def test_flow_config_validation_and_presets():
         fl.FlowConfig(steps=0)
     with pytest.raises(ConfigError):
         fl.FlowConfig(noise_scale=0.0)
+    with pytest.raises(ConfigError):
+        fl.FlowConfig(noise_scale=math.nextafter(fl.MAX_NOISE_SCALE, math.inf))
+    assert fl.FlowConfig(noise_scale=fl.MAX_NOISE_SCALE).noise_scale == fl.MAX_NOISE_SCALE
     for field, value in (
         ("steps", 2.5),
         ("steps", True),
@@ -315,9 +318,3 @@ def test_flow_config_validation_and_presets():
     assert tweaked.steps == 20 and tweaked.guidance_strength == 1.0
     assert tweaked.noise_scale == 0.5
     assert fl.FlowConfig().guidance_strength == 3.0
-
-
-def test_noise_scale_is_bounded():
-    assert fl.FlowConfig(noise_scale=fl.MAX_NOISE_SCALE).noise_scale == fl.MAX_NOISE_SCALE
-    with pytest.raises(ConfigError, match="noise scale"):
-        fl.FlowConfig(noise_scale=math.nextafter(fl.MAX_NOISE_SCALE, math.inf))
