@@ -52,6 +52,7 @@ from .synthscene import (
     default_query_table,
     ground_truth_affordance,
     ground_truth_occupancy,
+    signed_occupancy,
 )
 from .voxel import backproject_view, encode_positions, flat_order_indices, fuse, pooled_condition
 
@@ -382,7 +383,7 @@ def train_structure(
     intrinsics = eval_intrinsics(cfg.view_pixels)
     pe = encode_positions(flat_order_indices(r), r, PE_DIM)
     lattices = [ground_truth_occupancy(obj, r) for obj in dataset]
-    clean = [np.where(lat.ravel(order="F"), 1.0, -1.0) for lat in lattices]
+    clean = [signed_occupancy(lat) for lat in lattices]
     zero_cond = np.zeros(channels)
 
     def sample(rng):

@@ -221,6 +221,12 @@ def ground_truth_occupancy(obj: SyntheticObject, r: int) -> Array:
     return _frozen(obj.contains(voxel_centers(r)).reshape((r,) * 3, order="F"))
 
 
+def signed_occupancy(lattice: Array) -> Array:
+    """The structure flow's clean sample: the (r^3,) x-fastest flattening
+    of a boolean occupancy lattice, +1 in occupied cells and -1 elsewhere."""
+    return np.where(np.ravel(lattice, order="F"), 1.0, -1.0)
+
+
 def occupied_indices(obj: SyntheticObject, r: int) -> Array:
     """Sorted index triples of cells whose centers fall inside the object."""
     return np.argwhere(ground_truth_occupancy(obj, r)).astype(np.int64, copy=False)

@@ -112,6 +112,13 @@ class TestOccupancy:
                     )
                     assert occ[ix, iy, iz] == inside[flat]
 
+    def test_values_are_plus_minus_one(self):
+        occ = sc.ground_truth_occupancy(sc.generate_object(7), 8)
+        signed = sc.signed_occupancy(occ)
+        assert signed.shape == (8**3,)
+        assert set(np.unique(signed)) <= {-1.0, 1.0}
+        np.testing.assert_array_equal(signed == 1.0, occ.ravel(order="F"))
+
     def test_voxel_count_tracks_analytic_volume(self):
         radius = 0.4
         obj = _sphere_object([0.0, 0.0, 0.0], radius)

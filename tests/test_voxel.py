@@ -439,3 +439,20 @@ class TestFlatKeys:
                 assert np.array_equal(order, want)
                 assert np.array_equal(rows, cells[want])
                 assert np.array_equal(start, first) and np.array_equal(rows[start], uniq)
+
+
+class TestDenseGrid:
+    """The dense r^3 lattice, indexed ``[ix, iy, iz]``, flattens x-fastest."""
+
+    def test_flat_layout_is_x_fastest(self):
+        r = 3
+        values = np.zeros((r, r, r))
+        for ix in range(r):
+            for iy in range(r):
+                for iz in range(r):
+                    values[ix, iy, iz] = ix + r * iy + r * r * iz
+        np.testing.assert_array_equal(values.ravel(order="F"), np.arange(r**3))
+        idx = vx.flat_order_indices(r)
+        np.testing.assert_array_equal(values[idx[:, 0], idx[:, 1], idx[:, 2]], np.arange(r**3))
+        back = np.arange(r**3).reshape((r,) * 3, order="F")
+        np.testing.assert_array_equal(back, values)
