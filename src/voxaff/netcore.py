@@ -8,6 +8,15 @@ final affine map to a single velocity per token, so tokens never see
 each other — per-token cost is constant no matter how many views fed
 the condition.
 
+Hidden activations are written into work buffers that this module keeps
+and reuses, one per (hidden-layer index, width), each grown to the largest
+token count seen.  At r = 16 a hidden layer is a (4096, 96) float64 array
+of 3 MB; glibc hands an allocation that large back to the kernel when it
+is freed, so a fresh array per call is faulted in again on first touch,
+and that cost about a third of a forward pass.  Only the per-token
+velocities come back as a fresh array.  The buffers make the forward pass
+single-threaded: two threads must not run it at once.
+
 Gradients are exact reverse-mode derivations of this stack (no autograd
 dependency), checked against central finite differences in the tests.
 Training runs are pure functions of (dataset, configs, seed): a fixed
@@ -153,7 +162,26 @@ def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float) ->
     )
 
 
+#: Hidden-layer work buffers keyed by (layer index, width).  Each grows to
+#: the largest token count seen and never shrinks.
+_HIDDEN: dict[tuple[int, int], Array] = {}
+
+
+def _hidden_buffer(k: int, n: int, width: int) -> Array:
+    """The first ``n`` rows of layer ``k``'s work buffer of ``width`` columns."""
+    buf = _HIDDEN.get((k, width))
+    if buf is None or buf.shape[0] < n:
+        buf = _HIDDEN[(k, width)] = np.empty((n, width))
+    return buf[:n]
+
+
 def _forward_cached(model: VelocityModel, tokens: Array, cond: Array, t: float):
+    """Velocities and every layer's activations, the input first.
+
+    The hidden activations in ``acts`` are views of this module's work
+    buffers: they are valid only until the next forward pass, so
+    ``backward`` consumes them before it returns.
+    """
     x = _stack_inputs(model, tokens, cond, t)
     acts = [x]
     h = x
@@ -161,7 +189,10 @@ def _forward_cached(model: VelocityModel, tokens: Array, cond: Array, t: float):
     # is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(model.depth):
-            h = np.tanh(h @ model.params[f"W{k}"] + model.params[f"b{k}"])
+            w = model.params[f"W{k}"]
+            h = np.matmul(h, w, out=_hidden_buffer(k, x.shape[0], w.shape[1]))
+            h += model.params[f"b{k}"]
+            np.tanh(h, out=h)
             acts.append(h)
         v = (h @ model.params["Wout"] + model.params["bout"])[:, 0]
     if not np.all(np.isfinite(v)):
@@ -180,12 +211,14 @@ def _velocity_backward(model: VelocityModel, acts: list, dv: Array) -> dict:
     delta = np.asarray(dv, dtype=float).reshape(-1, 1)
     grads["Wout"] = acts[-1].T @ delta
     grads["bout"] = delta.sum(axis=0)
-    delta = delta @ model.params["Wout"].T
+    above = model.params["Wout"]
+    # delta is pulled back through a layer only when a layer below needs
+    # it: the gradient with respect to the inputs is never used.
     for k in reversed(range(model.depth)):
-        delta = delta * (1.0 - acts[k + 1] ** 2)  # tanh'
+        delta = (delta @ above.T) * (1.0 - acts[k + 1] ** 2)  # tanh'
         grads[f"W{k}"] = acts[k].T @ delta
         grads[f"b{k}"] = delta.sum(axis=0)
-        delta = delta @ model.params[f"W{k}"].T
+        above = model.params[f"W{k}"]
     return grads
 
 

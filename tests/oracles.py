@@ -5,6 +5,9 @@
   checked against.
 * ``gradient_check``: the central-difference oracle behind the
   analytic-gradient gate.
+* ``reference_forward`` / ``reference_backward``: the velocity MLP with a
+  fresh array per layer, which the work-buffer forward and backward must
+  match bit for bit.
 * ``viewpoint_from_dict``: the inverse of ``viewpoint_to_dict``, so a
   round trip pins the viewpoint records that ``trace.json`` holds.
 * ``sparse_grid_from_entries`` / ``heatmap_from_entries``: builders from
@@ -19,9 +22,9 @@ import math
 
 import numpy as np
 
-from voxaff.errors import DomainError
+from voxaff.errors import DomainError, NumericalError
 from voxaff.geometry import CameraIntrinsics, Pose, Viewpoint, _vec3
-from voxaff.netcore import backward, forward
+from voxaff.netcore import _stack_inputs, backward, forward
 from voxaff.render import DepthImage, _first_hits
 from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, as_index_array
 
@@ -92,6 +95,53 @@ def gradient_check(model, loss_fn, batch, h: float = 1e-5) -> float:
             scale = max(abs(numeric), abs(analytic), 1e-8)
             worst = max(worst, abs(numeric - analytic) / scale)
     return worst
+
+
+def _reference_forward_cached(model, tokens, cond, t):
+    x = _stack_inputs(model, tokens, cond, t)
+    acts = [x]
+    h = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(model.depth):
+            h = np.tanh(h @ model.params[f"W{k}"] + model.params[f"b{k}"])
+            acts.append(h)
+        v = (h @ model.params["Wout"] + model.params["bout"])[:, 0]
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("velocity forward pass produced non-finite values")
+    return v, acts
+
+
+def reference_forward(model, tokens, cond, t) -> np.ndarray:
+    """Per-token velocities, every layer a fresh array."""
+    return _reference_forward_cached(model, tokens, cond, t)[0]
+
+
+def _reference_velocity_backward(model, acts, dv) -> dict:
+    grads = {}
+    delta = np.asarray(dv, dtype=float).reshape(-1, 1)
+    grads["Wout"] = acts[-1].T @ delta
+    grads["bout"] = delta.sum(axis=0)
+    delta = delta @ model.params["Wout"].T
+    for k in reversed(range(model.depth)):
+        delta = delta * (1.0 - acts[k + 1] ** 2)  # tanh'
+        grads[f"W{k}"] = acts[k].T @ delta
+        grads[f"b{k}"] = delta.sum(axis=0)
+        delta = delta @ model.params[f"W{k}"].T
+    return grads
+
+
+def reference_backward(model, loss_fn, batch) -> tuple[float, dict]:
+    """Loss and parameter gradients, pulled back through every layer."""
+    tokens, cond, t = batch
+    v, acts = _reference_forward_cached(model, tokens, cond, t)
+    loss, dv = loss_fn(v)
+    if not np.isfinite(loss):
+        raise NumericalError("loss is not finite")
+    grads = _reference_velocity_backward(model, acts, dv)
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"gradient for {name} is not finite")
+    return float(loss), grads
 
 
 def sparse_grid_from_entries(resolution, channels, indices, features, weights) -> SparseVoxelGrid:

@@ -2,13 +2,14 @@
 differences, optimizer arithmetic, and the two training loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import voxaff.netcore as nc
 import voxaff.synthscene as sc
-from oracles import gradient_check, project_point
+from oracles import gradient_check, project_point, reference_backward, reference_forward
 from voxaff.errors import (
     ConfigError,
     DataError,
@@ -182,6 +183,97 @@ def test_backward_is_linear_in_loss_scale():
     _, g2 = nc.backward(model, lambda v: tuple(2.0 * np.asarray(x) for x in base(v)), batch)
     for name in g1:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-14)
+
+
+# --- work buffers ------------------------------------------------------------
+
+
+def _wide_model(hidden=96, depth=2, seed=40):
+    """A model of the trainers' shape (17 + 16 + 16 inputs), all weights random."""
+    model = nc.VelocityModel.create(token_dim=17, cond_dim=16, hidden=hidden, depth=depth, seed=seed)
+    return _randomize(model, seed + 1)
+
+
+def _batch(model, n, seed):
+    rng = np.random.default_rng(seed)
+    batch = (rng.standard_normal((n, model.token_dim)), rng.standard_normal(model.cond_dim), 0.3)
+    return batch, _mse_loss_fn(rng.standard_normal(n), rng.standard_normal(n))
+
+
+def _assert_matches_reference(model, n, seed=50):
+    batch, loss_fn = _batch(model, n, seed)
+    assert np.array_equal(nc.forward(model, *batch), reference_forward(model, *batch))
+    loss, grads = nc.backward(model, loss_fn, batch)
+    ref_loss, ref_grads = reference_backward(model, loss_fn, batch)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 7, 512, 4096])
+def test_forward_and_backward_match_reference_bit_for_bit(n, depth):
+    _assert_matches_reference(_wide_model(depth=depth), n)
+
+
+def test_small_batch_after_a_large_one_matches_reference_in_the_same_buffer():
+    model = _wide_model()
+    large = nc._forward_cached(model, *_batch(model, 4096, 51)[0])[1][1]
+    for n in (7, 1, 512, 4096):
+        _assert_matches_reference(model, n, seed=n)
+    small = nc._forward_cached(model, *_batch(model, 7, 52)[0])[1][1]
+    assert np.shares_memory(small, large)
+
+
+def test_alternating_models_of_different_width_match_reference_and_keep_their_buffers():
+    wide, narrow = _wide_model(hidden=96), _wide_model(hidden=32, seed=60)
+    batch, _ = _batch(wide, 512, 61)
+    first_hidden = nc._forward_cached(wide, *batch)[1][1]
+    for step in range(3):
+        _assert_matches_reference(wide, 512, seed=step)
+        _assert_matches_reference(narrow, 512, seed=step)
+    # the wide model's first layer is still written into the same memory
+    assert np.shares_memory(nc._forward_cached(wide, *batch)[1][1], first_hidden)
+
+
+def test_forward_returns_fresh_velocities():
+    model = _wide_model()
+    a, _ = _batch(model, 512, 70)
+    b, _ = _batch(model, 512, 71)
+    v1 = nc.forward(model, *a)
+    kept = v1.copy()
+    v2 = nc.forward(model, *b)
+    assert not np.shares_memory(v1, v2)
+    assert np.array_equal(v1, kept)
+    assert not np.array_equal(v1, v2)
+
+
+def _assert_next_forward_is_clean(model, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_matches_reference(model, n, seed=80)
+
+
+def test_forward_after_a_refused_forward_matches_reference():
+    broken = _wide_model()
+    broken.params["b0"][3] = np.nan
+    batch, _ = _batch(broken, 512, 81)
+    with pytest.raises(NumericalError):
+        nc.forward(broken, *batch)
+    _assert_next_forward_is_clean(_wide_model(seed=82), 512)
+    _assert_next_forward_is_clean(_wide_model(seed=82), 7)
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_forward_after_a_saturated_forward_matches_reference(value):
+    huge = _wide_model()
+    huge.params["W0"][0, 0] = value
+    batch, _ = _batch(huge, 512, 83)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(nc.forward(huge, *batch), reference_forward(huge, *batch))
+    _assert_next_forward_is_clean(_wide_model(seed=84), 512)
 
 
 # --- optimizer ---------------------------------------------------------------
