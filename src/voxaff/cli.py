@@ -174,6 +174,8 @@ def _load_dataset(dataset_dir):
         raise DataError(f"malformed manifest in {root}: {exc}") from exc
     if not all(isinstance(name, str) for name in [*names, table_name]):
         raise DataError(f"malformed manifest in {root}: file names must be strings")
+    if not names:
+        raise DataError(f"manifest in {root} lists no objects")
     objects = [load_object(root / name) for name in names]
     table = load_table(root / table_name)
     return objects, table, manifest
@@ -191,6 +193,31 @@ def _observe(obj, k: int, run: RunConfig):
     """First k spread-out hemisphere observations of an object."""
     views = hemisphere_candidates(k, intrinsics=eval_intrinsics(run.image_size))
     return [(*render_views(obj, v, run.resolution, run.channels), v) for v in views]
+
+
+def _stage_models(args, run: RunConfig) -> StageModels:
+    """The ``--structure`` and ``--affordance`` checkpoints, checked against the run."""
+    return StageModels(
+        structure=load_model(args.structure, run.resolution, run.channels, "structure"),
+        affordance=load_model(args.affordance, run.resolution, run.channels, "affordance"),
+    )
+
+
+def _trace_rows(trace) -> list[dict]:
+    """One metric row per view of a planning trace."""
+    ident = {"object": trace.object_id, "query": trace.query, "strategy": trace.strategy}
+    return [{**ident, "views": i + 1, **step.metrics} for i, step in enumerate(trace.steps)]
+
+
+def _mean_row(rows, **ident) -> dict:
+    """The ``mean`` row of ``rows``: ``ident`` as given, and every other
+    metric of the first row averaged over the rows where it is not None."""
+    row = {"object": "mean", "query": None, **ident}
+    for key in rows[0]:
+        if key not in row:
+            defined = [r[key] for r in rows if r[key] is not None]
+            row[key] = float(np.mean(defined)) if defined else None
+    return row
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -311,10 +338,7 @@ def cmd_plan(args, run: RunConfig) -> int:
     strategy = args.strategy if args.strategy is not None else run.strategy
     obj = load_object(args.object)
     table = load_table(args.table) if args.table else default_query_table(run.channels)
-    models = StageModels(
-        structure=load_model(args.structure, run.resolution, run.channels, "structure"),
-        affordance=load_model(args.affordance, run.resolution, run.channels, "affordance"),
-    )
+    models = _stage_models(args, run)
     start = worst_initial_view(obj, args.query, run.candidates(), run.resolution, table)
     trace = active_loop(
         obj,
@@ -331,23 +355,8 @@ def cmd_plan(args, run: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     echo = _echo(run, "plan", query=args.query, budget=budget, strategy=strategy)
     _write_json(out / "trace.json", {**trace_to_dict(trace), "config": echo})
-    rows = [
-        {
-            "object": obj.object_id,
-            "query": args.query,
-            "strategy": strategy,
-            "views": i + 1,
-            **step.metrics,
-        }
-        for i, step in enumerate(trace.steps)
-    ]
-    write_metrics_csv(out / "metrics.csv", rows, config_echo=echo)
+    write_metrics_csv(out / "metrics.csv", _trace_rows(trace), config_echo=echo)
     return 0
-
-
-def _mean_or_none(values) -> float | None:
-    defined = [v for v in values if v is not None]
-    return float(np.mean(defined)) if defined else None
 
 
 def cmd_bench(args, run: RunConfig) -> int:
@@ -360,12 +369,12 @@ def cmd_bench(args, run: RunConfig) -> int:
             "single_view": load_model(args.structure_single, run.resolution, run.channels, "structure"),
             "multi_view": load_model(args.structure_multi, run.resolution, run.channels, "structure"),
         }
-        kinds = sorted(models)
+        strategies, n_views = sorted(models), 8
         for obj in objects:
             gt = occupied_indices(obj, run.resolution)
-            for k in range(1, 9):
+            for k in range(1, n_views + 1):
                 observations = _observe(obj, k, run)
-                for kind in kinds:
+                for kind in strategies:
                     occ = reconstruct(
                         observations,
                         models[kind],
@@ -382,76 +391,39 @@ def cmd_bench(args, run: RunConfig) -> int:
                             "iou": volumetric_iou(occ, gt, run.resolution),
                         }
                     )
-        for kind in kinds:
-            for k in range(1, 9):
-                sample = [r["iou"] for r in rows if r["strategy"] == kind and r["views"] == k]
-                rows.append(
-                    {
-                        "object": "mean",
-                        "query": None,
-                        "strategy": kind,
-                        "views": k,
-                        "iou": float(np.mean(sample)),
-                    }
-                )
         extra = {"suite": args.suite}
     else:
         if not (args.structure and args.affordance):
             raise ConfigError("strategy_vs_aiou needs --structure and --affordance")
-        budget = _budget(args, run)
-        models = StageModels(
-            structure=load_model(args.structure, run.resolution, run.channels, "structure"),
-            affordance=load_model(args.affordance, run.resolution, run.channels, "affordance"),
-        )
+        strategies, n_views = STRATEGIES, _budget(args, run)
+        models = _stage_models(args, run)
         candidates = run.candidates()
-        evaluated = 0
         for obj in objects:
             queries = table.queries_for(obj)
             if not queries:
                 continue
-            query = queries[0]
-            start = worst_initial_view(obj, query, candidates, run.resolution, table)
-            evaluated += 1
-            for strategy in STRATEGIES:
+            start = worst_initial_view(obj, queries[0], candidates, run.resolution, table)
+            for strategy in strategies:
                 trace = active_loop(
                     obj,
-                    query,
+                    queries[0],
                     start.viewpoint,
-                    budget,
+                    n_views,
                     strategy,
                     models,
                     run,
                     rng=np.random.default_rng(run.seed),
                     table=table,
                 )
-                for i, step in enumerate(trace.steps):
-                    rows.append(
-                        {
-                            "object": obj.object_id,
-                            "query": query,
-                            "strategy": strategy,
-                            "views": i + 1,
-                            **step.metrics,
-                        }
-                    )
-        if not evaluated:
+                rows += _trace_rows(trace)
+        if not rows:
             raise DataError("no object in the dataset matches any query")
-        for strategy in STRATEGIES:
-            for k in range(1, budget + 1):
-                sample = [r for r in rows if r["strategy"] == strategy and r["views"] == k]
-                rows.append(
-                    {
-                        "object": "mean",
-                        "query": None,
-                        "strategy": strategy,
-                        "views": k,
-                        "iou": _mean_or_none([r["iou"] for r in sample]),
-                        "aiou": _mean_or_none([r["aiou"] for r in sample]),
-                        "acd": _mean_or_none([r["acd"] for r in sample]),
-                        "acd_excluded": _mean_or_none([r["acd_excluded"] for r in sample]),
-                    }
-                )
-        extra = {"suite": args.suite, "budget": budget}
+        extra = {"suite": args.suite, "budget": n_views}
+    rows += [
+        _mean_row([r for r in rows if r["strategy"] == s and r["views"] == k], strategy=s, views=k)
+        for s in strategies
+        for k in range(1, n_views + 1)
+    ]
     write_metrics_csv(args.out, rows, config_echo=_echo(run, "bench", **extra))
     return 0
 
@@ -507,11 +479,7 @@ def cmd_eval(args, run: RunConfig) -> int:
             row[f"iou_t{int(round(tau * 100)):02d}"] = iou_t
             row[f"cd_t{int(round(tau * 100)):02d}"] = cd_t
         rows.append(row)
-    scalar_keys = [k for k in rows[0] if k not in ("object", "query")]
-    aggregate = {"object": "mean", "query": None}
-    for key in scalar_keys:
-        aggregate[key] = _mean_or_none([row[key] for row in rows])
-    rows.append(aggregate)
+    rows.append(_mean_row(rows))
     write_metrics_csv(args.out, rows, config_echo=_echo(run, "eval", pairs=len(args.pred)))
     return 0
 

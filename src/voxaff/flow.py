@@ -6,10 +6,11 @@ target for a velocity model is the constant path derivative (eps - X_0),
 so a perfect model undoes the corruption in a single Euler step.  The
 sampler walks the uniform grid t = 1, 1 - dt, ..., dt with dt = 1/steps.
 
-All losses here are pure numpy functions with hand-derived gradients;
-`velocity_mask_loss` composes the mask loss with the clean-sample
-estimate (eps - v) so callers training through that path get both the
-value and the gradient with the chain-rule sign already applied.
+Each loss here is a pure numpy function that returns its value and its
+hand-derived gradient, ``(loss, dloss)``: the ``loss_fn`` contract of
+``netcore.backward``.  `velocity_mask_loss` composes the mask loss with
+the clean-sample estimate (eps - v), with the chain-rule sign already
+applied to the gradient.
 """
 
 from __future__ import annotations
@@ -91,18 +92,12 @@ def velocity_target(x0: Array, eps: Array) -> Array:
     return np.asarray(eps, dtype=float) - np.asarray(x0, dtype=float)
 
 
-def cfm_loss_mse(v_pred: Array, x0: Array, eps: Array) -> float:
-    """Mean squared error against the straight-path velocity target."""
+def cfm_loss_mse(v_pred: Array, x0: Array, eps: Array) -> tuple[float, Array]:
+    """Mean squared error against the straight-path velocity target, and
+    its gradient with respect to ``v_pred``."""
     _check_same_shape(v_pred, x0, "cfm_loss_mse")
     diff = np.asarray(v_pred, dtype=float) - velocity_target(x0, eps)
-    return float(np.mean(diff * diff))
-
-
-def cfm_loss_mse_grad(v_pred: Array, x0: Array, eps: Array) -> Array:
-    """d cfm_loss_mse / d v_pred (mean reduction)."""
-    _check_same_shape(v_pred, x0, "cfm_loss_mse_grad")
-    diff = np.asarray(v_pred, dtype=float) - velocity_target(x0, eps)
-    return 2.0 * diff / diff.size
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
 def predicted_clean(v_pred: Array, eps: Array) -> Array:
@@ -134,8 +129,9 @@ def _check_binary(gt: Array):
         raise DataError("mask ground truth must be binary (0/1)")
 
 
-def mask_loss(pred_logits: Array, gt_binary: Array) -> float:
-    """Binary cross-entropy (mean, from logits) plus smoothed Dice loss."""
+def mask_loss(pred_logits: Array, gt_binary: Array) -> tuple[float, Array]:
+    """Binary cross-entropy (mean, from logits) plus smoothed Dice loss, and
+    its elementwise gradient with respect to ``pred_logits``."""
     p = np.asarray(pred_logits, dtype=float)
     gt = np.asarray(gt_binary, dtype=float)
     _check_same_shape(p, gt, "mask_loss")
@@ -143,24 +139,13 @@ def mask_loss(pred_logits: Array, gt_binary: Array) -> float:
     bce = float(np.mean(_softplus(p) - p * gt))
     s = sigmoid(p)
     s0 = DICE_SMOOTHING
-    dice = 1.0 - (2.0 * float(np.sum(s * gt)) + s0) / (float(np.sum(s) + np.sum(gt)) + s0)
-    return bce + dice
-
-
-def mask_loss_grad(pred_logits: Array, gt_binary: Array) -> Array:
-    """d mask_loss / d pred_logits, elementwise."""
-    p = np.asarray(pred_logits, dtype=float)
-    gt = np.asarray(gt_binary, dtype=float)
-    _check_same_shape(p, gt, "mask_loss_grad")
-    _check_binary(gt)
-    s = sigmoid(p)
-    grad_bce = (s - gt) / p.size
-    s0 = DICE_SMOOTHING
     a = float(np.sum(s * gt))
     denom = float(np.sum(s) + np.sum(gt)) + s0
+    dice = 1.0 - (2.0 * a + s0) / denom
+    grad_bce = (s - gt) / p.size
     # quotient rule on (2A + s0)/denom, then sigmoid chain
     grad_dice = -(2.0 * gt * denom - (2.0 * a + s0)) / (denom * denom)
-    return grad_bce + grad_dice * s * (1.0 - s)
+    return bce + dice, grad_bce + grad_dice * s * (1.0 - s)
 
 
 def velocity_mask_loss(v_pred: Array, eps: Array, gt_binary: Array) -> tuple[float, Array]:
@@ -169,8 +154,8 @@ def velocity_mask_loss(v_pred: Array, eps: Array, gt_binary: Array) -> tuple[flo
     loss = mask_loss(eps - v_pred, gt); since the estimate moves opposite
     to the velocity, the returned gradient is the negated logit gradient.
     """
-    clean = predicted_clean(v_pred, eps)
-    return mask_loss(clean, gt_binary), -mask_loss_grad(clean, gt_binary)
+    loss, dlogits = mask_loss(predicted_clean(v_pred, eps), gt_binary)
+    return loss, -dlogits
 
 
 def sample_timestep(rng: np.random.Generator) -> float:

@@ -179,6 +179,13 @@ def _up_for(direction: Array) -> Array:
     return _WORLD_UP
 
 
+def orbit_view(direction: Array, intrinsics: CameraIntrinsics) -> Viewpoint:
+    """Camera on the view sphere: at ``VIEW_RADIUS * direction`` for a unit
+    ``direction``, looking at the origin with world +z up (+y at the poles)."""
+    pose = look_at(VIEW_RADIUS * direction, (0.0, 0.0, 0.0), up=_up_for(-direction))
+    return Viewpoint(intrinsics=intrinsics, pose=pose)
+
+
 def hemisphere_candidates(k: int, intrinsics: CameraIntrinsics) -> list[Viewpoint]:
     """k candidate cameras on the upper hemisphere of radius ``VIEW_RADIUS``.
 
@@ -193,16 +200,12 @@ def hemisphere_candidates(k: int, intrinsics: CameraIntrinsics) -> list[Viewpoin
     """
     if k < 1:
         raise DomainError(f"candidate count must be >= 1, got {k}")
-    target = np.zeros(3)
     views = []
     for i in range(k):
         z = 1.0 if k == 1 else 1.0 - i / (k - 1)
         s = math.sqrt(max(0.0, 1.0 - z * z))
         phi = i * GOLDEN_ANGLE
-        direction = np.array([s * math.cos(phi), s * math.sin(phi), z])
-        origin = target + VIEW_RADIUS * direction
-        pose = look_at(origin, target, up=_up_for(target - origin))
-        views.append(Viewpoint(intrinsics=intrinsics, pose=pose))
+        views.append(orbit_view(np.array([s * math.cos(phi), s * math.sin(phi), z]), intrinsics))
     return views
 
 

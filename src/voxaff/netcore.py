@@ -46,15 +46,8 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .flow import (
-    FlowConfig,
-    cfm_loss_mse,
-    cfm_loss_mse_grad,
-    interpolate,
-    sample_timestep,
-    velocity_mask_loss,
-)
-from .geometry import VIEW_RADIUS, CameraIntrinsics, Viewpoint, _up_for, eval_intrinsics, look_at
+from .flow import FlowConfig, cfm_loss_mse, interpolate, sample_timestep, velocity_mask_loss
+from .geometry import CameraIntrinsics, Viewpoint, eval_intrinsics, orbit_view
 from .render import render_views
 from .synthscene import (
     QueryTable,
@@ -346,10 +339,7 @@ def random_hemisphere_view(rng: np.random.Generator, intrinsics: CameraIntrinsic
     z = rng.random()
     phi = 2.0 * np.pi * rng.random()
     s = np.sqrt(max(0.0, 1.0 - z * z))
-    direction = np.array([s * np.cos(phi), s * np.sin(phi), z])
-    origin = VIEW_RADIUS * direction
-    pose = look_at(origin, (0.0, 0.0, 0.0), up=_up_for(-direction))
-    return Viewpoint(intrinsics=intrinsics, pose=pose)
+    return orbit_view(np.array([s * np.cos(phi), s * np.sin(phi), z]), intrinsics)
 
 
 def _corruption(x0: Array, flow_cfg: FlowConfig, rng: np.random.Generator):
@@ -359,14 +349,18 @@ def _corruption(x0: Array, flow_cfg: FlowConfig, rng: np.random.Generator):
     return t, eps, interpolate(x0, eps, t)
 
 
-def _fit(model: VelocityModel, sample_fn, cfg: TrainerConfig) -> TrainResult:
-    """The training loop both trainers share.
+def _fit(cond_dim: int, sample_fn, cfg: TrainerConfig) -> TrainResult:
+    """The training loop both trainers share, from a fresh model whose
+    condition is ``cond_dim`` wide.
 
     ``sample_fn(rng)`` makes every random draw of one batch item and
     returns ``(tokens, cond, t, loss_fn)``.  Each step averages the batch
     gradients into one Adam update and, when ``cfg.ema_rate`` is set,
     folds the parameters into an EMA that replaces them at the end.
     """
+    model = VelocityModel.create(
+        token_dim=1 + PE_DIM, cond_dim=cond_dim, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
+    )
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState.for_params(model.params)
     ema = {k: p.copy() for k, p in model.params.items()} if cfg.ema_rate else None
@@ -432,17 +426,9 @@ def train_structure(
         if rng.random() < cfg.cfg_dropout:
             cond = zero_cond
         t, eps, x_t = _corruption(x0, flow_cfg, rng)
-        return (
-            np.column_stack([x_t, pe]),
-            cond,
-            t,
-            lambda v: (cfm_loss_mse(v, x0, eps), cfm_loss_mse_grad(v, x0, eps)),
-        )
+        return np.column_stack([x_t, pe]), cond, t, lambda v: cfm_loss_mse(v, x0, eps)
 
-    model = VelocityModel.create(
-        token_dim=1 + PE_DIM, cond_dim=channels, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
-    )
-    return _fit(model, sample, cfg)
+    return _fit(channels, sample, cfg)
 
 
 def train_affordance(
@@ -482,10 +468,7 @@ def train_affordance(
         t, eps, a_t = _corruption(2.0 * gt - 1.0, flow_cfg, rng)
         return np.column_stack([a_t, pe]), cond, t, lambda v: velocity_mask_loss(v, eps, gt)
 
-    model = VelocityModel.create(
-        token_dim=1 + PE_DIM, cond_dim=table.dim, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
-    )
-    return _fit(model, sample, cfg)
+    return _fit(table.dim, sample, cfg)
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -32,12 +32,10 @@ from .errors import (
 )
 from .flow import FlowConfig, cfg_combine, euler_sample, sigmoid
 from .geometry import (
-    VIEW_RADIUS,
     Viewpoint,
-    _up_for,
     eval_intrinsics,
     hemisphere_candidates,
-    look_at,
+    orbit_view,
     viewpoint_to_dict,
 )
 from .metrics import aiou_acd, volumetric_iou
@@ -278,16 +276,8 @@ def _azimuth_of(view: Viewpoint) -> float:
 
 
 def _sequential_view(azimuth: float, intrinsics) -> Viewpoint:
-    direction = np.array(
-        [
-            math.cos(SEQUENTIAL_ELEVATION) * math.cos(azimuth),
-            math.cos(SEQUENTIAL_ELEVATION) * math.sin(azimuth),
-            math.sin(SEQUENTIAL_ELEVATION),
-        ]
-    )
-    origin = VIEW_RADIUS * direction
-    pose = look_at(origin, (0.0, 0.0, 0.0), up=_up_for(-direction))
-    return Viewpoint(intrinsics=intrinsics, pose=pose)
+    c, s = math.cos(SEQUENTIAL_ELEVATION), math.sin(SEQUENTIAL_ELEVATION)
+    return orbit_view(np.array([c * math.cos(azimuth), c * math.sin(azimuth), s]), intrinsics)
 
 
 def _matching_candidate(view: Viewpoint, candidates) -> int | None:

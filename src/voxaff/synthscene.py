@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,6 +267,15 @@ class QueryTable:
 
     entries: dict  # query -> (tag, embedding)
     dim: int
+
+    def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise DomainError(f"query table dim must be a positive integer, got {self.dim!r}")
+        for query, (tag, embedding) in self.entries.items():
+            if not isinstance(tag, str):
+                raise DomainError(f"query {query!r} has a tag that is not a string: {tag!r}")
+            if np.shape(embedding) != (self.dim,) or not np.all(np.isfinite(embedding)):
+                raise DomainError(f"query {query!r} needs a finite embedding of shape ({self.dim},)")
 
     def tag_of(self, query: str) -> str:
         try:
@@ -610,7 +620,7 @@ def table_from_dict(data: dict) -> QueryTable:
             q: (rec["tag"], np.array(rec["embedding"], dtype=float))
             for q, rec in data["queries"].items()
         }
-        return QueryTable(entries=entries, dim=int(data["dim"]))
+        return QueryTable(entries=entries, dim=data["dim"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed query table: {exc}") from exc
 

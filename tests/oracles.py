@@ -8,6 +8,14 @@
 * ``reference_forward`` / ``reference_backward``: the velocity MLP with a
   fresh array per layer, which the work-buffer forward and backward must
   match bit for bit.
+* ``reference_hemisphere_candidates``, ``reference_random_hemisphere_view``
+  and ``reference_sequential_view``: the three camera placements as each
+  was written before ``geometry.orbit_view`` took over their shared part;
+  the cameras built today must equal them bit for bit.
+* ``reference_cfm_loss_mse`` / ``reference_cfm_loss_mse_grad`` and
+  ``reference_mask_loss`` / ``reference_mask_loss_grad``: each loss and its
+  gradient as separate functions, which the merged ``(loss, dloss)``
+  losses must match exactly.
 * ``viewpoint_from_dict``: the inverse of ``viewpoint_to_dict``, so a
   round trip pins the viewpoint records that ``trace.json`` holds.
 * ``sparse_grid_from_entries`` / ``heatmap_from_entries``: builders from
@@ -23,8 +31,26 @@ import math
 import numpy as np
 
 from voxaff.errors import DomainError, NumericalError
-from voxaff.geometry import CameraIntrinsics, Pose, Viewpoint, _vec3
+from voxaff.flow import (
+    DICE_SMOOTHING,
+    _check_binary,
+    _check_same_shape,
+    _softplus,
+    sigmoid,
+    velocity_target,
+)
+from voxaff.geometry import (
+    GOLDEN_ANGLE,
+    VIEW_RADIUS,
+    CameraIntrinsics,
+    Pose,
+    Viewpoint,
+    _up_for,
+    _vec3,
+    look_at,
+)
 from voxaff.netcore import _stack_inputs, backward, forward
+from voxaff.pipeline import SEQUENTIAL_ELEVATION
 from voxaff.render import DepthImage, _first_hits
 from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, as_index_array
 
@@ -142,6 +168,91 @@ def reference_backward(model, loss_fn, batch) -> tuple[float, dict]:
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"gradient for {name} is not finite")
     return float(loss), grads
+
+
+def reference_hemisphere_candidates(k: int, intrinsics: CameraIntrinsics) -> list[Viewpoint]:
+    """``geometry.hemisphere_candidates`` with its camera placement inline."""
+    if k < 1:
+        raise DomainError(f"candidate count must be >= 1, got {k}")
+    target = np.zeros(3)
+    views = []
+    for i in range(k):
+        z = 1.0 if k == 1 else 1.0 - i / (k - 1)
+        s = math.sqrt(max(0.0, 1.0 - z * z))
+        phi = i * GOLDEN_ANGLE
+        direction = np.array([s * math.cos(phi), s * math.sin(phi), z])
+        origin = target + VIEW_RADIUS * direction
+        pose = look_at(origin, target, up=_up_for(target - origin))
+        views.append(Viewpoint(intrinsics=intrinsics, pose=pose))
+    return views
+
+
+def reference_random_hemisphere_view(rng: np.random.Generator, intrinsics: CameraIntrinsics) -> Viewpoint:
+    """``netcore.random_hemisphere_view`` with its camera placement inline."""
+    z = rng.random()
+    phi = 2.0 * np.pi * rng.random()
+    s = np.sqrt(max(0.0, 1.0 - z * z))
+    direction = np.array([s * np.cos(phi), s * np.sin(phi), z])
+    origin = VIEW_RADIUS * direction
+    pose = look_at(origin, (0.0, 0.0, 0.0), up=_up_for(-direction))
+    return Viewpoint(intrinsics=intrinsics, pose=pose)
+
+
+def reference_sequential_view(azimuth: float, intrinsics) -> Viewpoint:
+    """``pipeline._sequential_view`` with its camera placement inline."""
+    direction = np.array(
+        [
+            math.cos(SEQUENTIAL_ELEVATION) * math.cos(azimuth),
+            math.cos(SEQUENTIAL_ELEVATION) * math.sin(azimuth),
+            math.sin(SEQUENTIAL_ELEVATION),
+        ]
+    )
+    origin = VIEW_RADIUS * direction
+    pose = look_at(origin, (0.0, 0.0, 0.0), up=_up_for(-direction))
+    return Viewpoint(intrinsics=intrinsics, pose=pose)
+
+
+def reference_cfm_loss_mse(v_pred, x0, eps) -> float:
+    """Mean squared error against the straight-path velocity target."""
+    _check_same_shape(v_pred, x0, "cfm_loss_mse")
+    diff = np.asarray(v_pred, dtype=float) - velocity_target(x0, eps)
+    return float(np.mean(diff * diff))
+
+
+def reference_cfm_loss_mse_grad(v_pred, x0, eps) -> np.ndarray:
+    """d cfm_loss_mse / d v_pred (mean reduction)."""
+    _check_same_shape(v_pred, x0, "cfm_loss_mse_grad")
+    diff = np.asarray(v_pred, dtype=float) - velocity_target(x0, eps)
+    return 2.0 * diff / diff.size
+
+
+def reference_mask_loss(pred_logits, gt_binary) -> float:
+    """Binary cross-entropy (mean, from logits) plus smoothed Dice loss."""
+    p = np.asarray(pred_logits, dtype=float)
+    gt = np.asarray(gt_binary, dtype=float)
+    _check_same_shape(p, gt, "mask_loss")
+    _check_binary(gt)
+    bce = float(np.mean(_softplus(p) - p * gt))
+    s = sigmoid(p)
+    s0 = DICE_SMOOTHING
+    dice = 1.0 - (2.0 * float(np.sum(s * gt)) + s0) / (float(np.sum(s) + np.sum(gt)) + s0)
+    return bce + dice
+
+
+def reference_mask_loss_grad(pred_logits, gt_binary) -> np.ndarray:
+    """d mask_loss / d pred_logits, elementwise."""
+    p = np.asarray(pred_logits, dtype=float)
+    gt = np.asarray(gt_binary, dtype=float)
+    _check_same_shape(p, gt, "mask_loss_grad")
+    _check_binary(gt)
+    s = sigmoid(p)
+    grad_bce = (s - gt) / p.size
+    s0 = DICE_SMOOTHING
+    a = float(np.sum(s * gt))
+    denom = float(np.sum(s) + np.sum(gt)) + s0
+    # quotient rule on (2A + s0)/denom, then sigmoid chain
+    grad_dice = -(2.0 * gt * denom - (2.0 * a + s0)) / (denom * denom)
+    return grad_bce + grad_dice * s * (1.0 - s)
 
 
 def sparse_grid_from_entries(resolution, channels, indices, features, weights) -> SparseVoxelGrid:

@@ -30,7 +30,6 @@ from voxaff import cli
 from voxaff.flow import (
     FlowConfig,
     cfm_loss_mse,
-    cfm_loss_mse_grad,
     euler_sample,
     interpolate,
     mask_loss,
@@ -264,7 +263,7 @@ def test_criterion_02_flow_algebra_and_mask_loss_identities():
     assert float(np.max(np.abs(recovered - target))) < 1e-12
 
     # zero logits: cross-entropy ln 2; sigmoid 1/2 gives Dice 1 - 3/5
-    loss = mask_loss(np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]))
+    loss, _ = mask_loss(np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]))
     assert abs(loss - (math.log(2.0) + 0.4)) < 1e-12
     _done(2, "interpolation endpoints, clean-sample identity, one-step recovery, mask hand value")
 
@@ -281,9 +280,7 @@ def test_criterion_03_analytic_gradients_match_finite_differences():
     batch = (rng.standard_normal((7, 5)), rng.standard_normal(2), 0.4)
     x0 = rng.standard_normal(7)
     eps = rng.standard_normal(7)
-    err_match = gradient_check(
-        model, lambda v: (cfm_loss_mse(v, x0, eps), cfm_loss_mse_grad(v, x0, eps)), batch
-    )
+    err_match = gradient_check(model, lambda v: cfm_loss_mse(v, x0, eps), batch)
     assert err_match < 1e-4
 
     eps_mask = 5.0 * rng.standard_normal(7)

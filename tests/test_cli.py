@@ -609,15 +609,25 @@ READERS = {
 }
 
 
+#: Other commands that read an artifact, named "<artifact>@<command>".
+OTHER_READERS = {
+    "table@train": READERS["manifest"],
+    "manifest@bench": ["bench", "--suite", "views_vs_iou", "--dataset", "{data}",
+                       "--structure-single", "{structure}", "--structure-multi", "{structure}"],
+}
+
+
 def _run_corrupted(walk, tmp_path, artifact, mutate):
     """Copy the walkthrough, rewrite one artifact as ``mutate`` of its
-    record, and run the command that reads it."""
+    record, and run the command that reads it (``READERS``, or
+    ``OTHER_READERS`` for an "<artifact>@<command>" name)."""
     root = tmp_path / "walk"
     shutil.copytree(walk, root)
     files = {name: str(root / rel) for name, rel in WALK_FILES.items()}
-    path = pathlib.Path(files[artifact])
+    path = pathlib.Path(files[artifact.partition("@")[0]])
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
-    argv = [arg.format(**files) for arg in READERS[artifact]]
+    reader = OTHER_READERS[artifact] if "@" in artifact else READERS[artifact]
+    argv = [arg.format(**files) for arg in reader]
     return cli.main(argv + ["--config", files["config"], "--out", str(tmp_path / "out")])
 
 
@@ -629,6 +639,18 @@ def _replaced(path, value):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+        return record
+    return mutate
+
+
+def _one_wide_table(dim):
+    """A mutation that sets the table's ``dim`` and keeps the first entry of
+    every embedding, so that the embeddings are one wide."""
+    def mutate(record):
+        record = copy.deepcopy(record)
+        record["dim"] = dim
+        for entry in record["queries"].values():
+            entry["embedding"] = entry["embedding"][:1]
         return record
     return mutate
 
@@ -652,7 +674,17 @@ def _torus_head(major_radius):
     [
         ("manifest", _replaced(("objects",), [5]), 3),
         ("manifest", _replaced(("table",), "missing.json"), 3),
+        ("manifest@bench", _replaced(("objects",), []), 3),
         ("table", _replaced(("queries",), [1]), 3),
+        ("table@train", _replaced(("dim",), -1), 3),
+        ("table@train", _replaced(("dim",), 1e300), 3),
+        ("table@train", _replaced(("dim",), 0), 3),
+        ("table@train", _one_wide_table(1.5), 3),
+        ("table@train", _replaced(("queries", "strike a nail", "tag"), []), 3),
+        ("table@train", _replaced(("queries", "strike a nail", "tag"), {}), 3),
+        ("table", _replaced(("dim",), True), 3),
+        ("table", _replaced(("queries", "strike a nail", "embedding", 0), math.nan), 3),
+        ("table", _replaced(("queries", "strike a nail", "embedding"), [0.5] * 15), 3),
         ("scene", _replaced(("parts",), [1]), 3),
         ("scene", _replaced(("parts", 0, "rotation", 0), 1e308), 3),
         ("scene", _replaced(("parts", 0, "scale", 0), math.inf), 3),
@@ -670,7 +702,11 @@ def _torus_head(major_radius):
         ("occupancy", _replaced(("occupied", 0, 2), 1e308), 3),
         ("heatmap", _replaced(("heatmap", "positions", 0, 2), 1e308), 3),
     ],
-    ids=["manifest-object-5", "manifest-missing-table", "table-queries-list",
+    ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
+         "table-queries-list", "table-dim-minus-1-train", "table-dim-1e300-train",
+         "table-dim-0-train", "table-dim-1.5-train", "table-tag-list-train",
+         "table-tag-dict-train", "table-dim-true", "table-embedding-nan",
+         "table-embedding-short",
          "scene-parts-list", "scene-rotation-1e308", "scene-scale-inf",
          "scene-scale-1e-320", "scene-scale-1e-300",
          "scene-torus-radius-1e308", "scene-translation-int-1e400", "scene-label-list",

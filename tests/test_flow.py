@@ -8,6 +8,12 @@ import numpy as np
 import pytest
 
 import voxaff.flow as fl
+from oracles import (
+    reference_cfm_loss_mse,
+    reference_cfm_loss_mse_grad,
+    reference_mask_loss,
+    reference_mask_loss_grad,
+)
 from voxaff.errors import (
     ConfigError,
     DataError,
@@ -65,13 +71,13 @@ def test_cfm_loss_mse_values_and_oracle():
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal((2, 5))
     eps = rng.standard_normal((2, 5))
-    assert fl.cfm_loss_mse(fl.velocity_target(x0, eps), x0, eps) == 0.0
-    assert fl.cfm_loss_mse(np.ones(7), np.zeros(7), np.zeros(7)) == pytest.approx(1.0)
+    assert fl.cfm_loss_mse(fl.velocity_target(x0, eps), x0, eps)[0] == 0.0
+    assert fl.cfm_loss_mse(np.ones(7), np.zeros(7), np.zeros(7))[0] == pytest.approx(1.0)
     v = rng.standard_normal((2, 5))
     brute = sum(
         (v[i, j] - (eps[i, j] - x0[i, j])) ** 2 for i in range(2) for j in range(5)
     ) / 10.0
-    assert fl.cfm_loss_mse(v, x0, eps) == pytest.approx(brute, abs=1e-14)
+    assert fl.cfm_loss_mse(v, x0, eps)[0] == pytest.approx(brute, abs=1e-14)
 
 
 def test_predicted_clean_inverts_velocity_target():
@@ -105,20 +111,20 @@ def _naive_dice(p, gt):
 def test_mask_loss_hand_case():
     pred = np.zeros(4)
     gt = np.array([1.0, 0.0, 1.0, 0.0])
-    assert fl.mask_loss(pred, gt) == pytest.approx(math.log(2.0) + 0.4, abs=1e-12)
+    assert fl.mask_loss(pred, gt)[0] == pytest.approx(math.log(2.0) + 0.4, abs=1e-12)
 
 
 def test_mask_loss_zero_logits_bce_is_ln2():
     rng = np.random.default_rng(5)
     gt = (rng.random(9) < 0.5).astype(float)
-    total = fl.mask_loss(np.zeros(9), gt)
+    total = fl.mask_loss(np.zeros(9), gt)[0]
     assert total - _naive_dice(np.zeros(9), gt) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_mask_loss_saturated_predictions_vanish():
     gt = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
     pred = np.where(gt == 1.0, 20.0, -20.0)
-    assert fl.mask_loss(pred, gt) < 1e-6
+    assert fl.mask_loss(pred, gt)[0] < 1e-6
 
 
 def test_mask_loss_decomposes_and_is_nonnegative():
@@ -127,7 +133,7 @@ def test_mask_loss_decomposes_and_is_nonnegative():
         n = int(rng.integers(1, 12))
         p = rng.standard_normal(n) * 3.0
         gt = (rng.random(n) < 0.5).astype(float)
-        total = fl.mask_loss(p, gt)
+        total = fl.mask_loss(p, gt)[0]
         assert total >= 0.0
         assert total == pytest.approx(_naive_bce(p, gt) + _naive_dice(p, gt), abs=1e-12)
 
@@ -139,7 +145,7 @@ def test_mask_loss_rejects_nonbinary_gt():
 
 def test_mask_loss_stable_at_extreme_logits():
     gt = np.array([0.0, 1.0])
-    val = fl.mask_loss(np.array([500.0, -500.0]), gt)
+    val = fl.mask_loss(np.array([500.0, -500.0]), gt)[0]
     assert np.isfinite(val) and val > 100.0  # confidently wrong, not overflowed
 
 
@@ -170,16 +176,16 @@ def test_cfm_loss_grad_matches_finite_differences():
     x0 = rng.standard_normal((3, 4))
     eps = rng.standard_normal((3, 4))
     v = rng.standard_normal((3, 4))
-    numeric = _central_diff(lambda vv: fl.cfm_loss_mse(vv, x0, eps), v)
-    _assert_grad_close(fl.cfm_loss_mse_grad(v, x0, eps), numeric)
+    numeric = _central_diff(lambda vv: fl.cfm_loss_mse(vv, x0, eps)[0], v)
+    _assert_grad_close(fl.cfm_loss_mse(v, x0, eps)[1], numeric)
 
 
 def test_mask_loss_grad_matches_finite_differences():
     rng = np.random.default_rng(8)
     p = rng.standard_normal(11) * 2.0
     gt = (rng.random(11) < 0.4).astype(float)
-    numeric = _central_diff(lambda pp: fl.mask_loss(pp, gt), p)
-    _assert_grad_close(fl.mask_loss_grad(p, gt), numeric)
+    numeric = _central_diff(lambda pp: fl.mask_loss(pp, gt)[0], p)
+    _assert_grad_close(fl.mask_loss(p, gt)[1], numeric)
 
 
 def test_velocity_mask_loss_value_and_gradient():
@@ -188,9 +194,33 @@ def test_velocity_mask_loss_value_and_gradient():
     eps = rng.standard_normal(10) * 5.0
     gt = (rng.random(10) < 0.5).astype(float)
     loss, grad = fl.velocity_mask_loss(v, eps, gt)
-    assert loss == fl.mask_loss(fl.predicted_clean(v, eps), gt)
-    numeric = _central_diff(lambda vv: fl.mask_loss(fl.predicted_clean(vv, eps), gt), v)
+    assert loss == fl.mask_loss(fl.predicted_clean(v, eps), gt)[0]
+    numeric = _central_diff(lambda vv: fl.mask_loss(fl.predicted_clean(vv, eps), gt)[0], v)
     _assert_grad_close(grad, numeric)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (2, 5), (512,)])
+def test_merged_losses_equal_the_separate_value_and_gradient(shape):
+    # Each loss returns exactly what its value and gradient functions did.
+    rng = np.random.default_rng(int(np.prod(shape)))
+    v, x0, eps = (3.0 * rng.standard_normal(shape) for _ in range(3))
+    loss, grad = fl.cfm_loss_mse(v, x0, eps)
+    assert loss == reference_cfm_loss_mse(v, x0, eps)
+    assert np.array_equal(grad, reference_cfm_loss_mse_grad(v, x0, eps))
+
+    gt = (rng.random(shape) < 0.5).astype(float)
+    logits = 4.0 * rng.standard_normal(shape)
+    extreme = rng.random(shape) < 0.25
+    logits[extreme] = rng.choice([500.0, -500.0], size=int(extreme.sum()))
+    for p in (logits, np.full(shape, 500.0), np.full(shape, -500.0)):
+        loss, grad = fl.mask_loss(p, gt)
+        assert loss == reference_mask_loss(p, gt)
+        assert np.array_equal(grad, reference_mask_loss_grad(p, gt))
+
+    loss, grad = fl.velocity_mask_loss(v, eps, gt)
+    clean = fl.predicted_clean(v, eps)
+    assert loss == reference_mask_loss(clean, gt)
+    assert np.array_equal(grad, -reference_mask_loss_grad(clean, gt))
 
 
 # --- timestep sampling -------------------------------------------------------

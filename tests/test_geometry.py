@@ -14,9 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import project_point, unproject_pixel, viewpoint_from_dict
+from oracles import (
+    project_point,
+    reference_hemisphere_candidates,
+    reference_random_hemisphere_view,
+    reference_sequential_view,
+    unproject_pixel,
+    viewpoint_from_dict,
+)
 from voxaff.errors import DomainError
 from voxaff import geometry as geo
+from voxaff import netcore as nc
+from voxaff import pipeline as pl
 
 
 def _identity_view(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4):
@@ -232,6 +241,71 @@ class TestHemisphereCandidates:
     def test_bad_arguments_rejected(self):
         with pytest.raises(DomainError):
             geo.hemisphere_candidates(0, geo.eval_intrinsics())
+
+
+class _ScriptedRng:
+    """Stand-in generator whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self):
+        return self._values.pop(0)
+
+
+def _assert_same_camera(view, want):
+    # Bytes, not values: a -0.0 where the old code had 0.0 would change
+    # the trace files that record these poses.
+    assert view.intrinsics == want.intrinsics
+    assert view.pose.matrix().tobytes() == want.pose.matrix().tobytes()
+
+
+class TestOrbitView:
+    """The three cameras on the view sphere equal the inline constructions
+    that ``orbit_view`` replaced, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_candidates_equal_the_inline_construction(self, k):
+        intr = geo.eval_intrinsics()
+        views = geo.hemisphere_candidates(k, intr)
+        want = reference_hemisphere_candidates(k, intr)
+        assert len(views) == len(want) == k
+        for view, old in zip(views, want):
+            _assert_same_camera(view, old)
+
+    def test_random_views_equal_the_inline_construction(self):
+        intr = geo.eval_intrinsics(64)
+        rng, old_rng = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(200):
+            _assert_same_camera(
+                nc.random_hemisphere_view(rng, intr), reference_random_hemisphere_view(old_rng, intr)
+            )
+        # The pole itself, next to it, and the equator.
+        for draws in ([1.0, 0.25], [1.0 - 1e-13, 0.25], [0.0, 0.75]):
+            _assert_same_camera(
+                nc.random_hemisphere_view(_ScriptedRng(draws), intr),
+                reference_random_hemisphere_view(_ScriptedRng(draws), intr),
+            )
+
+    def test_sequential_circle_equals_the_inline_construction(self):
+        # One full circle from a shipped candidate, stepped as ``active_loop`` steps it.
+        k = 40
+        intr = geo.eval_intrinsics()
+        azimuth = pl._azimuth_of(geo.hemisphere_candidates(k, intr)[7])
+        for _ in range(k + 1):
+            _assert_same_camera(
+                pl._sequential_view(azimuth, intr), reference_sequential_view(azimuth, intr)
+            )
+            azimuth += 2.0 * math.pi / k
+
+    def test_orbit_view_sits_on_the_sphere_and_looks_at_the_origin(self):
+        intr = geo.eval_intrinsics(32)
+        for direction in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -1.0, 0.0]):
+            view = geo.orbit_view(np.array(direction), intr)
+            assert np.array_equal(view.pose.translation, geo.VIEW_RADIUS * np.array(direction))
+            u, v, d = project_point(np.zeros(3), view)
+            assert abs(u - intr.cx) < 1e-9 and abs(v - intr.cy) < 1e-9
+            assert abs(d - geo.VIEW_RADIUS) < 1e-12
 
 
 class TestSerialization:

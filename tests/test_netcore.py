@@ -18,7 +18,7 @@ from voxaff.errors import (
     ShapeMismatchError,
     UntrainedModelError,
 )
-from voxaff.flow import FlowConfig, cfm_loss_mse, cfm_loss_mse_grad, velocity_mask_loss
+from voxaff.flow import FlowConfig, cfm_loss_mse, velocity_mask_loss
 
 
 def _small_model(seed=0, depth=2):
@@ -131,7 +131,7 @@ def test_create_zero_init_layout():
 
 
 def _mse_loss_fn(target, eps):
-    return lambda v: (cfm_loss_mse(v, target, eps), cfm_loss_mse_grad(v, target, eps))
+    return lambda v: cfm_loss_mse(v, target, eps)
 
 
 def test_gradients_match_finite_differences_mse_path():
