@@ -18,6 +18,8 @@
   losses must match exactly.
 * ``viewpoint_from_dict``: the inverse of ``viewpoint_to_dict``, so a
   round trip pins the viewpoint records that ``trace.json`` holds.
+* ``ScriptedRng``: a generator whose draws are given, for the pole case of
+  the random training view.
 * ``sparse_grid_from_entries`` / ``heatmap_from_entries``: builders from
   unsorted entries for the metric-oracle, view-selection and fusion tests.
 * ``occupancy_cube`` / ``raycast_depth``: a depth render of an index set
@@ -253,6 +255,16 @@ def reference_mask_loss_grad(pred_logits, gt_binary) -> np.ndarray:
     # quotient rule on (2A + s0)/denom, then sigmoid chain
     grad_dice = -(2.0 * gt * denom - (2.0 * a + s0)) / (denom * denom)
     return grad_bce + grad_dice * s * (1.0 - s)
+
+
+class ScriptedRng:
+    """Stand-in generator whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self):
+        return self._values.pop(0)
 
 
 def sparse_grid_from_entries(resolution, channels, indices, features, weights) -> SparseVoxelGrid:

@@ -682,7 +682,7 @@ def _torus_head(major_radius):
         ("table@train", _one_wide_table(1.5), 3),
         ("table@train", _replaced(("queries", "strike a nail", "tag"), []), 3),
         ("table@train", _replaced(("queries", "strike a nail", "tag"), {}), 3),
-        ("table", _replaced(("dim",), True), 3),
+        ("table", _one_wide_table(True), 3),
         ("table", _replaced(("queries", "strike a nail", "embedding", 0), math.nan), 3),
         ("table", _replaced(("queries", "strike a nail", "embedding"), [0.5] * 15), 3),
         ("scene", _replaced(("parts",), [1]), 3),

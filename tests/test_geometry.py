@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ScriptedRng,
     project_point,
     reference_hemisphere_candidates,
     reference_random_hemisphere_view,
@@ -243,16 +244,6 @@ class TestHemisphereCandidates:
             geo.hemisphere_candidates(0, geo.eval_intrinsics())
 
 
-class _ScriptedRng:
-    """Stand-in generator whose ``random()`` returns the given values in turn."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
-
-
 def _assert_same_camera(view, want):
     # Bytes, not values: a -0.0 where the old code had 0.0 would change
     # the trace files that record these poses.
@@ -283,8 +274,8 @@ class TestOrbitView:
         # The pole itself, next to it, and the equator.
         for draws in ([1.0, 0.25], [1.0 - 1e-13, 0.25], [0.0, 0.75]):
             _assert_same_camera(
-                nc.random_hemisphere_view(_ScriptedRng(draws), intr),
-                reference_random_hemisphere_view(_ScriptedRng(draws), intr),
+                nc.random_hemisphere_view(ScriptedRng(draws), intr),
+                reference_random_hemisphere_view(ScriptedRng(draws), intr),
             )
 
     def test_sequential_circle_equals_the_inline_construction(self):

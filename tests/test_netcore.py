@@ -9,7 +9,13 @@ import pytest
 
 import voxaff.netcore as nc
 import voxaff.synthscene as sc
-from oracles import gradient_check, project_point, reference_backward, reference_forward
+from oracles import (
+    ScriptedRng,
+    gradient_check,
+    project_point,
+    reference_backward,
+    reference_forward,
+)
 from voxaff.errors import (
     ConfigError,
     DataError,
@@ -455,14 +461,6 @@ def test_ema_variant_produces_different_final_weights():
 # --- random views ------------------------------------------------------------
 
 
-class _ScriptedRng:
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
-
-
 def test_random_hemisphere_view_geometry():
     from voxaff.geometry import eval_intrinsics
 
@@ -482,7 +480,7 @@ def test_random_hemisphere_view_geometry():
 def test_random_hemisphere_view_handles_pole():
     from voxaff.geometry import eval_intrinsics
 
-    view = nc.random_hemisphere_view(_ScriptedRng([1.0 - 1e-13, 0.25]), eval_intrinsics(16))
+    view = nc.random_hemisphere_view(ScriptedRng([1.0 - 1e-13, 0.25]), eval_intrinsics(16))
     assert view.pose.translation[2] == pytest.approx(2.0, abs=1e-6)
 
 
