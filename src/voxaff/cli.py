@@ -164,18 +164,31 @@ def _echo(run: RunConfig, command: str, **extra) -> dict:
 
 
 def _load_dataset(dataset_dir):
-    """Objects, query table, and manifest from a gen-dataset directory."""
+    """Objects, query table, and manifest from a gen-dataset directory.
+
+    Every listed file must match the SHA-256 that the manifest's ``hashes``
+    records for it, so an edited or half-copied dataset is refused.
+    """
     root = pathlib.Path(dataset_dir)
     manifest = _load_json(root / "manifest.json")
     try:
         names = list(manifest["objects"])
         table_name = manifest.get("table", "queries.json")
+        hashes = manifest.get("hashes", {})
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed manifest in {root}: {exc}") from exc
     if not all(isinstance(name, str) for name in [*names, table_name]):
         raise DataError(f"malformed manifest in {root}: file names must be strings")
+    if not isinstance(hashes, dict):
+        raise DataError(f"malformed manifest in {root}: hashes must be a mapping")
     if not names:
         raise DataError(f"manifest in {root} lists no objects")
+    for name in [*names, table_name]:
+        digest = _hash_file(root / name)
+        if name not in hashes:
+            raise DataError(f"manifest in {root} records no hash for {name}")
+        if hashes[name] != digest:
+            raise DataError(f"{root / name} does not match its hash in the manifest")
     objects = [load_object(root / name) for name in names]
     table = load_table(root / table_name)
     return objects, table, manifest

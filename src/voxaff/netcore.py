@@ -17,6 +17,16 @@ and that cost about a third of a forward pass.  Only the per-token
 velocities come back as a fresh array.  The buffers make the forward pass
 single-threaded: two threads must not run it at once.
 
+A model in training holds its parameters as named views into one
+contiguous float64 vector (``VelocityModel.param_views``): each array's
+elements in C order, one array after another in ``params``' order.
+``backward`` writes each step's gradients through views of the same
+layout into one flat buffer, so the batch sum, the finiteness check, Adam
+and the EMA are each a few whole-vector operations.  Every one of them is
+elementwise, so the flat form gives the same floats as one array at a
+time.  ``params`` stays a dict of ``(in, out)`` and ``(out,)`` arrays, and
+the forward pass and its work buffers do not depend on the layout.
+
 Gradients are exact reverse-mode derivations of this stack (no autograd
 dependency), checked against central finite differences in the tests.
 Training runs are pure functions of (dataset, configs, seed): a fixed
@@ -121,6 +131,19 @@ class VelocityModel:
         model.params = params
         return model
 
+    def param_views(self, flat: Array) -> dict:
+        """Named views into the float64 vector ``flat``: each parameter's
+        elements in C order, one parameter after another in ``params``'
+        order."""
+        size = sum(p.size for p in self.params.values())
+        if flat.shape != (size,):
+            raise ShapeMismatchError(f"{flat.shape} vector for {size} parameters")
+        views, start = {}, 0
+        for name, p in self.params.items():
+            views[name] = flat[start : start + p.size].reshape(p.shape)
+            start += p.size
+        return views
+
     def layer_widths(self) -> list[int]:
         return [self.in_dim] + [self.hidden] * self.depth + [1]
 
@@ -198,38 +221,40 @@ def forward(model: VelocityModel, tokens: Array, cond: Array, t: float) -> Array
     return _forward_cached(model, tokens, cond, t)[0]
 
 
-def _velocity_backward(model: VelocityModel, acts: list, dv: Array) -> dict:
-    """Exact gradients of sum(dv * v) with respect to every parameter."""
-    grads = {}
+def _velocity_backward(model: VelocityModel, acts: list, dv: Array, grads: dict):
+    """Write the exact gradients of sum(dv * v) into ``grads``, one view
+    per parameter."""
     delta = np.asarray(dv, dtype=float).reshape(-1, 1)
-    grads["Wout"] = acts[-1].T @ delta
-    grads["bout"] = delta.sum(axis=0)
+    np.matmul(acts[-1].T, delta, out=grads["Wout"])
+    delta.sum(axis=0, out=grads["bout"])
     above = model.params["Wout"]
     # delta is pulled back through a layer only when a layer below needs
     # it: the gradient with respect to the inputs is never used.
     for k in reversed(range(model.depth)):
         delta = (delta @ above.T) * (1.0 - acts[k + 1] ** 2)  # tanh'
-        grads[f"W{k}"] = acts[k].T @ delta
-        grads[f"b{k}"] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=grads[f"W{k}"])
+        delta.sum(axis=0, out=grads[f"b{k}"])
         above = model.params[f"W{k}"]
-    return grads
 
 
-def backward(model: VelocityModel, loss_fn, batch) -> tuple[float, dict]:
+def backward(model: VelocityModel, loss_fn, batch, grad: Array) -> tuple[float, dict]:
     """Loss and exact parameter gradients for one batch.
 
     ``batch`` is (tokens, cond, t); ``loss_fn`` maps the per-token
-    velocities to ``(loss, dloss_dvelocities)``.
+    velocities to ``(loss, dloss_dvelocities)``.  The gradients are written
+    into ``grad``, a float64 vector in the model's parameter layout, and
+    come back as its named views (``VelocityModel.param_views``).
     """
     tokens, cond, t = batch
     v, acts = _forward_cached(model, tokens, cond, t)
     loss, dv = loss_fn(v)
     if not np.isfinite(loss):
         raise NumericalError("loss is not finite")
-    grads = _velocity_backward(model, acts, dv)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"gradient for {name} is not finite")
+    grads = model.param_views(grad)
+    _velocity_backward(model, acts, dv, grads)
+    if not np.isfinite(grad).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalError(f"gradient for {name} is not finite")
     return float(loss), grads
 
 
@@ -238,40 +263,58 @@ def backward(model: VelocityModel, loss_fn, batch) -> tuple[float, dict]:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for adaptive-moment updates."""
+    """First/second moment accumulators for adaptive-moment updates, and a
+    work vector for each side of the update's quotient, all in the flat
+    parameter layout."""
 
-    m: dict
-    v: dict
+    m: Array
+    v: Array
+    work: tuple[Array, Array]
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: dict) -> "AdamState":
+    def for_params(cls, params: Array) -> "AdamState":
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m=np.zeros_like(params),
+            v=np.zeros_like(params),
+            work=(np.empty_like(params), np.empty_like(params)),
         )
 
 
 def adam_update(
-    params: dict,
-    grads: dict,
+    params: Array,
+    grads: Array,
     state: AdamState,
     learning_rate: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One in-place adaptive-moment step with bias correction."""
+    """One in-place adaptive-moment step with bias correction on the flat
+    vector ``params``.
+
+    Each line is one elementwise operation of the textbook update
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+    ``p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``, in that order of operations.
+    """
     state.step += 1
     correction1 = 1.0 - beta1**state.step
     correction2 = 1.0 - beta2**state.step
-    for name in sorted(params):
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / correction1
-        v_hat = state.v[name] / correction2
-        params[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, (step, denom) = state.m, state.v, state.work
+    m *= beta1
+    np.multiply(grads, 1.0 - beta1, out=step)
+    m += step
+    v *= beta2
+    np.multiply(grads, grads, out=step)
+    step *= 1.0 - beta2
+    v += step
+    np.divide(m, correction1, out=step)
+    step *= learning_rate
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
 
 
 # --- training ---------------------------------------------------------------
@@ -356,34 +399,37 @@ def _fit(cond_dim: int, sample_fn, cfg: TrainerConfig) -> TrainResult:
     ``sample_fn(rng)`` makes every random draw of one batch item and
     returns ``(tokens, cond, t, loss_fn)``.  Each step averages the batch
     gradients into one Adam update and, when ``cfg.ema_rate`` is set,
-    folds the parameters into an EMA that replaces them at the end.
+    folds the parameters into an EMA that replaces them at the end.  The
+    parameters, gradients, moments and EMA are flat vectors of one layout,
+    so each of these is a few whole-vector operations.
     """
     model = VelocityModel.create(
         token_dim=1 + PE_DIM, cond_dim=cond_dim, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
     )
+    params = np.concatenate([p.reshape(-1) for p in model.params.values()])
+    model.params = model.param_views(params)
     rng = np.random.default_rng(cfg.seed)
-    adam = AdamState.for_params(model.params)
-    ema = {k: p.copy() for k, p in model.params.items()} if cfg.ema_rate else None
+    adam = AdamState.for_params(params)
+    ema = params.copy() if cfg.ema_rate else None
+    grad, work = np.empty_like(params), np.empty_like(params)
     losses = np.zeros(cfg.steps)
     for step in range(cfg.steps):
-        total_grads, total_loss = None, 0.0
-        for _ in range(cfg.batch_size):
+        total_loss = 0.0
+        for i in range(cfg.batch_size):
             tokens, cond, t, loss_fn = sample_fn(rng)
-            loss, grads = backward(model, loss_fn, (tokens, cond, t))
-            if total_grads is not None:
-                grads = {k: total_grads[k] + g for k, g in grads.items()}
-            total_grads = grads
+            loss, _ = backward(model, loss_fn, (tokens, cond, t), work if i else grad)
+            if i:
+                grad += work
             total_loss += loss
-        mean_grads = {k: g / cfg.batch_size for k, g in total_grads.items()}
-        adam_update(
-            model.params, mean_grads, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
-        )
+        grad /= cfg.batch_size
+        adam_update(params, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
         if ema is not None:
-            for k in ema:
-                ema[k] = cfg.ema_rate * ema[k] + (1.0 - cfg.ema_rate) * model.params[k]
+            ema *= cfg.ema_rate
+            np.multiply(params, 1.0 - cfg.ema_rate, out=work)
+            ema += work
         losses[step] = total_loss / cfg.batch_size
     if ema is not None:
-        model.params = ema
+        model.params = model.param_views(ema)
     model.steps_trained = cfg.steps
     model.check()
     return TrainResult(model=model, losses=losses)

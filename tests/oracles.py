@@ -4,10 +4,15 @@
   the camera round-trip gate and the vectorised ``unproject_pixels`` are
   checked against.
 * ``gradient_check``: the central-difference oracle behind the
-  analytic-gradient gate.
+  analytic-gradient gate; ``grad_buffer``: a fresh flat gradient vector
+  for ``backward``.
 * ``reference_forward`` / ``reference_backward``: the velocity MLP with a
   fresh array per layer, which the work-buffer forward and backward must
   match bit for bit.
+* ``ReferenceAdamState`` / ``reference_adam_update`` / ``reference_fit``:
+  the training loop with one dict entry per parameter, Adam looping over
+  sorted names; the flat-vector loop must give the same losses and
+  parameters bit for bit.
 * ``reference_hemisphere_candidates``, ``reference_random_hemisphere_view``
   and ``reference_sequential_view``: the three camera placements as each
   was written before ``geometry.orbit_view`` took over their shared part;
@@ -29,6 +34,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +57,7 @@ from voxaff.geometry import (
     _vec3,
     look_at,
 )
-from voxaff.netcore import _stack_inputs, backward, forward
+from voxaff.netcore import PE_DIM, TrainResult, VelocityModel, _stack_inputs, backward, forward
 from voxaff.pipeline import SEQUENTIAL_ELEVATION
 from voxaff.render import DepthImage, _first_hits
 from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, as_index_array
@@ -104,10 +110,15 @@ def viewpoint_from_dict(data: dict) -> Viewpoint:
     return Viewpoint(intrinsics=intr, pose=Pose(rotation=m[:3, :3], translation=m[:3, 3]))
 
 
+def grad_buffer(model) -> np.ndarray:
+    """A fresh float64 vector as long as the model has parameters."""
+    return np.empty(sum(p.size for p in model.params.values()))
+
+
 def gradient_check(model, loss_fn, batch, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients."""
     tokens, cond, t = batch
-    _, grads = backward(model, loss_fn, batch)
+    _, grads = backward(model, loss_fn, batch, grad_buffer(model))
     worst = 0.0
     for name, param in model.params.items():
         flat = param.reshape(-1)
@@ -170,6 +181,77 @@ def reference_backward(model, loss_fn, batch) -> tuple[float, dict]:
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"gradient for {name} is not finite")
     return float(loss), grads
+
+
+@dataclass
+class ReferenceAdamState:
+    """First/second moment accumulators for adaptive-moment updates."""
+
+    m: dict
+    v: dict
+    step: int = 0
+
+    @classmethod
+    def for_params(cls, params: dict) -> "ReferenceAdamState":
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+        )
+
+
+def reference_adam_update(
+    params: dict,
+    grads: dict,
+    state: ReferenceAdamState,
+    learning_rate: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+):
+    """One in-place adaptive-moment step with bias correction."""
+    state.step += 1
+    correction1 = 1.0 - beta1**state.step
+    correction2 = 1.0 - beta2**state.step
+    for name in sorted(params):
+        g = grads[name]
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
+        m_hat = state.m[name] / correction1
+        v_hat = state.v[name] / correction2
+        params[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_fit(cond_dim: int, sample_fn, cfg) -> TrainResult:
+    """``netcore._fit`` with one dict entry per parameter."""
+    model = VelocityModel.create(
+        token_dim=1 + PE_DIM, cond_dim=cond_dim, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
+    )
+    rng = np.random.default_rng(cfg.seed)
+    adam = ReferenceAdamState.for_params(model.params)
+    ema = {k: p.copy() for k, p in model.params.items()} if cfg.ema_rate else None
+    losses = np.zeros(cfg.steps)
+    for step in range(cfg.steps):
+        total_grads, total_loss = None, 0.0
+        for _ in range(cfg.batch_size):
+            tokens, cond, t, loss_fn = sample_fn(rng)
+            loss, grads = reference_backward(model, loss_fn, (tokens, cond, t))
+            if total_grads is not None:
+                grads = {k: total_grads[k] + g for k, g in grads.items()}
+            total_grads = grads
+            total_loss += loss
+        mean_grads = {k: g / cfg.batch_size for k, g in total_grads.items()}
+        reference_adam_update(
+            model.params, mean_grads, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps
+        )
+        if ema is not None:
+            for k in ema:
+                ema[k] = cfg.ema_rate * ema[k] + (1.0 - cfg.ema_rate) * model.params[k]
+        losses[step] = total_loss / cfg.batch_size
+    if ema is not None:
+        model.params = ema
+    model.steps_trained = cfg.steps
+    model.check()
+    return TrainResult(model=model, losses=losses)
 
 
 def reference_hemisphere_candidates(k: int, intrinsics: CameraIntrinsics) -> list[Viewpoint]:

@@ -612,20 +612,41 @@ READERS = {
 #: Other commands that read an artifact, named "<artifact>@<command>".
 OTHER_READERS = {
     "table@train": READERS["manifest"],
+    "scene@train": READERS["manifest"],
     "manifest@bench": ["bench", "--suite", "views_vs_iou", "--dataset", "{data}",
                        "--structure-single", "{structure}", "--structure-multi", "{structure}"],
 }
 
 
+class _Stale:
+    """A mutation of a dataset file that leaves the file's hash in the
+    manifest as ``gen-dataset`` wrote it."""
+
+    def __init__(self, mutate):
+        self.mutate = mutate
+
+    def __call__(self, record):
+        return self.mutate(record)
+
+
 def _run_corrupted(walk, tmp_path, artifact, mutate):
     """Copy the walkthrough, rewrite one artifact as ``mutate`` of its
     record, and run the command that reads it (``READERS``, or
-    ``OTHER_READERS`` for an "<artifact>@<command>" name)."""
+    ``OTHER_READERS`` for an "<artifact>@<command>" name).
+
+    A rewritten dataset file gets its new hash in the copied manifest, so
+    that the reader reaches the check the mutation aims at, unless the
+    mutation is ``_Stale``."""
     root = tmp_path / "walk"
     shutil.copytree(walk, root)
     files = {name: str(root / rel) for name, rel in WALK_FILES.items()}
     path = pathlib.Path(files[artifact.partition("@")[0]])
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    manifest = pathlib.Path(files["manifest"])
+    if path.parent == manifest.parent and path != manifest and not isinstance(mutate, _Stale):
+        record = json.loads(manifest.read_text())
+        record["hashes"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(record))
     reader = OTHER_READERS[artifact] if "@" in artifact else READERS[artifact]
     argv = [arg.format(**files) for arg in reader]
     return cli.main(argv + ["--config", files["config"], "--out", str(tmp_path / "out")])
@@ -641,6 +662,24 @@ def _replaced(path, value):
         node[path[-1]] = value
         return record
     return mutate
+
+
+def _dropped(path):
+    """A mutation that deletes the item at ``path`` (keys and list indices)."""
+    def mutate(record):
+        record = copy.deepcopy(record)
+        node = record
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return record
+    return mutate
+
+
+#: Edits that pass the scene and table validators: the hammer's handle is
+#: half as wide along x, and "grasp the handle" names the head.
+SCENE_EDIT = _replaced(("parts", 0, "scale", 0), 0.06)
+TABLE_EDIT = _replaced(("queries", "grasp the handle", "tag"), "strike")
 
 
 def _one_wide_table(dim):
@@ -675,6 +714,9 @@ def _torus_head(major_radius):
         ("manifest", _replaced(("objects",), [5]), 3),
         ("manifest", _replaced(("table",), "missing.json"), 3),
         ("manifest@bench", _replaced(("objects",), []), 3),
+        ("manifest", _replaced(("hashes",), [1]), 3),
+        ("scene@train", _Stale(SCENE_EDIT), 3),
+        ("table@train", _Stale(TABLE_EDIT), 3),
         ("table", _replaced(("queries",), [1]), 3),
         ("table@train", _replaced(("dim",), -1), 3),
         ("table@train", _replaced(("dim",), 1e300), 3),
@@ -703,6 +745,7 @@ def _torus_head(major_radius):
         ("heatmap", _replaced(("heatmap", "positions", 0, 2), 1e308), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
+         "manifest-hashes-list", "scene-edited-train", "table-edited-train",
          "table-queries-list", "table-dim-minus-1-train", "table-dim-1e300-train",
          "table-dim-0-train", "table-dim-1.5-train", "table-tag-list-train",
          "table-tag-dict-train", "table-dim-true", "table-embedding-nan",
@@ -721,6 +764,27 @@ def test_corrupted_artifact_exits_3_or_4(walk, tmp_path, capsys, artifact, mutat
     assert _run_corrupted(walk, tmp_path, artifact, mutate) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "artifact, mutate, named",
+    [
+        ("manifest", _dropped(("hashes", "object_0001.json")), "no hash for object_0001.json"),
+        ("scene@train", _Stale(SCENE_EDIT), "object_0001.json does not match"),
+        ("table@train", _Stale(TABLE_EDIT), "queries.json does not match"),
+    ],
+    ids=["no-hash", "scene-edited", "table-edited"],
+)
+def test_dataset_file_off_its_manifest_hash_is_named(walk, tmp_path, capsys, artifact, mutate, named):
+    assert _run_corrupted(walk, tmp_path, artifact, mutate) == 3
+    err = capsys.readouterr().err
+    assert named in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("artifact, mutate", [("scene@train", SCENE_EDIT), ("table@train", TABLE_EDIT)])
+def test_edited_dataset_file_with_its_new_hash_trains(walk, tmp_path, artifact, mutate):
+    # The edits that a stale hash refuses are valid data.
+    assert _run_corrupted(walk, tmp_path, artifact, mutate) == 0
 
 
 @pytest.mark.parametrize("value", [1e308, -1e308])

@@ -31,7 +31,8 @@ def _run(primary, setup, output="a", warmup="w"):
 def test_summary_counts_wins_in_the_better_direction():
     pairs = [{"parent": _run(p, 1.0), "change": _run(c, s)}
              for p, c, s in ((300, 240, 0.9), (310, 250, 1.1), (290, 295, 1.0), (305, 245, 0.8))]
-    summary = compare.summarize(pairs, {"primary_ms": "lower", "setup_s": "lower", "hit": "higher"})
+    summary = compare.summarize(pairs, {"primary_ms": "lower", "setup_s": "lower", "hit": "higher"},
+                                {"primary_ms": 0.25})
     assert set(summary) == {"primary_ms", "setup_s"}
     primary = summary["primary_ms"]
     assert primary["change_wins"] == 3 and primary["pairs"] == 4
@@ -39,6 +40,51 @@ def test_summary_counts_wins_in_the_better_direction():
     assert primary["parent"]["q1"] <= primary["parent"]["median"] <= primary["parent"]["q3"]
     assert primary["median_change_frac"] == pytest.approx(247.5 / 302.5 - 1.0)
     assert summary["setup_s"]["change_wins"] == 2
+
+
+def _summary(parent, change, better="lower"):
+    pairs = [{"parent": _run(p, 1.0), "change": _run(c, 1.0)} for p, c in zip(parent, change)]
+    return compare.summarize(pairs, {"primary_ms": better}, {})["primary_ms"]
+
+
+#: Ten parent runs with a median of 100 and a quartile spread of 4.
+PARENT = [96, 97, 98, 98, 99.5, 100.5, 102, 102, 103, 104]
+
+
+@pytest.mark.parametrize("change, better, bound, expect", [
+    # wins 10/10 and the medians differ by 10 > 4
+    ([p - 10 for p in PARENT], "lower", 0.25, "gain"),
+    # higher is better: the same runs are now a loss of 10%, within the bound
+    ([p - 10 for p in PARENT], "higher", 0.25, "within noise"),
+    ([p + 10 for p in PARENT], "higher", 0.25, "gain"),
+    # 9/10 is enough; 8/10 is not
+    ([p - 10 for p in PARENT[:9]] + [200], "lower", 0.25, "gain"),
+    ([p - 10 for p in PARENT[:8]] + [200, 200], "lower", 0.25, "within noise"),
+    # ties count for neither side
+    ([p - 10 for p in PARENT[:8]] + PARENT[8:], "lower", 0.25, "within noise"),
+    # 10/10 wins, but by less than the parent's quartile spread
+    ([p - 1 for p in PARENT], "lower", 0.25, "within noise"),
+    # 30% worse against a bound of 25%, and against no bound
+    ([p * 1.3 for p in PARENT], "lower", 0.25, "worse"),
+    ([p * 1.3 for p in PARENT], "lower", None, "within noise"),
+    ([p * 0.7 for p in PARENT], "higher", 0.25, "worse"),
+    # 2% worse: within a bound of 5% that the 4% spread fits, unresolved at 3%
+    ([p * 1.02 for p in PARENT], "lower", 0.05, "within noise"),
+    ([p * 1.02 for p in PARENT], "lower", 0.03, "unresolved"),
+])
+def test_verdict_applies_the_paired_gain_rule_and_the_bound(change, better, bound, expect):
+    summary = _summary(PARENT, change, better)
+    assert summary["parent"]["median"] == 100.0
+    assert summary["parent"]["q3"] - summary["parent"]["q1"] == pytest.approx(4.0)
+    assert compare.verdict(summary, bound) == expect
+
+
+def test_summary_records_each_metric_verdict_under_its_bound():
+    pairs = [{"parent": _run(p, 1.0), "change": _run(p * 1.3, 1.0)} for p in PARENT]
+    summary = compare.summarize(pairs, {"primary_ms": "lower", "setup_s": "lower"},
+                                {"primary_ms": 0.25, "setup_s": 0.25})
+    assert summary["primary_ms"]["verdict"] == "worse"
+    assert summary["setup_s"]["verdict"] == "within noise"
 
 
 def test_digests_are_equal_only_when_every_run_agrees():
@@ -87,6 +133,7 @@ def test_main_runs_both_committed_revisions_for_the_benchmark_run_seconds(tmp_pa
     assert bench["revisions"]["change"]["rev"] == "HEAD"
     assert bench["revisions"]["parent"]["sha"] != bench["revisions"]["change"]["sha"]
     assert bench["results"][0]["summary"]["primary_ms"]["change_wins"] == 2
+    assert bench["results"][0]["summary"]["primary_ms"]["verdict"] == "gain"
 
 
 def test_walkdiff_lists_files_that_differ_or_exist_on_one_side(tmp_path):

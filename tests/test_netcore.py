@@ -11,9 +11,13 @@ import voxaff.netcore as nc
 import voxaff.synthscene as sc
 from oracles import (
     ScriptedRng,
+    grad_buffer,
     gradient_check,
     project_point,
+    reference_adam_update,
+    ReferenceAdamState,
     reference_backward,
+    reference_fit,
     reference_forward,
 )
 from voxaff.errors import (
@@ -174,7 +178,7 @@ def test_zero_loss_point_gives_zero_gradients():
     rng = np.random.default_rng(20)
     x0 = rng.standard_normal(4)
     batch = (rng.standard_normal((4, 3)), rng.standard_normal(2), 0.5)
-    loss, grads = nc.backward(model, _mse_loss_fn(x0, x0), batch)
+    loss, grads = nc.backward(model, _mse_loss_fn(x0, x0), batch, grad_buffer(model))
     assert loss == 0.0
     assert all(not g.any() for g in grads.values())
 
@@ -185,10 +189,35 @@ def test_backward_is_linear_in_loss_scale():
     batch = (rng.standard_normal((5, 3)), rng.standard_normal(2), 0.25)
     x0, eps = rng.standard_normal(5), rng.standard_normal(5)
     base = _mse_loss_fn(x0, eps)
-    _, g1 = nc.backward(model, base, batch)
-    _, g2 = nc.backward(model, lambda v: tuple(2.0 * np.asarray(x) for x in base(v)), batch)
+    _, g1 = nc.backward(model, base, batch, grad_buffer(model))
+    _, g2 = nc.backward(
+        model, lambda v: tuple(2.0 * np.asarray(x) for x in base(v)), batch, grad_buffer(model)
+    )
     for name in g1:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-14)
+
+
+def test_param_views_lay_out_every_parameter_in_order():
+    model = _randomize(_small_model(seed=26), 27)
+    flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
+    views = model.param_views(flat)
+    assert list(views) == list(model.params)
+    for name, view in views.items():
+        assert view.shape == model.params[name].shape
+        assert np.shares_memory(view, flat)
+        assert np.array_equal(view, model.params[name])
+    with pytest.raises(ShapeMismatchError):
+        model.param_views(flat[:-1])
+
+
+def test_backward_names_a_gradient_that_is_not_finite():
+    model = _randomize(_small_model(seed=28), 29)
+    rng = np.random.default_rng(30)
+    batch = (rng.standard_normal((4, 3)), rng.standard_normal(2), 0.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match=r"gradient for \w+ is not finite"
+    ):
+        nc.backward(model, lambda v: (0.0, np.full_like(v, np.inf)), batch, grad_buffer(model))
 
 
 # --- work buffers ------------------------------------------------------------
@@ -209,7 +238,7 @@ def _batch(model, n, seed):
 def _assert_matches_reference(model, n, seed=50):
     batch, loss_fn = _batch(model, n, seed)
     assert np.array_equal(nc.forward(model, *batch), reference_forward(model, *batch))
-    loss, grads = nc.backward(model, loss_fn, batch)
+    loss, grads = nc.backward(model, loss_fn, batch, grad_buffer(model))
     ref_loss, ref_grads = reference_backward(model, loss_fn, batch)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
@@ -286,30 +315,47 @@ def test_forward_after_a_saturated_forward_matches_reference(value):
 
 
 def test_adam_first_step_hand_oracle():
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = nc.AdamState.for_params(params)
-    nc.adam_update(params, {"w": np.array([0.5])}, state, learning_rate=0.01)
+    nc.adam_update(params, np.array([0.5]), state, learning_rate=0.01)
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     expect = -0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    assert params["w"][0] == pytest.approx(expect, abs=1e-15)
+    assert params[0] == pytest.approx(expect, abs=1e-15)
     assert state.step == 1
 
 
 def test_adam_matches_reference_recurrence():
     rng = np.random.default_rng(24)
-    params = {"w": rng.standard_normal(6)}
-    ref = params["w"].copy()
+    params = rng.standard_normal(6)
+    ref = params.copy()
     m = np.zeros(6)
     v = np.zeros(6)
     state = nc.AdamState.for_params(params)
     for k in range(1, 8):
         g = rng.standard_normal(6)
-        nc.adam_update(params, {"w": g}, state, 0.05, 0.9, 0.999, 1e-8)
+        nc.adam_update(params, g, state, 0.05, 0.9, 0.999, 1e-8)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         ref = ref - 0.05 * (m / (1 - 0.9**k)) / (np.sqrt(v / (1 - 0.999**k)) + 1e-8)
-    np.testing.assert_allclose(params["w"], ref, atol=1e-14)
+    np.testing.assert_allclose(params, ref, atol=1e-14)
+
+
+def test_flat_adam_matches_the_per_name_update_bit_for_bit():
+    model = _wide_model()
+    flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
+    params = model.param_views(flat)
+    ref = {name: p.copy() for name, p in params.items()}
+    state, ref_state = nc.AdamState.for_params(flat), ReferenceAdamState.for_params(ref)
+    rng = np.random.default_rng(25)
+    for _ in range(5):
+        g = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-6, 3)
+        nc.adam_update(flat, g, state, 0.02, 0.9, 0.999, 1e-8)
+        reference_adam_update(ref, model.param_views(g), ref_state, 0.02, 0.9, 0.999, 1e-8)
+    for name in ref:
+        assert np.array_equal(params[name], ref[name]), name
+        assert np.array_equal(model.param_views(state.m)[name], ref_state.m[name]), name
+        assert np.array_equal(model.param_views(state.v)[name], ref_state.v[name]), name
 
 
 # --- trainer config ----------------------------------------------------------
@@ -456,6 +502,26 @@ def test_ema_variant_produces_different_final_weights():
         not np.array_equal(plain.model.params[n], smoothed.model.params[n])
         for n in plain.model.params
     )
+
+
+#: Batch settings of the flat-trainer comparison: the plain step, and a
+#: batch mean with an EMA.
+FIT_CASES = {"batch1": {"batch_size": 1}, "batch3-ema": {"batch_size": 3, "ema_rate": 0.99}}
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+@pytest.mark.parametrize("kind", ["structure", "affordance"])
+def test_flat_trainer_matches_reference(monkeypatch, kind, case):
+    # The trainers' model shape; 32^2 views keep the structure fits short.
+    trainer = getattr(nc, f"train_{kind}")
+    cfg = nc.TrainerConfig(steps=30, seed=5, view_pixels=32, **FIT_CASES[case])
+    flat = trainer(_tiny_dataset(), cfg)
+    monkeypatch.setattr(nc, "_fit", reference_fit)
+    ref = trainer(_tiny_dataset(), cfg)
+    assert np.array_equal(flat.losses, ref.losses)
+    assert sorted(flat.model.params) == sorted(ref.model.params)
+    for name in ref.model.params:
+        assert np.array_equal(flat.model.params[name], ref.model.params[name]), name
 
 
 # --- random views ------------------------------------------------------------

@@ -13,10 +13,11 @@ a drift in machine speed falls on both sides alike.
 
 It writes ``BENCH_<number>.json`` at the repository root: the machine
 record, both revisions, every pair's end-to-end metrics, per-metric
-medians and quartiles, how many pairs the change won, and whether the
-output and warm-up digests of the two sides are equal.  It records and
-does not gate on speed: the exit code is 1 when a run fails or a digest
-differs, and 0 otherwise.  ``--workload`` and ``--seeds`` take
+medians and quartiles, how many pairs the change won, each metric's
+``verdict`` (``gain``, ``worse``, ``unresolved`` or ``within noise``; see
+``verdict``), and whether the output and warm-up digests of the two sides
+are equal.  It records and does not gate on speed: the exit code is 1
+when a run fails or a digest differs, and 0 otherwise.  ``--workload`` and ``--seeds`` take
 comma-separated lists.
 """
 
@@ -81,8 +82,34 @@ def quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list, better: dict) -> dict:
-    """Per metric: each side's quartiles, the median change and the change's wins."""
+def verdict(summary: dict, bound: float | None) -> str:
+    """One metric's reading of its pairs, with ``bound`` the largest
+    relative loss the benchmark allows (None when it fixes none).
+
+    ``gain`` when the change wins at least nine pairs in ten (ties count
+    for neither side) and the medians differ, in the better direction, by
+    more than the parent's quartile spread; ``worse`` when the change's
+    median is worse by more than ``bound``; ``unresolved`` when the
+    parent's quartile spread is wider than ``bound``; ``within noise``
+    otherwise.
+    """
+    sign = 1.0 if summary["better"] == "lower" else -1.0
+    parent, change = summary["parent"], summary["change"]
+    spread = parent["q3"] - parent["q1"]
+    if (summary["change_wins"] >= 0.9 * summary["pairs"]
+            and sign * (parent["median"] - change["median"]) > spread):
+        return "gain"
+    if bound is not None:
+        if sign * summary["median_change_frac"] > bound:
+            return "worse"
+        if spread > bound * abs(parent["median"]):
+            return "unresolved"
+    return "within noise"
+
+
+def summarize(pairs: list, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's quartiles, the median change, the change's
+    wins and their ``verdict`` under the metric's entry in ``bounds``."""
     out = {}
     for name, direction in better.items():
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name)) for p in pairs]
@@ -100,6 +127,7 @@ def summarize(pairs: list, better: dict) -> dict:
             "change_wins": wins,
             "pairs": len(both),
         }
+        out[name]["verdict"] = verdict(out[name], bounds.get(name))
     return out
 
 
@@ -152,6 +180,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     revisions = {side: {"rev": rev, "sha": git("rev-parse", rev)}
                  for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -172,13 +201,13 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {k + 1}/{args.pairs}: " + ", ".join(
                         f"{side} primary_ms {pair[side]['metrics'].get('primary_ms', float('nan')):.1f}"
                         for side in ("parent", "change")), flush=True)
-                summary = summarize(pairs, better)
+                summary = summarize(pairs, better, bounds)
                 results.append({"workload": workload, "seed": seed, "pairs": pairs,
                                 "summary": summary, "digests": compare_digests(pairs)})
                 for name, s in summary.items():
                     print(f"  {name:12s} median {s['parent']['median']:10.3f} -> "
                           f"{s['change']['median']:10.3f} ({s['median_change_frac']:+.1%}), "
-                          f"change better in {s['change_wins']}/{s['pairs']}")
+                          f"change better in {s['change_wins']}/{s['pairs']}: {s['verdict']}")
         stem = f"{workloads[0]}-seed{seeds[0]}-trace0.json"
         record = machine(checkouts["change"] / "perfbench" / "out" / stem)
 
