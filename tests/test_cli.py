@@ -781,7 +781,8 @@ def test_dataset_file_off_its_manifest_hash_is_named(walk, tmp_path, capsys, art
     assert named in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("artifact, mutate", [("scene@train", SCENE_EDIT), ("table@train", TABLE_EDIT)])
+@pytest.mark.parametrize("artifact, mutate", [("scene@train", SCENE_EDIT), ("table@train", TABLE_EDIT)],
+                         ids=["scene", "table"])
 def test_edited_dataset_file_with_its_new_hash_trains(walk, tmp_path, artifact, mutate):
     # The edits that a stale hash refuses are valid data.
     assert _run_corrupted(walk, tmp_path, artifact, mutate) == 0

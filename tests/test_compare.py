@@ -71,7 +71,9 @@ PARENT = [96, 97, 98, 98, 99.5, 100.5, 102, 102, 103, 104]
     # 2% worse: within a bound of 5% that the 4% spread fits, unresolved at 3%
     ([p * 1.02 for p in PARENT], "lower", 0.05, "within noise"),
     ([p * 1.02 for p in PARENT], "lower", 0.03, "unresolved"),
-])
+], ids=["gain", "higher-is-better-loss", "higher-is-better-gain", "9-of-10", "8-of-10", "ties",
+        "within-spread", "worse", "no-bound", "higher-is-better-worse", "within-bound",
+        "unresolved"])
 def test_verdict_applies_the_paired_gain_rule_and_the_bound(change, better, bound, expect):
     summary = _summary(PARENT, change, better)
     assert summary["parent"]["median"] == 100.0
