@@ -320,7 +320,7 @@ def cmd_ground(args, run: RunConfig) -> int:
         if args.occupancy:
             data = _load_json(args.occupancy)
             try:
-                occ = np.array(data["occupied"], dtype=np.int64).reshape(-1, 3)
+                occ = np.array(data["occupied"])
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed occupancy file {args.occupancy}: {exc}") from exc
         else:

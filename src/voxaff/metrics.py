@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
-from .voxel import AffordanceHeatmap, as_index_array, cell_centers, flat_index
+from .voxel import AffordanceHeatmap, _check_indices, as_index_array, cell_centers, flat_index
 
 Array = np.ndarray
 
@@ -54,8 +54,7 @@ def voxel_center_cloud(indices, r: int) -> Array:
 
 def volumetric_iou(a, b, r: int) -> float:
     """Intersection-over-union of two voxel index sets in [0, r)^3 (both empty -> 1)."""
-    a, b = as_index_array(a, r), as_index_array(b, r)
-    fa, fb = flat_index(a, r), flat_index(b, r)
+    fa, fb = (flat_index(_check_indices(s, r, "occupancy indices"), r) for s in (a, b))
     union = np.union1d(fa, fb).size
     if not union:
         return 1.0
@@ -64,14 +63,17 @@ def volumetric_iou(a, b, r: int) -> float:
 
 # --- point-cloud metrics -----------------------------------------------------
 
+#: Points of ``a`` per block of ``_min_dists``' brute-force distances.
+_CHUNK = 256
 
-def _min_dists(a: Array, b: Array, chunk: int = 256) -> Array:
+
+def _min_dists(a: Array, b: Array) -> Array:
     """Per-point distance from each point of ``a`` to its nearest in ``b``."""
     out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], chunk):
-        block = a[start : start + chunk]
+    for start in range(0, a.shape[0], _CHUNK):
+        block = a[start : start + _CHUNK]
         d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
+        out[start : start + _CHUNK] = np.sqrt(d2.min(axis=1))
     return out
 
 

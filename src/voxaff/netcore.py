@@ -66,7 +66,7 @@ from .synthscene import (
     ground_truth_occupancy,
     signed_occupancy,
 )
-from .voxel import backproject_view, encode_positions, flat_order_indices, fuse, pooled_condition
+from .voxel import backproject_view, encode_positions, fuse, pooled_condition, position_codes, sinusoid
 
 Array = np.ndarray
 
@@ -81,12 +81,7 @@ def time_embedding(t: float, dim: int = T_EMBED_DIM) -> Array:
     """Sinusoidal embedding of a scalar time: interleaved sin/cos pairs."""
     if dim < 2 or dim % 2:
         raise DomainError(f"time embedding width must be even and >= 2, got {dim}")
-    n_pairs = dim // 2
-    freqs = 1.0 / np.power(10000.0, 2.0 * np.arange(n_pairs) / dim)
-    out = np.empty(dim)
-    out[0::2] = np.sin(t * freqs)
-    out[1::2] = np.cos(t * freqs)
-    return out
+    return sinusoid(t, dim)
 
 
 @dataclass
@@ -454,7 +449,7 @@ def train_structure(
         flow_cfg = FlowConfig.for_structure()
     r, channels = cfg.resolution, cfg.channels
     intrinsics = eval_intrinsics(cfg.view_pixels)
-    pe = encode_positions(flat_order_indices(r), r, PE_DIM)
+    pe = position_codes(r, PE_DIM)
     lattices = [ground_truth_occupancy(obj, r) for obj in dataset]
     clean = [signed_occupancy(lat) for lat in lattices]
     zero_cond = np.zeros(channels)

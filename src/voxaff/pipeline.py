@@ -52,10 +52,10 @@ from .voxel import (
     as_index_array,
     backproject_view,
     encode_positions,
-    flat_order_indices,
     fuse,
     heatmap_to_dict,
     pooled_condition,
+    position_codes,
 )
 
 Array = np.ndarray
@@ -155,7 +155,7 @@ def reconstruct(
         cond = pooled_condition(fused)
     except EmptyConditionError:
         cond = None
-    pe = encode_positions(flat_order_indices(resolution), resolution, PE_DIM)
+    pe = position_codes(resolution, PE_DIM)
     velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
     latent = euler_sample(velocity, (resolution**3,), flow_cfg, rng)
     if not np.all(np.isfinite(latent)):

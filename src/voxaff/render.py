@@ -59,7 +59,7 @@ import numpy as np
 from .errors import CameraInsideCubeError, DomainError, ShapeMismatchError
 from .geometry import CameraIntrinsics, Viewpoint
 from .synthscene import SyntheticObject, ground_truth_occupancy, surface_features
-from .voxel import AffordanceHeatmap, _frozen, as_index_array, flat_index, flat_order_indices
+from .voxel import AffordanceHeatmap, _frozen, flat_index, flat_order_indices
 
 Array = np.ndarray
 
@@ -468,7 +468,7 @@ def render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpoint) -> Sca
     geometry contributes nothing.  Misses and unheated hits read 0.
     """
     r = heat.resolution
-    occ = heat.check_support(as_index_array(occupied, r))
+    occ = heat.check_support(occupied)
     table = _ray_table(view, r)
     # Heat per flat cell, then per table row, zero-led like ``table.rows``.
     values = np.zeros(r**3)

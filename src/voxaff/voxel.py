@@ -5,8 +5,10 @@ point p falls into cell ``floor((p + 0.5) * r)`` clamped to [0, r-1]; the
 center of cell (i, j, k) is ``(i + 0.5) / r - 0.5`` per axis
 (``cell_centers``).
 
-Index triples are (ix, iy, iz).  Sparse entries are kept sorted
-lexicographically by that triple.  A dense occupancy is an (r, r, r)
+Index triples are (ix, iy, iz).  An index set is an (n, 3) integer array
+of triples in [0, r)^3, checked once by ``_check_indices`` where it enters;
+nothing casts it before, so a fractional coordinate is refused, not
+truncated.  Sparse entries are kept sorted lexicographically by that triple.  A dense occupancy is an (r, r, r)
 boolean lattice indexed ``[ix, iy, iz]``; flattened, it uses the "x
 fastest" order flat = ix + r * iy + r^2 * iz (numpy's ``order="F"``),
 and ``np.argwhere`` of it lists the occupied triples in sorted order.
@@ -21,6 +23,7 @@ groups, and one ``np.diff`` checks order and uniqueness.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +74,17 @@ def _check_sorted_unique(indices: Array, r: int, unsorted: str, repeated: str):
         raise DomainError(repeated)
 
 
-def _check_indices(indices: Array, r: int, name: str = "indices") -> Array:
+def _check_indices(indices, r: int, name: str = "indices") -> Array:
+    """An (n, 3) array or nested sequence of integer triples in [0, r)^3 as
+    int64, unsorted; anything else, or a resolution that is not a positive
+    integer, raises ``DomainError``.  Empty input of any dtype is the empty set."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
+        raise DomainError(f"resolution must be a positive integer, got {r!r}")
     if r**3 > 2**63:
         raise DomainError(f"resolution {r} too large: cell keys below r^3 must fit in int64")
     indices = np.asarray(indices)
     if indices.size == 0:
-        indices = indices.reshape(0, 3)
+        return np.zeros((0, 3), dtype=np.int64)
     if indices.ndim != 2 or indices.shape[1] != 3:
         raise DomainError(f"{name} must have shape (n, 3), got {indices.shape}")
     if not np.issubdtype(indices.dtype, np.integer):
@@ -86,18 +94,9 @@ def _check_indices(indices: Array, r: int, name: str = "indices") -> Array:
     return indices.astype(np.int64, copy=False)
 
 
-def _index_rows(occupied) -> Array:
-    """A set/sequence/array of index triples as an (n, 3) int64 array, unsorted."""
-    if isinstance(occupied, np.ndarray):
-        return occupied.astype(np.int64, copy=False).reshape(-1, 3)
-    rows = [tuple(idx) for idx in occupied]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-
-
 def as_index_array(occupied, r: int) -> Array:
-    """Normalize a set/sequence/array of index triples in [0, r)^3 to a sorted (n, 3) array."""
-    arr = _index_rows(occupied)
-    _check_indices(arr, r, "occupancy indices")
+    """An index set (see ``_check_indices``) sorted lexicographically; repeated triples stay."""
+    arr = _check_indices(occupied, r, "occupancy indices")
     return arr[np.argsort(_lex_keys(arr, r), kind="stable")]
 
 
@@ -117,8 +116,6 @@ class SparseVoxelGrid:
     weights: Array  # (n,) int64
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise DomainError(f"resolution must be >= 1, got {self.resolution}")
         if self.channels < 0:
             raise DomainError("channel count must be >= 0")
         indices = _check_indices(self.indices, self.resolution)
@@ -197,7 +194,7 @@ class AffordanceHeatmap:
     logits: bool = False
 
     def __post_init__(self):
-        positions = _check_indices(np.asarray(self.positions), self.resolution, "positions")
+        positions = _check_indices(self.positions, self.resolution, "positions")
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if values.shape[0] != positions.shape[0]:
             raise ShapeMismatchError("one value per position required")
@@ -218,14 +215,13 @@ class AffordanceHeatmap:
         return self.positions.shape[0]
 
     def check_support(self, occupied) -> Array:
-        """Raise unless every heated position appears in ``occupied``.
+        """Raise unless every heated position appears in the index set
+        ``occupied`` (see ``_check_indices``), in any order.
 
         Returns the flat x-fastest boolean lattice of the occupied cells.
-        Triples outside [0, r)^3 are dropped first, so none aliases a cell.
         """
         r = self.resolution
-        occ = _index_rows(occupied)
-        occ = occ[np.all((occ >= 0) & (occ < r), axis=1)]
+        occ = _check_indices(occupied, r, "occupancy indices")
         lattice = np.zeros(r**3, dtype=bool)
         lattice[flat_index(occ, r)] = True
         missing = np.count_nonzero(~lattice[flat_index(self.positions, r)])
@@ -235,17 +231,12 @@ class AffordanceHeatmap:
 
 
 def backproject_view(
-    depth_image: Array,
-    feature_image: Array,
-    view: Viewpoint,
-    r: int,
-    stats: dict | None = None,
+    depth_image: Array, feature_image: Array, view: Viewpoint, r: int
 ) -> SparseVoxelGrid:
     """Lift one posed RGB-D style observation into a sparse voxel grid.
 
     Every pixel with positive depth is unprojected at its center
-    (u + 0.5, v + 0.5); points outside the normalized cube are dropped
-    (count reported via ``stats["out_of_cube"]`` when a dict is passed).
+    (u + 0.5, v + 0.5); points outside the normalized cube are dropped.
     Each touched voxel stores the mean feature of its contributing pixels
     and weight 1 (a single view contributed).
     """
@@ -261,15 +252,11 @@ def backproject_view(
     channels = feats.shape[2]
 
     vs, us = np.nonzero(depth > 0)
-    if stats is not None:
-        stats["out_of_cube"] = 0
     if us.size == 0:
         return SparseVoxelGrid.empty(r, channels)
 
     points = unproject_pixels(us + 0.5, vs + 0.5, depth[vs, us], view)
     inside = np.all((points >= -0.5) & (points <= 0.5), axis=1)
-    if stats is not None:
-        stats["out_of_cube"] = int(np.count_nonzero(~inside))
     points = points[inside]
     if points.shape[0] == 0:
         return SparseVoxelGrid.empty(r, channels)
@@ -325,32 +312,42 @@ def fuse(grids) -> SparseVoxelGrid:
 
 
 @functools.lru_cache(maxsize=32)
-def _pe_table(r: int, dim: int) -> Array:
+def _frequencies(width: int) -> Array:
+    """``1 / 10000^(2i / width)`` for i < width // 2."""
+    return _frozen(1.0 / np.power(10000.0, 2.0 * np.arange(width // 2) / width))
+
+
+def sinusoid(x, width: int) -> Array:
+    """Interleaved ``sin(x / 10000^(2i/width))``, ``cos(...)`` pairs for
+    i < width // 2 along a new last axis: the embedding of times and positions."""
+    args = np.multiply.outer(x, _frequencies(width))
+    out = np.empty(args.shape[:-1] + (2 * args.shape[-1],))
+    out[..., 0::2] = np.sin(args)
+    out[..., 1::2] = np.cos(args)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def position_codes(r: int, dim: int) -> Array:
+    """Read-only (r^3, dim) codes of every cell in ``flat_order_indices`` order:
+    three per-axis blocks of ``d_a = dim // 3`` slots, each the ``sinusoid``
+    of the raw coordinate at width ``d_a``, in (x, y, z) order; leftover
+    slots stay zero.  Requires dim >= 6."""
     if dim < MIN_PE_DIM:
         raise DomainError(f"positional encoding needs dim >= {MIN_PE_DIM}, got {dim}")
     d_a = dim // 3
-    n_pairs = d_a // 2
-    freqs = 1.0 / np.power(10000.0, 2.0 * np.arange(n_pairs) / d_a)
     table = np.zeros((r**3, dim))
-    coords = flat_order_indices(r)  # row ix + r*iy + r^2*iz
+    coords = flat_order_indices(r)
     for axis in range(3):
-        args = coords[:, axis, None] * freqs[None, :]
-        base = axis * d_a
-        table[:, base : base + 2 * n_pairs : 2] = np.sin(args)
-        table[:, base + 1 : base + 2 * n_pairs : 2] = np.cos(args)
+        codes = sinusoid(coords[:, axis], d_a)
+        table[:, axis * d_a : axis * d_a + codes.shape[1]] = codes
     return _frozen(table)
 
 
-def encode_positions(positions: Array, r: int, dim: int) -> Array:
-    """Sinusoidal 3D positional encodings of (n, 3) integer index triples.
-
-    The width splits into three per-axis blocks of ``d_a = dim // 3``
-    slots, paired as ``sin(x / 10000^(2i/d_a))`` and ``cos(...)`` of the
-    raw coordinate for i < d_a // 2, in (x, y, z) order; leftover slots
-    stay zero.  Requires dim >= 6.
-    """
-    positions = _check_indices(np.asarray(positions), r, "positions")
-    return _pe_table(r, dim)[flat_index(positions, r)]
+def encode_positions(positions, r: int, dim: int) -> Array:
+    """``position_codes`` of the cells of (n, 3) integer index triples."""
+    positions = _check_indices(positions, r, "positions")
+    return position_codes(r, dim)[flat_index(positions, r)]
 
 
 def pooled_condition(grid: SparseVoxelGrid) -> Array:
@@ -380,8 +377,8 @@ def heatmap_to_dict(heat: AffordanceHeatmap) -> dict:
 def heatmap_from_dict(data: dict) -> AffordanceHeatmap:
     try:
         return AffordanceHeatmap(
-            resolution=int(data["resolution"]),
-            positions=np.array(data["positions"], dtype=np.int64).reshape(-1, 3),
+            resolution=data["resolution"],
+            positions=data["positions"],
             values=np.array(data["values"], dtype=float).reshape(-1),
             logits=bool(data.get("logits", False)),
         )

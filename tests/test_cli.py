@@ -676,6 +676,20 @@ def _dropped(path):
     return mutate
 
 
+def _half_cell_x(path):
+    """A mutation that adds half a cell to x on every row of the index
+    triples at ``path``."""
+    def mutate(record):
+        record = copy.deepcopy(record)
+        node = record
+        for key in path:
+            node = node[key]
+        for row in node:
+            row[0] += 0.5
+        return record
+    return mutate
+
+
 #: Edits that pass the scene and table validators: the hammer's handle is
 #: half as wide along x, and "grasp the handle" names the head.
 SCENE_EDIT = _replaced(("parts", 0, "scale", 0), 0.06)
@@ -743,6 +757,9 @@ def _torus_head(major_radius):
         ("affordance", _replaced(("params", "b0"), []), 3),
         ("occupancy", _replaced(("occupied", 0, 2), 1e308), 3),
         ("heatmap", _replaced(("heatmap", "positions", 0, 2), 1e308), 3),
+        ("heatmap", _half_cell_x(("heatmap", "positions")), 3),
+        ("heatmap", _replaced(("heatmap", "resolution"), 8.5), 3),
+        ("occupancy", _half_cell_x(("occupied",)), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
          "manifest-hashes-list", "scene-edited-train", "table-edited-train",
@@ -755,7 +772,8 @@ def _torus_head(major_radius):
          "scene-torus-radius-1e308", "scene-translation-int-1e400", "scene-label-list",
          "scene-tag-list", "checkpoint-params-list", "checkpoint-param-named-empty",
          "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
-         "occupancy-index-1e308", "heatmap-position-1e308"],
+         "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
+         "heatmap-resolution-8.5", "occupancy-half-cell"],
 )
 # A warning from numpy would print more lines before the message, so
 # warnings fail these runs instead of being collected by pytest.

@@ -25,12 +25,22 @@ def test_volumetric_iou_hand_cases():
 def test_volumetric_iou_symmetric_and_matches_set_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a = {tuple(row) for row in rng.integers(0, 4, size=(rng.integers(0, 30), 3))}
-        b = {tuple(row) for row in rng.integers(0, 4, size=(rng.integers(0, 30), 3))}
+        a = rng.integers(0, 4, size=(rng.integers(0, 30), 3))
+        b = rng.integers(0, 4, size=(rng.integers(0, 30), 3))
         got = mx.volumetric_iou(a, b, 4)
         assert got == mx.volumetric_iou(b, a, 4)
-        expect = 1.0 if not (a | b) else len(a & b) / len(a | b)
+        sa, sb = {tuple(row) for row in a}, {tuple(row) for row in b}
+        expect = 1.0 if not (sa | sb) else len(sa & sb) / len(sa | sb)
         assert got == expect
+
+
+def test_volumetric_iou_refuses_fractional_triples():
+    a = np.array([[1, 2, 3], [0, 0, 0]])
+    for bad in (a + 0.5, a.astype(float)):
+        with pytest.raises(DomainError, match="^occupancy indices must be integer typed$"):
+            mx.volumetric_iou(bad, a, 4)
+        with pytest.raises(DomainError, match="^occupancy indices must be integer typed$"):
+            mx.volumetric_iou(a, bad, 4)
 
 
 def test_volumetric_iou_duplicate_rows_count_once():

@@ -959,8 +959,8 @@ def _support_error(check, *args) -> str | None:
 
 
 def test_support_check_matches_reference_counts():
-    # Random heat against random occupancies, some with triples outside the
-    # lattice whose flat index aliases a cell inside it.
+    # Random heat against random in-lattice occupancies; triples outside the
+    # lattice, whose flat index may alias a cell inside it, are refused.
     r = 4
     rng = np.random.default_rng(43)
     for _ in range(200):
@@ -970,14 +970,17 @@ def test_support_check_matches_reference_counts():
             resolution=r, positions=as_index_array(positions, r), values=rng.random(len(cells))
         )
         occupied = positions[rng.random(len(positions)) < 0.7]
-        stray = rng.integers(-1, r + 2, size=(int(rng.integers(0, 6)), 3))
-        occupied = np.concatenate([occupied, stray])
+        other = rng.integers(0, r, size=(int(rng.integers(0, 6)), 3))
+        occupied = np.concatenate([occupied, other])[rng.permutation(len(occupied) + len(other))]
         want = _support_error(_reference_check_support, heat, occupied)
         assert _support_error(heat.check_support, occupied) == want
+        stray = rng.integers(-1, r + 2, size=(3, 3))
+        stray[rng.integers(3), rng.integers(3)] = rng.choice([-1, r, r + 1])
+        with pytest.raises(DomainError, match=rf"^occupancy indices must lie in \[0, {r}\)\^3$"):
+            heat.check_support(np.concatenate([occupied, stray]))
     heat = AffordanceHeatmap(resolution=r, positions=np.array([[0, 1, 0]]), values=np.array([1.0]))
-    assert _support_error(heat.check_support, np.array([[4, 0, 0]])) == (
-        "1 heatmap positions outside occupancy"
-    )
+    with pytest.raises(DomainError):
+        heat.check_support(np.array([[4, 0, 0]]))
 
 
 def test_render_affordance_support_error_matches_reference():
@@ -991,6 +994,17 @@ def test_render_affordance_support_error_matches_reference():
         want = _support_error(_reference_render_affordance, occupied, heat, view)
         assert want == f"{drop} heatmap positions outside occupancy"
         assert _support_error(rd.render_affordance, occupied, heat, view) == want
+
+
+def test_render_affordance_refuses_fractional_occupancy():
+    r = 8
+    truth = sc.occupied_indices(sc.generate_object(1005), r)
+    heat = AffordanceHeatmap(resolution=r, positions=truth, values=np.full(len(truth), 0.5))
+    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[9]
+    shifted = truth + np.array([0.5, 0.0, 0.0])
+    for occupied in (shifted, truth.astype(float)):
+        with pytest.raises(DomainError, match="^occupancy indices must be integer typed$"):
+            rd.render_affordance(occupied, heat, view)
 
 
 def test_scalar_image_total_and_validation():

@@ -116,11 +116,12 @@ class TestBackprojection:
         depth = np.zeros((4, 4))
         depth[1, 1] = 2.4  # inside
         depth[2, 2] = 3.0  # outside
-        feats = np.ones((4, 4, 1))
-        stats = {}
-        grid = vx.backproject_view(depth, feats, view, r=2, stats=stats)
-        assert stats["out_of_cube"] == 1
+        feats = np.zeros((4, 4, 1))
+        feats[1, 1, 0] = 2.0
+        feats[2, 2, 0] = 7.0
+        grid = vx.backproject_view(depth, feats, view, r=2)
         assert len(grid) == 1
+        assert grid.features.tolist() == [[2.0]]
 
     def test_weights_are_one_per_view(self):
         rng = np.random.default_rng(2)
@@ -281,14 +282,23 @@ class TestHeatmap:
             heat.check_support(np.array([[1, 1, 1]]))
 
     def test_support_check_counts_missing_positions(self):
-        # (4, 0, 0) lies outside the r = 4 lattice; its flat index equals
-        # that of (0, 1, 0), which must still count as missing.
         heat = vx.AffordanceHeatmap(
             resolution=4, positions=np.array([[0, 0, 0], [0, 1, 0], [3, 3, 3]]),
             values=np.array([1.0, 0.5, 0.25]),
         )
         with pytest.raises(SupportError, match="^2 heatmap positions outside occupancy$"):
+            heat.check_support(np.array([[3, 3, 3], [1, 0, 0]]))
+        # (4, 0, 0) lies outside the r = 4 lattice (its flat index equals
+        # that of (0, 1, 0)): the occupancy is refused, not filtered.
+        with pytest.raises(DomainError, match=r"^occupancy indices must lie in \[0, 4\)\^3$"):
             heat.check_support(np.array([[3, 3, 3], [4, 0, 0]]))
+
+    def test_support_check_refuses_fractional_occupancy(self):
+        heat = vx.AffordanceHeatmap(
+            resolution=4, positions=np.array([[0, 0, 0]]), values=np.array([1.0])
+        )
+        with pytest.raises(DomainError, match="^occupancy indices must be integer typed$"):
+            heat.check_support(np.array([[0.5, 0.0, 0.0]]))
 
     def test_probability_range_enforced(self):
         with pytest.raises(DomainError):
@@ -315,20 +325,49 @@ class TestSerialization:
         assert np.array_equal(back.positions, heat.positions)
         assert np.array_equal(back.values, heat.values)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("resolution", 8.9), ("resolution", 4.0), ("resolution", True), ("resolution", "4"),
+         ("positions", [[0.5, 1, 2], [3.5, 0, 0]])],
+        ids=["resolution-8.9", "resolution-4.0", "resolution-true", "resolution-str",
+             "positions-half-cell"],
+    )
+    def test_heatmap_record_is_refused_not_coerced(self, key, value):
+        record = vx.heatmap_to_dict(vx.AffordanceHeatmap(
+            resolution=4, positions=np.array([[0, 1, 2], [3, 0, 0]]), values=np.array([0.125, 0.7])
+        ))
+        record[key] = value
+        with pytest.raises(DomainError):
+            vx.heatmap_from_dict(record)
+
+
+@pytest.mark.parametrize("r", [0, -2, 8.5, 8.0, True, "8", None], ids=repr)
+def test_resolution_must_be_a_positive_integer(r):
+    with pytest.raises(DomainError, match="^resolution must be a positive integer"):
+        vx.AffordanceHeatmap(resolution=r, positions=np.zeros((0, 3), dtype=np.int64), values=[])
+    with pytest.raises(DomainError, match="^resolution must be a positive integer"):
+        vx.SparseVoxelGrid.empty(r, 2)
+
+
+def test_numpy_integer_resolution_is_accepted():
+    heat = vx.AffordanceHeatmap(resolution=np.int64(4), positions=[[1, 2, 3]], values=[0.5])
+    assert heat.positions.tolist() == [[1, 2, 3]]
+
 
 class TestAsIndexArray:
-    """Sequences and sets of triples become the sorted (n, 3) array the
-    array path gives; the oracle is Python's sort of the int tuples."""
+    """Arrays and nested sequences of triples become the sorted (n, 3)
+    array; the oracle is Python's sort of the int tuples."""
 
     def _oracle(self, occupied):
         return np.array(sorted(tuple(int(c) for c in idx) for idx in occupied)).reshape(-1, 3)
 
     def test_set(self):
-        occupied = {(1, 2, 3), (0, 5, 1), (0, 0, 7), (3, 2, 1), (0, 5, 0)}
+        occupied = np.array([(1, 2, 3), (0, 5, 1), (0, 0, 7), (3, 2, 1), (0, 5, 0)])
         arr = vx.as_index_array(occupied, 8)
         assert arr.dtype == np.int64
         assert np.array_equal(arr, self._oracle(occupied))
-        assert np.array_equal(arr, vx.as_index_array(np.array(sorted(occupied))[::-1], 8))
+        assert np.array_equal(arr, vx.as_index_array(self._oracle(occupied)[::-1], 8))
+        assert np.array_equal(arr, vx.as_index_array(occupied.astype(np.int32), 8))
 
     def test_list_with_duplicates_keeps_them(self):
         occupied = [(1, 2, 3), (1, 2, 3), (0, 0, 0), (2, 1, 0), (0, 0, 0), (np.int64(1), 0, 2)]
@@ -337,19 +376,32 @@ class TestAsIndexArray:
         assert np.array_equal(arr, self._oracle(occupied))
 
     def test_empty_set(self):
-        arr = vx.as_index_array(set(), 4)
-        assert arr.shape == (0, 3) and arr.dtype == np.int64
+        for empty in ([], np.zeros((0, 3)), np.zeros(0, dtype=bool)):
+            arr = vx.as_index_array(empty, 4)
+            assert arr.shape == (0, 3) and arr.dtype == np.int64
 
     def test_ragged_input_raises_value_error(self):
-        # Three pairs hold six numbers but are not two triples.
-        pairs = [(4, 5), (0, 1), (2, 3)]
-        for occupied in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)], [(1, 2, 3, 4)], pairs):
+        for occupied in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)]):
             with pytest.raises(ValueError):
+                vx.as_index_array(occupied, 8)
+        # Three pairs hold six numbers but are not two triples.
+        for occupied in ([(1, 2, 3, 4)], [(4, 5), (0, 1), (2, 3)], [1, 2, 3]):
+            with pytest.raises(DomainError, match="must have shape"):
                 vx.as_index_array(occupied, 8)
 
     def test_out_of_range_triples_rejected(self):
         with pytest.raises(DomainError):
-            vx.as_index_array({(0, 0, 4)}, 4)
+            vx.as_index_array([(0, 0, 4)], 4)
+
+    @pytest.mark.parametrize(
+        "occupied",
+        [np.array([[0.5, 0.0, 0.0]]), np.array([[1.0, 2.0, 3.0]]), [[0, 0, "1"]], [[0, 0, None]],
+         np.array([[True, False, True]]), {(0, 0, 1)}],
+        ids=["fractional", "integral-float", "string", "none", "bool", "set"],
+    )
+    def test_non_integer_triples_rejected(self, occupied):
+        with pytest.raises(DomainError):
+            vx.as_index_array(occupied, 4)
 
 
 class TestFlatKeys:
