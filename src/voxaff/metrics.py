@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
+from .errors import DomainError, ShapeMismatchError, UndefinedMetricError
 from .voxel import AffordanceHeatmap, _check_indices, as_index_array, cell_centers, flat_index
 
 Array = np.ndarray
@@ -113,8 +113,6 @@ def aiou_acd(pred: AffordanceHeatmap, gt: AffordanceHeatmap, r: int) -> Threshol
     where exactly one side is empty contribute IoU 0 and are excluded
     from the aCD mean (``excluded`` counts them).
     """
-    if pred.logits or gt.logits:
-        raise DataError("thresholded metrics need probability heatmaps, not logits")
     if pred.resolution != gt.resolution or pred.resolution != r:
         raise DomainError("heatmap resolutions must match the stated resolution")
     ious, cds = [], []

@@ -8,11 +8,16 @@ final affine map to a single velocity per token, so tokens never see
 each other — per-token cost is constant no matter how many views fed
 the condition.
 
+The forward pass computes in the dtype of the model's weights.  Training,
+``backward`` and the checkpoints are float64; sampling runs in float32,
+because ``pipeline`` hands the forward pass a float32 copy of the model.
+
 Hidden activations are written into work buffers that this module keeps
-and reuses, one per (hidden-layer index, width), each grown to the largest
-token count seen.  At r = 16 a hidden layer is a (4096, 96) float64 array
-of 3 MB; glibc hands an allocation that large back to the kernel when it
-is freed, so a fresh array per call is faulted in again on first touch,
+and reuses, one per (hidden-layer index, width, dtype), each grown to the
+largest token count seen, so float32 and float64 passes never share one.
+At r = 16 a hidden layer is a (4096, 96) array, 3 MB in float64 and 1.5 MB
+in float32; glibc hands an allocation that large back to the kernel when
+it is freed, so a fresh array per call is faulted in again on first touch,
 and that cost about a third of a forward pass.  Only the per-token
 velocities come back as a fresh array.  The buffers make the forward pass
 single-threaded: two threads must not run it at once.
@@ -156,7 +161,9 @@ class VelocityModel:
                 raise NumericalError(f"parameter {name} is not finite")
 
 
-def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float) -> Array:
+def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float, dtype) -> Array:
+    """The (n, in_dim) layer input in ``dtype``: tokens, then the condition
+    and the time embedding repeated on every row."""
     tokens = np.atleast_2d(np.asarray(tokens, dtype=float))
     cond = np.asarray(cond, dtype=float).reshape(-1)
     if tokens.shape[1] != model.token_dim:
@@ -170,38 +177,42 @@ def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float) ->
     return np.concatenate(
         [tokens, np.broadcast_to(cond, (n, cond.size)), np.broadcast_to(temb, (n, temb.size))],
         axis=1,
+        dtype=dtype,
     )
 
 
-#: Hidden-layer work buffers keyed by (layer index, width).  Each grows to
-#: the largest token count seen and never shrinks.
-_HIDDEN: dict[tuple[int, int], Array] = {}
+#: Hidden-layer work buffers keyed by (layer index, width, dtype).  Each
+#: grows to the largest token count seen and never shrinks.
+_HIDDEN: dict[tuple[int, int, np.dtype], Array] = {}
 
 
-def _hidden_buffer(k: int, n: int, width: int) -> Array:
-    """The first ``n`` rows of layer ``k``'s work buffer of ``width`` columns."""
-    buf = _HIDDEN.get((k, width))
+def _hidden_buffer(k: int, n: int, width: int, dtype: np.dtype) -> Array:
+    """The first ``n`` rows of layer ``k``'s ``dtype`` work buffer of
+    ``width`` columns."""
+    buf = _HIDDEN.get((k, width, dtype))
     if buf is None or buf.shape[0] < n:
-        buf = _HIDDEN[(k, width)] = np.empty((n, width))
+        buf = _HIDDEN[(k, width, dtype)] = np.empty((n, width), dtype=dtype)
     return buf[:n]
 
 
 def _forward_cached(model: VelocityModel, tokens: Array, cond: Array, t: float):
-    """Velocities and every layer's activations, the input first.
+    """Velocities and every layer's activations, the input first, computed
+    in the dtype of the model's weights.
 
     The hidden activations in ``acts`` are views of this module's work
     buffers: they are valid only until the next forward pass, so
     ``backward`` consumes them before it returns.
     """
-    x = _stack_inputs(model, tokens, cond, t)
-    acts = [x]
-    h = x
-    # A layer sum that overflows saturates its tanh; a non-finite velocity
-    # is refused below.
+    dtype = model.params["Wout"].dtype
+    # An input beyond the weights' dtype casts to inf, and a layer sum that
+    # overflows saturates its tanh; a non-finite velocity is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
+        x = _stack_inputs(model, tokens, cond, t, dtype)
+        acts = [x]
+        h = x
         for k in range(model.depth):
             w = model.params[f"W{k}"]
-            h = np.matmul(h, w, out=_hidden_buffer(k, x.shape[0], w.shape[1]))
+            h = np.matmul(h, w, out=_hidden_buffer(k, x.shape[0], w.shape[1], dtype))
             h += model.params[f"b{k}"]
             np.tanh(h, out=h)
             acts.append(h)
@@ -232,20 +243,20 @@ def _velocity_backward(model: VelocityModel, acts: list, dv: Array, grads: dict)
         above = model.params[f"W{k}"]
 
 
-def backward(model: VelocityModel, loss_fn, batch, grad: Array) -> tuple[float, dict]:
+def backward(model: VelocityModel, loss_fn, batch, grad: Array, grads: dict) -> tuple[float, dict]:
     """Loss and exact parameter gradients for one batch.
 
     ``batch`` is (tokens, cond, t); ``loss_fn`` maps the per-token
     velocities to ``(loss, dloss_dvelocities)``.  The gradients are written
-    into ``grad``, a float64 vector in the model's parameter layout, and
-    come back as its named views (``VelocityModel.param_views``).
+    into ``grad``, a float64 vector in the model's parameter layout, through
+    ``grads``, its named views (``model.param_views(grad)``, which a caller
+    builds once per buffer), and come back as ``grads``.
     """
     tokens, cond, t = batch
     v, acts = _forward_cached(model, tokens, cond, t)
     loss, dv = loss_fn(v)
     if not np.isfinite(loss):
         raise NumericalError("loss is not finite")
-    grads = model.param_views(grad)
     _velocity_backward(model, acts, dv, grads)
     if not np.isfinite(grad).all():
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
@@ -407,12 +418,13 @@ def _fit(cond_dim: int, sample_fn, cfg: TrainerConfig) -> TrainResult:
     adam = AdamState.for_params(params)
     ema = params.copy() if cfg.ema_rate else None
     grad, work = np.empty_like(params), np.empty_like(params)
+    buffers = ((grad, model.param_views(grad)), (work, model.param_views(work)))
     losses = np.zeros(cfg.steps)
     for step in range(cfg.steps):
         total_loss = 0.0
         for i in range(cfg.batch_size):
             tokens, cond, t, loss_fn = sample_fn(rng)
-            loss, _ = backward(model, loss_fn, (tokens, cond, t), work if i else grad)
+            loss, _ = backward(model, loss_fn, (tokens, cond, t), *buffers[min(i, 1)])
             if i:
                 grad += work
             total_loss += loss

@@ -183,15 +183,13 @@ def flat_order_indices(r: int) -> Array:
 class AffordanceHeatmap:
     """Scalar affordance field over a set of occupied voxels.
 
-    ``values`` are probabilities in [0, 1] unless ``logits`` is set, in
-    which case they are pre-sigmoid scores.  Positions are unique and
+    ``values`` are probabilities in [0, 1].  Positions are unique and
     sorted lexicographically.
     """
 
     resolution: int
     positions: Array  # (n, 3) int64
     values: Array  # (n,) float64
-    logits: bool = False
 
     def __post_init__(self):
         positions = _check_indices(self.positions, self.resolution, "positions")
@@ -200,7 +198,7 @@ class AffordanceHeatmap:
             raise ShapeMismatchError("one value per position required")
         if not np.all(np.isfinite(values)):
             raise DomainError("heatmap values must be finite")
-        if not self.logits and values.size and (values.min() < 0.0 or values.max() > 1.0):
+        if values.size and (values.min() < 0.0 or values.max() > 1.0):
             raise DomainError("probability heatmap values must lie in [0, 1]")
         _check_sorted_unique(
             positions,
@@ -370,17 +368,20 @@ def heatmap_to_dict(heat: AffordanceHeatmap) -> dict:
         "resolution": heat.resolution,
         "positions": heat.positions.tolist(),
         "values": heat.values.tolist(),
-        "logits": heat.logits,
+        "logits": False,
     }
 
 
 def heatmap_from_dict(data: dict) -> AffordanceHeatmap:
+    """A heatmap record; its ``logits`` flag, when present, must be
+    ``false``: heatmaps hold probabilities."""
     try:
+        if data.get("logits", False) is not False:
+            raise DomainError(f"heatmap 'logits' must be JSON false, got {data['logits']!r}")
         return AffordanceHeatmap(
             resolution=data["resolution"],
             positions=data["positions"],
             values=np.array(data["values"], dtype=float).reshape(-1),
-            logits=bool(data.get("logits", False)),
         )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed heatmap record: {exc}") from exc

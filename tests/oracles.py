@@ -5,7 +5,7 @@
   checked against.
 * ``gradient_check``: the central-difference oracle behind the
   analytic-gradient gate; ``grad_buffer``: a fresh flat gradient vector
-  for ``backward``.
+  and its named views for ``backward``.
 * ``reference_forward`` / ``reference_backward``: the velocity MLP with a
   fresh array per layer, which the work-buffer forward and backward must
   match bit for bit.
@@ -110,15 +110,17 @@ def viewpoint_from_dict(data: dict) -> Viewpoint:
     return Viewpoint(intrinsics=intr, pose=Pose(rotation=m[:3, :3], translation=m[:3, 3]))
 
 
-def grad_buffer(model) -> np.ndarray:
-    """A fresh float64 vector as long as the model has parameters."""
-    return np.empty(sum(p.size for p in model.params.values()))
+def grad_buffer(model) -> tuple[np.ndarray, dict]:
+    """A fresh float64 vector as long as the model has parameters, and its
+    named views: ``backward``'s last two arguments."""
+    flat = np.empty(sum(p.size for p in model.params.values()))
+    return flat, model.param_views(flat)
 
 
 def gradient_check(model, loss_fn, batch, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients."""
     tokens, cond, t = batch
-    _, grads = backward(model, loss_fn, batch, grad_buffer(model))
+    _, grads = backward(model, loss_fn, batch, *grad_buffer(model))
     worst = 0.0
     for name, param in model.params.items():
         flat = param.reshape(-1)
@@ -137,7 +139,7 @@ def gradient_check(model, loss_fn, batch, h: float = 1e-5) -> float:
 
 
 def _reference_forward_cached(model, tokens, cond, t):
-    x = _stack_inputs(model, tokens, cond, t)
+    x = _stack_inputs(model, tokens, cond, t, np.float64)
     acts = [x]
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,12 +366,12 @@ def sparse_grid_from_entries(resolution, channels, indices, features, weights) -
     )
 
 
-def heatmap_from_entries(resolution: int, entries: dict, logits: bool = False) -> AffordanceHeatmap:
+def heatmap_from_entries(resolution: int, entries: dict) -> AffordanceHeatmap:
     """A heatmap from an ``{(ix, iy, iz): value}`` mapping in any order."""
     items = sorted((tuple(int(c) for c in k), float(v)) for k, v in entries.items())
     positions = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3)
     values = np.array([v for _, v in items], dtype=float)
-    return AffordanceHeatmap(resolution=resolution, positions=positions, values=values, logits=logits)
+    return AffordanceHeatmap(resolution=resolution, positions=positions, values=values)
 
 
 def occupancy_cube(occupied, r: int) -> np.ndarray:

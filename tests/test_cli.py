@@ -759,6 +759,9 @@ def _torus_head(major_radius):
         ("heatmap", _replaced(("heatmap", "positions", 0, 2), 1e308), 3),
         ("heatmap", _half_cell_x(("heatmap", "positions")), 3),
         ("heatmap", _replaced(("heatmap", "resolution"), 8.5), 3),
+        ("heatmap", _replaced(("heatmap", "logits"), "false"), 3),
+        ("heatmap", _replaced(("heatmap", "logits"), True), 3),
+        ("heatmap", _replaced(("heatmap", "logits"), 0), 3),
         ("occupancy", _half_cell_x(("occupied",)), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
@@ -773,7 +776,8 @@ def _torus_head(major_radius):
          "scene-tag-list", "checkpoint-params-list", "checkpoint-param-named-empty",
          "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
-         "heatmap-resolution-8.5", "occupancy-half-cell"],
+         "heatmap-resolution-8.5", "heatmap-logits-str-false", "heatmap-logits-true",
+         "heatmap-logits-0", "occupancy-half-cell"],
 )
 # A warning from numpy would print more lines before the message, so
 # warnings fail these runs instead of being collected by pytest.

@@ -6,7 +6,7 @@ import pytest
 
 import voxaff.metrics as mx
 from oracles import heatmap_from_entries
-from voxaff.errors import DataError, DomainError, ShapeMismatchError, UndefinedMetricError
+from voxaff.errors import DomainError, ShapeMismatchError, UndefinedMetricError
 
 
 # --- volumetric IoU ----------------------------------------------------------
@@ -183,8 +183,9 @@ def test_aiou_acd_monotone_sanity_and_validation():
     pred = _heat(8, positions)
     gt = _heat(8, {(0, 0, 0): 1.0, (1, 0, 0): 1.0})
     assert mx.aiou_acd(pred, gt, 8).aiou <= mx.aiou_acd(gt, gt, 8).aiou
-    with pytest.raises(DataError):
-        mx.aiou_acd(heatmap_from_entries(8, {(0, 0, 0): 2.0}, logits=True), gt, 8)
+    # a heatmap of scores outside [0, 1] cannot be built, so never scored
+    with pytest.raises(DomainError):
+        heatmap_from_entries(8, {(0, 0, 0): 2.0})
     with pytest.raises(DomainError):
         mx.aiou_acd(pred, _heat(16, {(0, 0, 0): 1.0}), 8)
 

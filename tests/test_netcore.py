@@ -1,6 +1,7 @@
 """Velocity-model tests: forward contract, exact gradients vs finite
 differences, optimizer arithmetic, and the two training loops."""
 
+import dataclasses
 import math
 import warnings
 
@@ -178,7 +179,7 @@ def test_zero_loss_point_gives_zero_gradients():
     rng = np.random.default_rng(20)
     x0 = rng.standard_normal(4)
     batch = (rng.standard_normal((4, 3)), rng.standard_normal(2), 0.5)
-    loss, grads = nc.backward(model, _mse_loss_fn(x0, x0), batch, grad_buffer(model))
+    loss, grads = nc.backward(model, _mse_loss_fn(x0, x0), batch, *grad_buffer(model))
     assert loss == 0.0
     assert all(not g.any() for g in grads.values())
 
@@ -189,9 +190,9 @@ def test_backward_is_linear_in_loss_scale():
     batch = (rng.standard_normal((5, 3)), rng.standard_normal(2), 0.25)
     x0, eps = rng.standard_normal(5), rng.standard_normal(5)
     base = _mse_loss_fn(x0, eps)
-    _, g1 = nc.backward(model, base, batch, grad_buffer(model))
+    _, g1 = nc.backward(model, base, batch, *grad_buffer(model))
     _, g2 = nc.backward(
-        model, lambda v: tuple(2.0 * np.asarray(x) for x in base(v)), batch, grad_buffer(model)
+        model, lambda v: tuple(2.0 * np.asarray(x) for x in base(v)), batch, *grad_buffer(model)
     )
     for name in g1:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-14)
@@ -217,7 +218,7 @@ def test_backward_names_a_gradient_that_is_not_finite():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NumericalError, match=r"gradient for \w+ is not finite"
     ):
-        nc.backward(model, lambda v: (0.0, np.full_like(v, np.inf)), batch, grad_buffer(model))
+        nc.backward(model, lambda v: (0.0, np.full_like(v, np.inf)), batch, *grad_buffer(model))
 
 
 # --- work buffers ------------------------------------------------------------
@@ -238,7 +239,7 @@ def _batch(model, n, seed):
 def _assert_matches_reference(model, n, seed=50):
     batch, loss_fn = _batch(model, n, seed)
     assert np.array_equal(nc.forward(model, *batch), reference_forward(model, *batch))
-    loss, grads = nc.backward(model, loss_fn, batch, grad_buffer(model))
+    loss, grads = nc.backward(model, loss_fn, batch, *grad_buffer(model))
     ref_loss, ref_grads = reference_backward(model, loss_fn, batch)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
@@ -309,6 +310,50 @@ def test_forward_after_a_saturated_forward_matches_reference(value):
         warnings.simplefilter("error")
         assert np.array_equal(nc.forward(huge, *batch), reference_forward(huge, *batch))
     _assert_next_forward_is_clean(_wide_model(seed=84), 512)
+
+
+# --- float32 sampling --------------------------------------------------------
+
+
+def _float32_copy(model):
+    """The model with float32 weights, as ``pipeline`` samples it."""
+    return dataclasses.replace(
+        model, params={name: p.astype(np.float32) for name, p in model.params.items()}
+    )
+
+
+def _trained_scale_model(seed=90):
+    """The trainers' shape with weights of the spread the committed r = 16
+    checkpoints have: about 1.5 in the first layer, 1 in the second and
+    0.4 in the output layer."""
+    model = nc.VelocityModel.create(token_dim=17, cond_dim=16, hidden=96, depth=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    scale = {"W0": 1.5, "W1": 1.0, "Wout": 0.4, "b0": 0.4, "b1": 0.5, "bout": 0.3}
+    for name in sorted(model.params):
+        model.params[name] = scale[name] * rng.standard_normal(model.params[name].shape)
+    return model
+
+
+@pytest.mark.parametrize("n", [1, 512, 4096])
+def test_float32_forward_is_within_float32_noise_of_the_reference(n):
+    model = _trained_scale_model()
+    batch, _ = _batch(model, n, 91)
+    v = nc.forward(_float32_copy(model), *batch)
+    ref = reference_forward(model, *batch)
+    assert v.dtype == np.float32 and v.shape == ref.shape
+    assert np.all(np.abs(v - ref) <= 1e-5 * (1.0 + np.abs(ref)))
+
+
+def test_float64_forward_after_a_float32_one_matches_reference_in_its_own_buffers():
+    model = _trained_scale_model()
+    batch, _ = _batch(model, 4096, 92)
+    low = nc._forward_cached(_float32_copy(model), *batch)[1][1]
+    assert low.dtype == np.float32
+    full = nc._forward_cached(model, *batch)[1][1]
+    assert full.dtype == np.float64 and not np.shares_memory(low, full)
+    nc.forward(_float32_copy(model), *batch)
+    assert np.array_equal(nc.forward(model, *batch), reference_forward(model, *batch))
+    _assert_matches_reference(model, 4096, seed=93)
 
 
 # --- optimizer ---------------------------------------------------------------

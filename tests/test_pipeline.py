@@ -3,6 +3,11 @@ fields, grounding semantics, view scoring against render oracles, and
 the full observe/reconstruct/select loop for every strategy."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from voxaff.errors import (
 )
 from voxaff.flow import FlowConfig, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
-from voxaff.netcore import VelocityModel
+from voxaff.netcore import PE_DIM, VelocityModel
 from voxaff.render import DepthImage, render_views
 from voxaff.synthscene import (
     default_query_table,
@@ -181,6 +186,67 @@ def test_reconstruct_blank_views_fall_back_to_unconditional():
     assert occ.ndim == 2 and occ.shape[1] == 3
 
 
+# --- float32 sampling ------------------------------------------------------------
+
+
+def _random_structure_model(seed):
+    """A structure model of the trainers' shape with every weight random."""
+    model = VelocityModel.create(1 + PE_DIM, CHANNELS, hidden=96, depth=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in sorted(model.params):
+        model.params[name] = rng.standard_normal(model.params[name].shape)
+    return model
+
+
+def test_reconstruct_samples_weights_edited_in_place_since_the_last_call():
+    obs = _observation(generate_object(3), _view()[0])
+    model = _random_structure_model(20)
+    cfg = FlowConfig(steps=4, noise_scale=1.0)
+    first = pl.reconstruct([obs], model, R, cfg, np.random.default_rng(4))
+    model.params["W1"] *= -1.0
+    model.params["bout"] += 0.5
+    second = pl.reconstruct([obs], model, R, cfg, np.random.default_rng(4))
+    fresh = replace(model, params={name: p.copy() for name, p in model.params.items()})
+    assert np.array_equal(second, pl.reconstruct([obs], fresh, R, cfg, np.random.default_rng(4)))
+    assert not np.array_equal(first, second)
+
+
+#: A child interpreter's sampled r = 16 reconstruction and float32 forward,
+#: printed as sha256 digests.
+_SAMPLE_IN_A_CHILD = """
+import hashlib
+import numpy as np
+import test_pipeline as tp
+from voxaff import pipeline as pl
+from voxaff.flow import FlowConfig
+from voxaff.geometry import eval_intrinsics, hemisphere_candidates
+from voxaff.render import render_views
+from voxaff.synthscene import generate_object
+from voxaff.voxel import position_codes
+
+model = tp._random_structure_model(21)
+view = hemisphere_candidates(1, intrinsics=eval_intrinsics(32))[0]
+obs = (*render_views(generate_object(4), view, 16, tp.CHANNELS), view)
+occ = pl.reconstruct([obs], model, 16, FlowConfig(steps=3), np.random.default_rng(5))
+tokens = np.column_stack([np.linspace(-3.0, 3.0, 16**3), position_codes(16, tp.PE_DIM)])
+v = pl._guided_velocity(model, None, position_codes(16, tp.PE_DIM), 1.0)(tokens[:, 0], 0.5)
+print(hashlib.sha256(occ.tobytes()).hexdigest(), hashlib.sha256(v.tobytes()).hexdigest())
+"""
+
+
+def test_float32_reconstruct_is_byte_identical_with_one_and_two_blas_threads():
+    paths = [str(pathlib.Path(pl.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(paths)}
+        child = subprocess.run(
+            [sys.executable, "-c", _SAMPLE_IN_A_CHILD], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 0, child.stderr
+        printed.append(child.stdout)
+    assert printed[0] == printed[1] and len(printed[0].split()) == 2
+
+
 # --- ground ---------------------------------------------------------------------
 
 
@@ -192,7 +258,6 @@ def test_ground_recovers_mask_and_aligns_positions():
     cfg = FlowConfig(steps=1, noise_scale=0.5)
     heat = pl.ground(occ, query, _affordance_oracle(gt_heat), R, cfg, np.random.default_rng(13), TABLE)
     assert np.array_equal(heat.positions, occ)
-    assert not heat.logits
     assert np.all((heat.values > 0.0) & (heat.values < 1.0))
     assert np.array_equal(heat.values > 0.5, gt_heat.values >= 0.5)
 

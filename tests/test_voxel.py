@@ -305,13 +305,11 @@ class TestHeatmap:
             vx.AffordanceHeatmap(
                 resolution=4, positions=np.array([[0, 0, 0]]), values=np.array([1.5])
             )
-        # logits may exceed [0, 1]
-        vx.AffordanceHeatmap(
-            resolution=4,
-            positions=np.array([[0, 0, 0]]),
-            values=np.array([4.2]),
-            logits=True,
-        )
+        # there is no flag under which values may leave [0, 1]
+        with pytest.raises(TypeError):
+            vx.AffordanceHeatmap(
+                resolution=4, positions=np.array([[0, 0, 0]]), values=np.array([4.2]), logits=True
+            )
 
 
 class TestSerialization:
@@ -321,16 +319,21 @@ class TestSerialization:
             positions=np.array([[0, 1, 2], [3, 0, 0]]),
             values=np.array([0.125, 0.7]),
         )
-        back = vx.heatmap_from_dict(vx.heatmap_to_dict(heat))
+        record = vx.heatmap_to_dict(heat)
+        assert record["logits"] is False
+        back = vx.heatmap_from_dict(record)
         assert np.array_equal(back.positions, heat.positions)
         assert np.array_equal(back.values, heat.values)
+        del record["logits"]
+        assert np.array_equal(vx.heatmap_from_dict(record).values, heat.values)
 
     @pytest.mark.parametrize(
         "key, value",
         [("resolution", 8.9), ("resolution", 4.0), ("resolution", True), ("resolution", "4"),
-         ("positions", [[0.5, 1, 2], [3.5, 0, 0]])],
+         ("positions", [[0.5, 1, 2], [3.5, 0, 0]]), ("logits", True), ("logits", "false"),
+         ("logits", 0), ("logits", None)],
         ids=["resolution-8.9", "resolution-4.0", "resolution-true", "resolution-str",
-             "positions-half-cell"],
+             "positions-half-cell", "logits-true", "logits-str-false", "logits-0", "logits-null"],
     )
     def test_heatmap_record_is_refused_not_coerced(self, key, value):
         record = vx.heatmap_to_dict(vx.AffordanceHeatmap(
