@@ -228,8 +228,7 @@ model = tp._random_structure_model(21)
 view = hemisphere_candidates(1, intrinsics=eval_intrinsics(32))[0]
 obs = (*render_views(generate_object(4), view, 16, tp.CHANNELS), view)
 occ = pl.reconstruct([obs], model, 16, FlowConfig(steps=3), np.random.default_rng(5))
-tokens = np.column_stack([np.linspace(-3.0, 3.0, 16**3), position_codes(16, tp.PE_DIM)])
-v = pl._guided_velocity(model, None, position_codes(16, tp.PE_DIM), 1.0)(tokens[:, 0], 0.5)
+v = pl._guided_velocity(model, None, position_codes(16, tp.PE_DIM), 1.0)(np.linspace(-3, 3, 16**3), 0.5)
 print(hashlib.sha256(occ.tobytes()).hexdigest(), hashlib.sha256(v.tobytes()).hexdigest())
 """
 
