@@ -71,6 +71,14 @@ def check_integer(name: str, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def record_integer(record: str, name: str, value) -> int:
+    """``value``, the field ``name`` of a ``record`` file, as an int; a bool
+    or non-integral value raises ``DataError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"malformed {record} record: {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_real(name: str, value):
     """Refuse a bool, non-real or non-finite value for the config field ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):

@@ -1,10 +1,13 @@
 """Evaluation metrics for reconstruction and affordance grounding.
 
 Point clouds are plain (n, 3) float arrays in normalized object
-coordinates; ``as_pointcloud`` validates shape and finiteness.  All
-pairwise-distance metrics use exact chunked brute force (the desk-scale
-cloud sizes never justify a spatial index), so results match O(n^2)
-oracles bit for bit.
+coordinates; ``as_pointcloud`` validates shape and finiteness.  Chamfer
+uses exact chunked brute force (the desk-scale cloud sizes never justify
+a spatial index): one squared-distance table per block of points serves
+both directions, its row minima one way and running column minima the
+other, so results match O(n^2) oracles bit for bit.  AUC counts each
+positive's wins and ties with two binary searches over the sorted
+negatives (the Mann-Whitney U count), which is exact in floats.
 
 Empty-set conventions, stated once and applied throughout:
 - volumetric IoU of two empty sets is 1.0 (nothing to disagree on);
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError, UndefinedMetricError
-from .voxel import AffordanceHeatmap, _check_indices, as_index_array, cell_centers, flat_index
+from .voxel import AffordanceHeatmap, _check_indices, cell_centers, flat_index
 
 Array = np.ndarray
 
@@ -44,11 +47,6 @@ def as_pointcloud(points) -> Array:
     return arr
 
 
-def voxel_center_cloud(indices, r: int) -> Array:
-    """Centers of the given cells as a point cloud."""
-    return cell_centers(as_index_array(indices, r), r)
-
-
 # --- occupancy metrics -------------------------------------------------------
 
 
@@ -63,18 +61,8 @@ def volumetric_iou(a, b, r: int) -> float:
 
 # --- point-cloud metrics -----------------------------------------------------
 
-#: Points of ``a`` per block of ``_min_dists``' brute-force distances.
+#: Points of ``a`` per block of ``chamfer``'s brute-force distance table.
 _CHUNK = 256
-
-
-def _min_dists(a: Array, b: Array) -> Array:
-    """Per-point distance from each point of ``a`` to its nearest in ``b``."""
-    out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], _CHUNK):
-        block = a[start : start + _CHUNK]
-        d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + _CHUNK] = np.sqrt(d2.min(axis=1))
-    return out
 
 
 def chamfer(a, b) -> float:
@@ -87,7 +75,13 @@ def chamfer(a, b) -> float:
     b = as_pointcloud(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise UndefinedMetricError("chamfer distance needs two non-empty clouds")
-    return 0.5 * float(_min_dists(a, b).mean()) + 0.5 * float(_min_dists(b, a).mean())
+    to_b = np.empty(a.shape[0])
+    to_a = np.full(b.shape[0], np.inf)
+    for start in range(0, a.shape[0], _CHUNK):
+        d2 = ((a[start : start + _CHUNK, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        to_b[start : start + _CHUNK] = d2.min(axis=1)
+        np.minimum(to_a, d2.min(axis=0), out=to_a)
+    return 0.5 * float(np.sqrt(to_b).mean()) + 0.5 * float(np.sqrt(to_a).mean())
 
 
 # --- thresholded affordance metrics -----------------------------------------
@@ -130,7 +124,7 @@ def aiou_acd(pred: AffordanceHeatmap, gt: AffordanceHeatmap, r: int) -> Threshol
             excluded += 1
         else:
             ious.append(volumetric_iou(p_set, g_set, r))
-            cds.append(chamfer(voxel_center_cloud(p_set, r), voxel_center_cloud(g_set, r)))
+            cds.append(chamfer(cell_centers(p_set, r), cell_centers(g_set, r)))
     defined = [c for c in cds if c is not None]
     return ThresholdedResult(
         aiou=float(np.mean(ious)),
@@ -154,20 +148,6 @@ def _paired_values(pred, gt):
     return p, g
 
 
-def _midranks(values: Array) -> Array:
-    """1-based ranks with ties assigned the mean of their rank range."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0])
-    i = 0
-    while i < order.size:
-        j = i
-        while j + 1 < order.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def auc(pred, gt) -> float:
     """Probability a random positive outranks a random negative (ties half).
 
@@ -180,8 +160,12 @@ def auc(pred, gt) -> float:
     n_neg = p.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes in the ground truth")
-    ranks = _midranks(p)
-    return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # Half the sum of both searches is each positive's count of negatives
+    # below it plus half the negatives tied with it: the U statistic.
+    negatives = np.sort(p[~positive])
+    below = np.searchsorted(negatives, p[positive], side="left")
+    below_or_tied = np.searchsorted(negatives, p[positive], side="right")
+    return float((below.sum() + below_or_tied.sum()) / 2.0 / (n_pos * n_neg))
 
 
 def sim(pred, gt) -> float:

@@ -60,6 +60,7 @@ from .errors import (
     UntrainedModelError,
     check_integer,
     check_real,
+    record_integer,
 )
 from .flow import FlowConfig, cfm_loss_mse, interpolate, sample_timestep, velocity_mask_loss
 from .geometry import CameraIntrinsics, Viewpoint, eval_intrinsics, orbit_view
@@ -547,6 +548,10 @@ def model_to_dict(model: VelocityModel, trainer: TrainerConfig, kind: str | None
     return record
 
 
+#: The integer fields of a checkpoint record.
+_MODEL_INTEGERS = ("token_dim", "cond_dim", "hidden", "depth", "t_dim", "seed", "steps_trained")
+
+
 def model_from_dict(data: dict) -> VelocityModel:
     try:
         widths_expected = {"W": 2, "b": 1}
@@ -556,16 +561,10 @@ def model_from_dict(data: dict) -> VelocityModel:
             if arr.ndim != widths_expected[name[:1]]:
                 raise DomainError(f"parameter {name} has wrong rank")
             params[name] = arr
-        model = VelocityModel(
-            token_dim=int(data["token_dim"]),
-            cond_dim=int(data["cond_dim"]),
-            hidden=int(data["hidden"]),
-            depth=int(data["depth"]),
-            t_dim=int(data["t_dim"]),
-            params=params,
-            seed=int(data["seed"]),
-            steps_trained=int(data["steps_trained"]),
-        )
+        fields = {name: record_integer("model", name, data[name]) for name in _MODEL_INTEGERS}
+        if fields["steps_trained"] < 0:
+            raise DataError(f"malformed model record: steps_trained {fields['steps_trained']} < 0")
+        model = VelocityModel(params=params, **fields)
         model.check()
         return model
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -45,7 +45,6 @@ from .synthscene import (
     QueryTable,
     SyntheticObject,
     ground_truth_affordance,
-    occupied_indices,
 )
 from .voxel import (
     AffordanceHeatmap,
@@ -330,7 +329,6 @@ def active_loop(
         raise ConfigError(f"unknown strategy {strategy!r} (expected one of {STRATEGIES})")
     r, channels = config.resolution, config.channels
     candidates = config.candidates()
-    gt_occupied = occupied_indices(obj, r)
     gt_heat = ground_truth_affordance(obj, query, r, table)
 
     observations = [(*render_views(obj, initial_view, r, channels), initial_view)]
@@ -351,7 +349,7 @@ def active_loop(
             heat = _empty_heatmap(r)
         quality = aiou_acd(heat, gt_heat, r)
         metrics = {
-            "iou": volumetric_iou(occupied, gt_occupied, r),
+            "iou": volumetric_iou(occupied, gt_heat.positions, r),
             "aiou": quality.aiou,
             "acd": quality.acd,
             "acd_excluded": quality.excluded,

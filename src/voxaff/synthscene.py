@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UnknownQueryError
+from .errors import DomainError, UnknownQueryError, record_integer
 from .voxel import AffordanceHeatmap, _frozen, cell_centers, flat_order_indices
 
 Array = np.ndarray
@@ -157,10 +157,7 @@ class ObjectPart:
             local = np.array([reach, reach, self.params["minor_radius"]])
         else:
             local = np.ones(3)
-        corners = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
-        ) * (local * self.scale)
-        world = corners @ self.rotation.T + self.translation
+        world = (_CORNERS * (local * self.scale)) @ self.rotation.T + self.translation
         return world.min(axis=0), world.max(axis=0)
 
     def _hole_holds_cube(self) -> bool:
@@ -585,7 +582,7 @@ def object_from_dict(data: dict) -> SyntheticObject:
         )
         return SyntheticObject(
             object_id=str(data["object_id"]),
-            seed=int(data["seed"]),
+            seed=record_integer("scene", "seed", data["seed"]),
             template=str(data["template"]),
             parts=parts,
         )

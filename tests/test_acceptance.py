@@ -51,7 +51,6 @@ from voxaff.metrics import (
     mae,
     sim,
     volumetric_iou,
-    voxel_center_cloud,
 )
 from voxaff.netcore import (
     TrainerConfig,
@@ -76,7 +75,7 @@ from voxaff.synthscene import (
     ground_truth_affordance,
     occupied_indices,
 )
-from voxaff.voxel import AffordanceHeatmap, backproject_view, fuse
+from voxaff.voxel import AffordanceHeatmap, as_index_array, backproject_view, cell_centers, fuse
 
 R = 8
 CHANNELS = 16
@@ -204,7 +203,7 @@ def test_criterion_01_camera_round_trips_and_metric_oracles():
         a = _random_cells(trng, int(trng.integers(1, 51)))
         b = _random_cells(trng, int(trng.integers(1, 51)))
         assert volumetric_iou(a, b, R) == _brute_iou(a, b)
-        ca, cb = voxel_center_cloud(a, R), voxel_center_cloud(b, R)
+        ca, cb = (cell_centers(as_index_array(cells, R), R) for cells in (a, b))
         assert chamfer(ca, cb) == _brute_chamfer(ca, cb)
         fa = 0.4 * trng.standard_normal((int(trng.integers(1, 51)), 3))
         fb = 0.4 * trng.standard_normal((int(trng.integers(1, 51)), 3))

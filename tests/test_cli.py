@@ -750,9 +750,18 @@ def _torus_head(major_radius):
         ("scene", _replaced(("parts", 0, "translation", 0), 10**400), 3),
         ("scene", _replaced(("parts", 0, "part_label"), ["handle"]), 3),
         ("scene", _replaced(("parts", 0, "affordance_tags", 0), ["grasp"]), 3),
+        ("scene", _replaced(("seed",), 2.5), 3),
+        ("scene", _replaced(("seed",), True), 3),
+        ("scene", _replaced(("seed",), 1e300), 3),
         ("structure", _replaced(("params",), [1]), 3),
         ("structure", _replaced(("params", ""), [1.0]), 3),
         ("structure", _replaced(("params", "Wout", 0, 0), math.nan), 4),
+        ("structure", _replaced(("token_dim",), 17.5), 3),
+        ("structure", _replaced(("steps_trained",), True), 3),
+        ("structure", _replaced(("steps_trained",), -5), 3),
+        ("structure", _replaced(("steps_trained",), 2.9), 3),
+        ("structure", _replaced(("hidden",), "8"), 3),  # the walk's width, as a string
+        ("structure", _replaced(("seed",), 1e300), 3),
         ("affordance", _replaced(("depth",), 1e308), 3),
         ("affordance", _replaced(("params", "b0"), []), 3),
         ("occupancy", _replaced(("occupied", 0, 2), 1e308), 3),
@@ -773,8 +782,11 @@ def _torus_head(major_radius):
          "scene-parts-list", "scene-rotation-1e308", "scene-scale-inf",
          "scene-scale-1e-320", "scene-scale-1e-300",
          "scene-torus-radius-1e308", "scene-translation-int-1e400", "scene-label-list",
-         "scene-tag-list", "checkpoint-params-list", "checkpoint-param-named-empty",
-         "checkpoint-nan", "checkpoint-depth-1e308", "checkpoint-empty-bias",
+         "scene-tag-list", "scene-seed-2.5", "scene-seed-true", "scene-seed-1e300",
+         "checkpoint-params-list", "checkpoint-param-named-empty",
+         "checkpoint-nan", "checkpoint-token-dim-17.5", "checkpoint-steps-true",
+         "checkpoint-steps-minus-5", "checkpoint-steps-2.9", "checkpoint-hidden-str",
+         "checkpoint-seed-1e300", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
          "heatmap-resolution-8.5", "heatmap-logits-str-false", "heatmap-logits-true",
          "heatmap-logits-0", "occupancy-half-cell"],

@@ -117,6 +117,17 @@ def test_chamfer_chunking_is_invisible():
     assert mx.chamfer(a, b) == pytest.approx(direct, abs=1e-15)
 
 
+def test_chamfer_carries_column_minima_across_blocks():
+    # Both clouds exceed the block size, so the b -> a minima of the later
+    # blocks of a must fold into those of the first.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((300, 3))
+    b = rng.standard_normal((600, 3))
+    assert a.shape[0] > mx._CHUNK and b.shape[0] > mx._CHUNK
+    assert mx.chamfer(a, b) == _brute_chamfer(a, b)
+    assert mx.chamfer(b, a) == _brute_chamfer(b, a)
+
+
 def test_chamfer_rejects_empty():
     with pytest.raises(UndefinedMetricError):
         mx.chamfer(np.zeros((0, 3)), np.zeros((3, 3)))
@@ -291,8 +302,3 @@ def test_metrics_csv_format_and_na(tmp_path):
     assert sidecar.exists() and b'"seed": 3' in sidecar.read_bytes()
     assert mx.metrics_rows_to_csv([]) == ""
 
-
-def test_voxel_center_cloud_positions():
-    cloud = mx.voxel_center_cloud([(0, 0, 0), (7, 7, 7)], 8)
-    np.testing.assert_allclose(cloud[0], [-0.4375] * 3)
-    np.testing.assert_allclose(cloud[1], [0.4375] * 3)
