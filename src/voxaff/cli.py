@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, VoxaffError, check_integer
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericalError,
+    VoxaffError,
+    check_integer,
+    record_integer,
+)
 from .flow import FlowConfig
 from .geometry import eval_intrinsics, hemisphere_candidates
 from .metrics import (
@@ -323,6 +330,13 @@ def cmd_ground(args, run: RunConfig) -> int:
                 occ = np.array(data["occupied"])
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed occupancy file {args.occupancy}: {exc}") from exc
+            # A file without a resolution loads under any run, as a
+            # checkpoint without a trainer record does.
+            made = record_integer("occupancy", "resolution", data.get("resolution", r))
+            if made != r:
+                raise ConfigError(
+                    f"{args.occupancy} was reconstructed at resolution {made}, the run has {r}"
+                )
         else:
             occ = occupied_indices(obj, r)
         heat = ground(

@@ -37,10 +37,6 @@ class CameraInsideCubeError(DomainError):
     """Ray casting requires the camera origin outside the voxel cube."""
 
 
-class EmptyConditionError(DataError):
-    """A conditioning grid with zero entries cannot produce tokens."""
-
-
 class UnknownQueryError(DataError):
     """Query string missing from the query table."""
 

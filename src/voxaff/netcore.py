@@ -72,7 +72,7 @@ from .synthscene import (
     ground_truth_occupancy,
     signed_occupancy,
 )
-from .voxel import backproject_view, encode_positions, fuse, pooled_condition, position_codes, sinusoid
+from .voxel import encode_positions, fuse_views, pooled_condition, position_codes, sinusoid
 
 Array = np.ndarray
 
@@ -352,6 +352,8 @@ class TrainerConfig:
             "steps", "batch_size", "seed", "resolution", "channels", "view_pixels", "hidden", "depth"
         ):
             check_integer(f"trainer {name}", getattr(self, name))
+        if self.seed < 0:
+            raise ConfigError("trainer seed must be non-negative")
         for name in ("learning_rate", "cfg_dropout", "beta1", "beta2", "adam_eps"):
             check_real(f"trainer {name}", getattr(self, name))
         if self.steps < 1 or self.batch_size < 1:
@@ -392,19 +394,16 @@ def random_hemisphere_view(rng: np.random.Generator, intrinsics: CameraIntrinsic
     return orbit_view(np.array([s * np.cos(phi), s * np.sin(phi), z]), intrinsics)
 
 
-def _corruption(x0: Array, flow_cfg: FlowConfig, rng: np.random.Generator):
-    """Draw (t, eps, x_t): eps has standard deviation ``noise_scale``."""
-    eps = flow_cfg.noise_scale * rng.standard_normal(x0.shape)
-    t = sample_timestep(rng)
-    return t, eps, interpolate(x0, eps, t)
-
-
-def _fit(cond_dim: int, sample_fn, cfg: TrainerConfig) -> TrainResult:
+def _fit(cond_dim: int, sample_fn, flow_cfg: FlowConfig, cfg: TrainerConfig) -> TrainResult:
     """The training loop both trainers share, from a fresh model whose
     condition is ``cond_dim`` wide.
 
-    ``sample_fn(rng)`` makes every random draw of one batch item and
-    returns ``(tokens, cond, t, loss_fn)``.  Each step averages the batch
+    ``sample_fn(rng)`` draws one batch item and returns ``(x0, pe, cond,
+    loss)``: clean per-token targets, their positional codes, the
+    condition, and ``loss(v, eps) -> (loss, dloss_dv)``.  The loop then
+    draws, in this order, dropout of ``cond`` to the zero vector (with
+    probability ``cfg.cfg_dropout``), the noise ``eps`` and the time ``t``
+    of the corruption of ``x0``.  Each step averages the batch
     gradients into one Adam update and, when ``cfg.ema_rate`` is set,
     folds the parameters into an EMA that replaces them at the end.  The
     parameters, gradients, moments and EMA are flat vectors of one layout,
@@ -420,12 +419,18 @@ def _fit(cond_dim: int, sample_fn, cfg: TrainerConfig) -> TrainResult:
     ema = params.copy() if cfg.ema_rate else None
     grad, work = np.empty_like(params), np.empty_like(params)
     buffers = ((grad, model.param_views(grad)), (work, model.param_views(work)))
+    zero_cond = np.zeros(cond_dim)
     losses = np.zeros(cfg.steps)
     for step in range(cfg.steps):
         total_loss = 0.0
         for i in range(cfg.batch_size):
-            tokens, cond, t, loss_fn = sample_fn(rng)
-            loss, _ = backward(model, loss_fn, (tokens, cond, t), *buffers[min(i, 1)])
+            x0, pe, cond, loss_of = sample_fn(rng)
+            if rng.random() < cfg.cfg_dropout:
+                cond = zero_cond
+            eps = flow_cfg.noise_scale * rng.standard_normal(x0.shape)
+            t = sample_timestep(rng)
+            batch = (np.column_stack([interpolate(x0, eps, t), pe]), cond, t)
+            loss, _ = backward(model, lambda v: loss_of(v, eps), batch, *buffers[min(i, 1)])
             if i:
                 grad += work
             total_loss += loss
@@ -450,10 +455,10 @@ def train_structure(
 
     Each step renders a random number of views (``view_range``) of a
     random object from random hemisphere cameras, fuses them into a
-    sparse grid, and pools the resulting condition tokens; with
-    probability ``cfg_dropout`` the condition is replaced by zeros.  The
-    model regresses the straight-path velocity toward the object's
-    dense +-1 occupancy under the MSE matching loss.
+    sparse grid, and pools the resulting condition tokens (zeros when
+    every view misses the object); ``_fit`` drops it out.  The model
+    regresses the straight-path velocity toward the object's dense +-1
+    occupancy under the MSE matching loss.
     """
     dataset = list(dataset)
     if not dataset:
@@ -465,24 +470,18 @@ def train_structure(
     pe = position_codes(r, PE_DIM)
     lattices = [ground_truth_occupancy(obj, r) for obj in dataset]
     clean = [signed_occupancy(lat) for lat in lattices]
-    zero_cond = np.zeros(channels)
 
     def sample(rng):
         pick = int(rng.integers(len(dataset)))
         obj, x0, occ = dataset[pick], clean[pick], lattices[pick]
         n_views = int(rng.integers(cfg.view_range[0], cfg.view_range[1] + 1))
-        grids = []
-        for _ in range(n_views):
-            view = random_hemisphere_view(rng, intrinsics)
-            depth_img, feats = render_views(obj, view, r, channels, occ=occ)
-            grids.append(backproject_view(depth_img.values, feats, view, r))
-        cond = pooled_condition(fuse(grids))
-        if rng.random() < cfg.cfg_dropout:
-            cond = zero_cond
-        t, eps, x_t = _corruption(x0, flow_cfg, rng)
-        return np.column_stack([x_t, pe]), cond, t, lambda v: cfm_loss_mse(v, x0, eps)
+        views = [random_hemisphere_view(rng, intrinsics) for _ in range(n_views)]
+        # A generator: each render is back-projected before the next is made.
+        renders = ((*render_views(obj, view, r, channels, occ=occ), view) for view in views)
+        cond = pooled_condition(fuse_views(renders, r))
+        return x0, pe, cond, lambda v, eps: cfm_loss_mse(v, x0, eps)
 
-    return _fit(channels, sample, cfg)
+    return _fit(channels, sample, flow_cfg, cfg)
 
 
 def train_affordance(
@@ -514,15 +513,12 @@ def train_affordance(
             pairs.append((heat.values.copy(), tokens_pe, table.embedding_of(query)))
     if not pairs:
         raise DataError("no query matches any object in the dataset")
-    zero_cond = np.zeros(table.dim)
 
     def sample(rng):
         gt, pe, embedding = pairs[int(rng.integers(len(pairs)))]
-        cond = zero_cond if rng.random() < cfg.cfg_dropout else embedding
-        t, eps, a_t = _corruption(2.0 * gt - 1.0, flow_cfg, rng)
-        return np.column_stack([a_t, pe]), cond, t, lambda v: velocity_mask_loss(v, eps, gt)
+        return 2.0 * gt - 1.0, pe, embedding, lambda v, eps: velocity_mask_loss(v, eps, gt)
 
-    return _fit(table.dim, sample, cfg)
+    return _fit(table.dim, sample, flow_cfg, cfg)
 
 
 # --- checkpoints ------------------------------------------------------------

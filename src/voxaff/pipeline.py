@@ -27,7 +27,6 @@ from .errors import (
     DataError,
     DegenerateQueryError,
     DomainError,
-    EmptyConditionError,
     check_integer,
 )
 from .flow import FlowConfig, cfg_combine, euler_sample, sigmoid
@@ -49,9 +48,8 @@ from .synthscene import (
 from .voxel import (
     AffordanceHeatmap,
     as_index_array,
-    backproject_view,
     encode_positions,
-    fuse,
+    fuse_views,
     heatmap_to_dict,
     pooled_condition,
     position_codes,
@@ -103,48 +101,41 @@ def _candidate_lattice(n_candidates: int, image_size: int) -> tuple[Viewpoint, .
     return tuple(hemisphere_candidates(n_candidates, intrinsics=eval_intrinsics(image_size)))
 
 
-def fuse_observations(views, resolution: int):
-    """Backproject and fuse (DepthImage, features, viewpoint) observations."""
-    if not views:
-        raise DataError("need at least one observation")
-    return fuse([backproject_view(d.values, feats, view, resolution) for d, feats, view in views])
+def _velocity_for(model, cond: Array, pe: Array, guidance: float):
+    """Guided closure of a float32 copy of a model, or a raw velocity
+    field as-is.
 
-
-def _velocity_for(model, cond, pe: Array, guidance: float):
-    """Guided closure for a model, or a raw velocity field as-is.
+    The copy is cast here, once per ``reconstruct`` or ``ground`` call:
+    about 14 k weights, a few microseconds.  Nothing is cached on the
+    model, so a model whose ``params`` change between calls never samples
+    stale weights.  A weight beyond float32's range casts to inf and
+    saturates its tanh, as an overflowing layer sum does.
 
     Passing a plain callable ``(x, t) -> v`` in place of a model is the
     oracle hook used by tests and baselines; it skips conditioning.
     """
     if not isinstance(model, VelocityModel):
         return model
-    return _guided_velocity(model, cond, pe, guidance)
-
-
-def _guided_velocity(model: VelocityModel, cond: Array | None, pe: Array, guidance: float):
-    """Velocity closure with classifier-free guidance over pooled cond.
-
-    The closure runs a float32 copy of the model, cast here, once per
-    ``reconstruct`` or ``ground`` call: about 14 k weights, a few
-    microseconds.  Nothing is cached on the model, so a model whose
-    ``params`` change between calls never samples stale weights.  A weight
-    beyond float32's range casts to inf and saturates its tanh, as an
-    overflowing layer sum does.  The velocities come back in float32;
-    ``cfg_combine`` and the Euler state are float64.
-    """
     with np.errstate(over="ignore"):
         model = replace(
             model, params={name: p.astype(np.float32) for name, p in model.params.items()}
         )
+    return _guided_velocity(model, cond, pe, guidance)
+
+
+def _guided_velocity(model: VelocityModel, cond: Array, pe: Array, guidance: float):
+    """Velocity closure with classifier-free guidance of ``cond`` against
+    the zero condition, in the dtype of the model's weights.
+
+    ``_velocity_for`` hands it float32 weights, so the velocities come
+    back in float32; ``cfg_combine`` and the Euler state are float64.
+    """
     zero = np.zeros(model.cond_dim)
 
     def velocity(x, t):
         tokens = np.column_stack([x, pe])
         v_uncond = forward(model, tokens, zero, t)
-        if cond is None:
-            return v_uncond
-        v_cond = forward(model, tokens, cond, t)
-        return cfg_combine(v_cond, v_uncond, guidance)
+        return cfg_combine(forward(model, tokens, cond, t), v_uncond, guidance)
 
     return velocity
 
@@ -159,14 +150,11 @@ def reconstruct(
     """Sample a dense occupancy conditioned on fused observations.
 
     Returns the sorted (n, 3) occupied index set: voxels whose sampled
-    latent exceeds 0.  Views that see nothing fall back to unconditional
-    sampling.  A latent that is not finite raises ``DomainError``.
+    latent exceeds 0.  Views that see nothing pool to the zero condition,
+    so guidance compares the unconditional branch with itself.  No views,
+    or a latent that is not finite, raises ``DomainError``.
     """
-    fused = fuse_observations(views, resolution)
-    try:
-        cond = pooled_condition(fused)
-    except EmptyConditionError:
-        cond = None
+    cond = pooled_condition(fuse_views(views, resolution))
     pe = position_codes(resolution, PE_DIM)
     velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
     latent = euler_sample(velocity, (resolution**3,), flow_cfg, rng)

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyConditionError,
-    ShapeMismatchError,
-    SupportError,
-)
+from .errors import DomainError, ShapeMismatchError, SupportError
 from .geometry import Viewpoint, unproject_pixels
 
 Array = np.ndarray
@@ -348,17 +343,25 @@ def encode_positions(positions, r: int, dim: int) -> Array:
     return position_codes(r, dim)[flat_index(positions, r)]
 
 
+def fuse_views(views, r: int) -> SparseVoxelGrid:
+    """Back-project each posed ``(DepthImage, features, viewpoint)`` view
+    and fuse the grids.  ``views`` may be a generator, so that only one
+    render is held at a time; no views raises ``DomainError``."""
+    return fuse(backproject_view(d.values, feats, view, r) for d, feats, view in views)
+
+
 def pooled_condition(grid: SparseVoxelGrid) -> Array:
     """The condition vector handed to models: the mean over a fused grid's
     tokens, each token its voxel's feature plus its positional code.
 
     The encoding width equals the grid's channel count, so the condition
-    keeps the feature dimensionality.  An empty grid cannot condition
-    anything and raises ``EmptyConditionError`` (callers fall back to the
-    unconditional branch).
+    keeps the feature dimensionality.  An empty grid, from views that see
+    nothing, is the null condition: the zero vector, the same one that
+    classifier-free dropout trains on and guided sampling's unconditional
+    branch reads.
     """
     if len(grid) == 0:
-        raise EmptyConditionError("cannot build conditioning tokens from an empty grid")
+        return np.zeros(grid.channels)
     tokens = grid.features + encode_positions(grid.indices, grid.resolution, grid.channels)
     return tokens.mean(axis=0)
 

@@ -11,8 +11,8 @@
   match bit for bit.
 * ``ReferenceAdamState`` / ``reference_adam_update`` / ``reference_fit``:
   the training loop with one dict entry per parameter, Adam looping over
-  sorted names; the flat-vector loop must give the same losses and
-  parameters bit for bit.
+  sorted names, and its dropout and corruption draws written inline; the
+  flat-vector loop must give the same losses and parameters bit for bit.
 * ``reference_hemisphere_candidates``, ``reference_random_hemisphere_view``
   and ``reference_sequential_view``: the three camera placements as each
   was written before ``geometry.orbit_view`` took over their shared part;
@@ -44,6 +44,8 @@ from voxaff.flow import (
     _check_binary,
     _check_same_shape,
     _softplus,
+    interpolate,
+    sample_timestep,
     sigmoid,
     velocity_target,
 )
@@ -223,7 +225,7 @@ def reference_adam_update(
         params[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def reference_fit(cond_dim: int, sample_fn, cfg) -> TrainResult:
+def reference_fit(cond_dim: int, sample_fn, flow_cfg, cfg) -> TrainResult:
     """``netcore._fit`` with one dict entry per parameter."""
     model = VelocityModel.create(
         token_dim=1 + PE_DIM, cond_dim=cond_dim, hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
@@ -235,8 +237,13 @@ def reference_fit(cond_dim: int, sample_fn, cfg) -> TrainResult:
     for step in range(cfg.steps):
         total_grads, total_loss = None, 0.0
         for _ in range(cfg.batch_size):
-            tokens, cond, t, loss_fn = sample_fn(rng)
-            loss, grads = reference_backward(model, loss_fn, (tokens, cond, t))
+            x0, pe, cond, loss_of = sample_fn(rng)
+            if rng.random() < cfg.cfg_dropout:
+                cond = np.zeros(cond_dim)
+            eps = flow_cfg.noise_scale * rng.standard_normal(x0.shape)
+            t = sample_timestep(rng)
+            tokens = np.column_stack([interpolate(x0, eps, t), pe])
+            loss, grads = reference_backward(model, lambda v: loss_of(v, eps), (tokens, cond, t))
             if total_grads is not None:
                 grads = {k: total_grads[k] + g for k, g in grads.items()}
             total_grads = grads

@@ -416,11 +416,12 @@ def test_unknown_config_field_exits_2(ws, tmp_path):
         {"adam_eps": -1},
         {"cfg_dropout": True},
         {"ema_rate": math.inf},
+        {"seed": -1, "steps": 2},
     ],
     ids=[
         "steps-0", "steps-2.5", "batch_size-1.5", "hidden-true", "view_range-1",
         "learning_rate-nan", "beta1-2", "beta2-1", "adam_eps-neg", "cfg_dropout-true",
-        "ema_rate-inf",
+        "ema_rate-inf", "seed-minus-1",
     ],
 )
 def test_bad_trainer_value_exits_2(ws, tmp_path, capsys, trainer):
@@ -772,6 +773,8 @@ def _torus_head(major_radius):
         ("heatmap", _replaced(("heatmap", "logits"), True), 3),
         ("heatmap", _replaced(("heatmap", "logits"), 0), 3),
         ("occupancy", _half_cell_x(("occupied",)), 3),
+        ("occupancy", _replaced(("resolution",), 8.5), 3),
+        ("occupancy", _replaced(("resolution",), "8"), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
          "manifest-hashes-list", "scene-edited-train", "table-edited-train",
@@ -789,7 +792,8 @@ def _torus_head(major_radius):
          "checkpoint-seed-1e300", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
          "heatmap-resolution-8.5", "heatmap-logits-str-false", "heatmap-logits-true",
-         "heatmap-logits-0", "occupancy-half-cell"],
+         "heatmap-logits-0", "occupancy-half-cell", "occupancy-resolution-8.5",
+         "occupancy-resolution-str"],
 )
 # A warning from numpy would print more lines before the message, so
 # warnings fail these runs instead of being collected by pytest.
@@ -798,6 +802,21 @@ def test_corrupted_artifact_exits_3_or_4(walk, tmp_path, capsys, artifact, mutat
     assert _run_corrupted(walk, tmp_path, artifact, mutate) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("made", [4, 16])
+def test_occupancy_file_made_at_another_resolution_exits_2(walk, tmp_path, capsys, made):
+    # The walkthrough runs at resolution 8.
+    assert _run_corrupted(walk, tmp_path, "occupancy", _replaced(("resolution",), made)) == 2
+    err = capsys.readouterr().err
+    assert f"recon.json was reconstructed at resolution {made}, the run has 8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_occupancy_file_without_a_resolution_loads(walk, tmp_path):
+    assert _run_corrupted(walk, tmp_path, "occupancy", _dropped(("resolution",))) == 0
+    heat = json.loads((tmp_path / "out").read_text())["heatmap"]
+    assert heat == json.loads((walk / WALK_FILES["heatmap"]).read_text())["heatmap"]
 
 
 @pytest.mark.parametrize(

@@ -487,6 +487,17 @@ def test_train_structure_is_bit_deterministic():
     )
 
 
+def test_train_structure_steps_whose_views_miss_the_object_train_on_the_zero_condition():
+    # One-pixel views see nothing on some steps of this run, so their
+    # fused grid is empty and pools to the null condition.
+    cfg = nc.TrainerConfig(steps=30, view_pixels=1, hidden=8, depth=1, seed=5)
+    a = nc.train_structure([sc.generate_object(5)], cfg)
+    b = nc.train_structure([sc.generate_object(5)], cfg)
+    assert np.all(np.isfinite(a.losses)) and np.array_equal(a.losses, b.losses)
+    for name in a.model.params:
+        assert np.array_equal(a.model.params[name], b.model.params[name])
+
+
 def test_train_structure_rejects_empty_dataset():
     with pytest.raises(DataError):
         nc.train_structure([], _fast_cfg())

@@ -26,7 +26,7 @@ from voxaff.errors import (
 )
 from voxaff.flow import FlowConfig, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
-from voxaff.netcore import PE_DIM, VelocityModel
+from voxaff.netcore import PE_DIM, VelocityModel, forward
 from voxaff.render import DepthImage, render_views
 from voxaff.synthscene import (
     default_query_table,
@@ -35,7 +35,7 @@ from voxaff.synthscene import (
     ground_truth_occupancy,
     occupied_indices,
 )
-from voxaff.voxel import AffordanceHeatmap
+from voxaff.voxel import AffordanceHeatmap, fuse_views, position_codes
 
 R = 8
 CHANNELS = 16
@@ -155,7 +155,7 @@ def test_reconstruct_rejects_empty_observations():
     with pytest.raises(DataError):
         pl.reconstruct([], model, R, FlowConfig.for_structure(), np.random.default_rng(0))
     with pytest.raises(DataError):
-        pl.fuse_observations([], R)
+        fuse_views([], R)
 
 
 def test_reconstruct_with_an_untrained_model_returns_the_noise():
@@ -181,9 +181,19 @@ def test_reconstruct_blank_views_fall_back_to_unconditional():
         np.zeros((size, size, CHANNELS)),
         view,
     )
-    model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
-    occ = pl.reconstruct([blank], model, R, FlowConfig.for_structure(), np.random.default_rng(0))
-    assert occ.ndim == 2 and occ.shape[1] == 3
+    model = _random_structure_model(22)
+    float32 = replace(model, params={name: p.astype(np.float32) for name, p in model.params.items()})
+    pe, zero = position_codes(R, PE_DIM), np.zeros(CHANNELS)
+
+    def unconditional(x, t):
+        return forward(float32, np.column_stack([x, pe]), zero, t)
+
+    for guidance in (3.0, -1.0, 0.0):
+        cfg = FlowConfig(steps=4, noise_scale=1.0, guidance_strength=guidance)
+        occ = pl.reconstruct([blank], model, R, cfg, np.random.default_rng(0))
+        expected = pl.reconstruct([blank], unconditional, R, cfg, np.random.default_rng(0))
+        assert np.array_equal(occ, expected), guidance
+        assert 0 < occ.shape[0] < R**3
 
 
 # --- float32 sampling ------------------------------------------------------------
@@ -228,7 +238,9 @@ model = tp._random_structure_model(21)
 view = hemisphere_candidates(1, intrinsics=eval_intrinsics(32))[0]
 obs = (*render_views(generate_object(4), view, 16, tp.CHANNELS), view)
 occ = pl.reconstruct([obs], model, 16, FlowConfig(steps=3), np.random.default_rng(5))
-v = pl._guided_velocity(model, None, position_codes(16, tp.PE_DIM), 1.0)(np.linspace(-3, 3, 16**3), 0.5)
+v = pl._velocity_for(model, np.zeros(tp.CHANNELS), position_codes(16, tp.PE_DIM), 1.0)(
+    np.linspace(-3, 3, 16**3), 0.5
+)
 print(hashlib.sha256(occ.tobytes()).hexdigest(), hashlib.sha256(v.tobytes()).hexdigest())
 """
 
@@ -602,12 +614,12 @@ def test_view_trace_checks_step_count():
 # --- observations ----------------------------------------------------------------------
 
 
-def test_fuse_observations_union_grows_with_views():
+def test_fuse_views_union_grows_with_views():
     obj = generate_object(2)
     views = _view(3)
     o1, o2 = _observation(obj, views[1]), _observation(obj, views[2])
-    g1 = pl.fuse_observations([o1], R)
-    g12 = pl.fuse_observations([o1, o2], R)
+    g1 = fuse_views([o1], R)
+    g12 = fuse_views(iter([o1, o2]), R)
     assert _index_set(g1.indices) <= _index_set(g12.indices)
     assert len(g12) >= len(g1)
 

@@ -8,7 +8,7 @@ are unprojected at their centers, and cells are floor((p + 0.5) * r).
 import numpy as np
 import pytest
 
-from voxaff.errors import DomainError, EmptyConditionError, ShapeMismatchError, SupportError
+from voxaff.errors import DomainError, ShapeMismatchError, SupportError
 from oracles import sparse_grid_from_entries
 from voxaff import geometry as geo
 from voxaff import voxel as vx
@@ -254,9 +254,10 @@ class TestConditionTokens:
             vx.pooled_condition(g), feat[0] + vx.encode_positions([[2, 1, 3]], 4, 12)[0]
         )
 
-    def test_empty_grid_raises(self):
-        with pytest.raises(EmptyConditionError):
-            vx.pooled_condition(vx.SparseVoxelGrid.empty(4, 12))
+    def test_empty_grid_pools_to_the_zero_vector(self):
+        cond = vx.pooled_condition(vx.SparseVoxelGrid.empty(4, 12))
+        assert cond.dtype == np.float64
+        np.testing.assert_array_equal(cond, np.zeros(12))
 
     def test_pooled_is_token_mean(self):
         rng = np.random.default_rng(17)

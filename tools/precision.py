@@ -9,9 +9,9 @@ reconstruction twice, from the same generator seed:
 
 * the production path: ``pipeline`` samples a float32 copy of the committed
   perfbench models (``perfbench/models/r<r>_<kind>.model.json``, read only);
-* a float64 reference: a guided closure of float64 ``netcore.forward`` and
-  ``cfg_combine``, passed to ``reconstruct`` and ``ground`` through the
-  callable seam of ``pipeline._velocity_for``.
+* a float64 reference: ``pipeline._guided_velocity`` on the float64 weights,
+  passed to ``reconstruct`` and ``ground`` through the callable seam of
+  ``pipeline._velocity_for``.
 
 Per resolution it prints how many occupancy sets are equal (and names each
 query whose sets differ; its heatmaps are not compared), the largest
@@ -32,47 +32,28 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from voxaff import pipeline  # noqa: E402
-from voxaff.errors import EmptyConditionError  # noqa: E402
-from voxaff.flow import cfg_combine  # noqa: E402
 from voxaff.metrics import AFFORDANCE_THRESHOLDS  # noqa: E402
-from voxaff.netcore import PE_DIM, forward, load_model  # noqa: E402
+from voxaff.netcore import PE_DIM, load_model  # noqa: E402
 from voxaff.render import render_views  # noqa: E402
 from voxaff.synthscene import default_query_table, generate_object  # noqa: E402
-from voxaff.voxel import encode_positions, pooled_condition, position_codes  # noqa: E402
+from voxaff.voxel import encode_positions, fuse_views, pooled_condition, position_codes  # noqa: E402
 
 CHANNELS = 16
-
-
-def float64_velocity(model, cond, pe, guidance):
-    """``pipeline._guided_velocity`` on the float64 weights, as a plain
-    ``(x, t) -> v`` callable."""
-    zero = np.zeros(model.cond_dim)
-
-    def velocity(x, t):
-        tokens = np.column_stack([x, pe])
-        v_uncond = forward(model, tokens, zero, t)
-        if cond is None:
-            return v_uncond
-        return cfg_combine(forward(model, tokens, cond, t), v_uncond, guidance)
-
-    return velocity
 
 
 def reference_sample(views, query, models, config, rng, table):
     """``reconstruct`` and then ``ground`` through the float64 closure."""
     r = config.resolution
-    try:
-        cond = pooled_condition(pipeline.fuse_observations(views, r))
-    except EmptyConditionError:
-        cond = None
+    cond = pooled_condition(fuse_views(views, r))
     flow = config.structure_flow
-    velocity = float64_velocity(models.structure, cond, position_codes(r, PE_DIM), flow.guidance_strength)
+    pe = position_codes(r, PE_DIM)
+    velocity = pipeline._guided_velocity(models.structure, cond, pe, flow.guidance_strength)
     occ = pipeline.reconstruct(views, velocity, r, flow, rng)
     if not occ.shape[0]:
         return occ, None
     flow = config.affordance_flow
-    pe = encode_positions(occ, r, PE_DIM)
-    velocity = float64_velocity(models.affordance, table.embedding_of(query), pe, flow.guidance_strength)
+    cond, pe = table.embedding_of(query), encode_positions(occ, r, PE_DIM)
+    velocity = pipeline._guided_velocity(models.affordance, cond, pe, flow.guidance_strength)
     return occ, pipeline.ground(occ, query, velocity, r, flow, rng, table)
 
 
