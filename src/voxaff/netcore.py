@@ -72,7 +72,7 @@ from .synthscene import (
     ground_truth_occupancy,
     signed_occupancy,
 )
-from .voxel import encode_positions, fuse_views, pooled_condition, position_codes, sinusoid
+from .voxel import backproject_view, encode_positions, fuse, pooled_condition, position_codes, sinusoid
 
 Array = np.ndarray
 
@@ -475,10 +475,12 @@ def train_structure(
         pick = int(rng.integers(len(dataset)))
         obj, x0, occ = dataset[pick], clean[pick], lattices[pick]
         n_views = int(rng.integers(cfg.view_range[0], cfg.view_range[1] + 1))
-        views = [random_hemisphere_view(rng, intrinsics) for _ in range(n_views)]
-        # A generator: each render is back-projected before the next is made.
-        renders = ((*render_views(obj, view, r, channels, occ=occ), view) for view in views)
-        cond = pooled_condition(fuse_views(renders, r))
+        grids = []
+        for _ in range(n_views):
+            view = random_hemisphere_view(rng, intrinsics)
+            depth_img, feats = render_views(obj, view, r, channels, occ=occ)
+            grids.append(backproject_view(depth_img.values, feats, view, r))
+        cond = pooled_condition(fuse(grids))
         return x0, pe, cond, lambda v, eps: cfm_loss_mse(v, x0, eps)
 
     return _fit(channels, sample, flow_cfg, cfg)

@@ -48,8 +48,9 @@ from .synthscene import (
 from .voxel import (
     AffordanceHeatmap,
     as_index_array,
+    backproject_view,
     encode_positions,
-    fuse_views,
+    fuse,
     heatmap_to_dict,
     pooled_condition,
     position_codes,
@@ -99,6 +100,12 @@ class PipelineConfig:
 def _candidate_lattice(n_candidates: int, image_size: int) -> tuple[Viewpoint, ...]:
     """Built once per size: viewpoints are immutable, so the calls share them."""
     return tuple(hemisphere_candidates(n_candidates, intrinsics=eval_intrinsics(image_size)))
+
+
+def fuse_observations(views, resolution: int):
+    """Backproject and fuse (DepthImage, features, viewpoint) observations;
+    no views raises ``DomainError``, a ``DataError``."""
+    return fuse(backproject_view(d.values, feats, view, resolution) for d, feats, view in views)
 
 
 def _velocity_for(model, cond: Array, pe: Array, guidance: float):
@@ -154,7 +161,7 @@ def reconstruct(
     so guidance compares the unconditional branch with itself.  No views,
     or a latent that is not finite, raises ``DomainError``.
     """
-    cond = pooled_condition(fuse_views(views, resolution))
+    cond = pooled_condition(fuse_observations(views, resolution))
     pe = position_codes(resolution, PE_DIM)
     velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
     latent = euler_sample(velocity, (resolution**3,), flow_cfg, rng)

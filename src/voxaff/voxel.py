@@ -343,13 +343,6 @@ def encode_positions(positions, r: int, dim: int) -> Array:
     return position_codes(r, dim)[flat_index(positions, r)]
 
 
-def fuse_views(views, r: int) -> SparseVoxelGrid:
-    """Back-project each posed ``(DepthImage, features, viewpoint)`` view
-    and fuse the grids.  ``views`` may be a generator, so that only one
-    render is held at a time; no views raises ``DomainError``."""
-    return fuse(backproject_view(d.values, feats, view, r) for d, feats, view in views)
-
-
 def pooled_condition(grid: SparseVoxelGrid) -> Array:
     """The condition vector handed to models: the mean over a fused grid's
     tokens, each token its voxel's feature plus its positional code.

@@ -35,7 +35,7 @@ from voxaff.synthscene import (
     ground_truth_occupancy,
     occupied_indices,
 )
-from voxaff.voxel import AffordanceHeatmap, fuse_views, position_codes
+from voxaff.voxel import AffordanceHeatmap, position_codes
 
 R = 8
 CHANNELS = 16
@@ -155,7 +155,7 @@ def test_reconstruct_rejects_empty_observations():
     with pytest.raises(DataError):
         pl.reconstruct([], model, R, FlowConfig.for_structure(), np.random.default_rng(0))
     with pytest.raises(DataError):
-        fuse_views([], R)
+        pl.fuse_observations([], R)
 
 
 def test_reconstruct_with_an_untrained_model_returns_the_noise():
@@ -614,12 +614,12 @@ def test_view_trace_checks_step_count():
 # --- observations ----------------------------------------------------------------------
 
 
-def test_fuse_views_union_grows_with_views():
+def test_fuse_observations_union_grows_with_views():
     obj = generate_object(2)
     views = _view(3)
     o1, o2 = _observation(obj, views[1]), _observation(obj, views[2])
-    g1 = fuse_views([o1], R)
-    g12 = fuse_views(iter([o1, o2]), R)
+    g1 = pl.fuse_observations([o1], R)
+    g12 = pl.fuse_observations([o1, o2], R)
     assert _index_set(g1.indices) <= _index_set(g12.indices)
     assert len(g12) >= len(g1)
 

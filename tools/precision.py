@@ -36,7 +36,7 @@ from voxaff.metrics import AFFORDANCE_THRESHOLDS  # noqa: E402
 from voxaff.netcore import PE_DIM, load_model  # noqa: E402
 from voxaff.render import render_views  # noqa: E402
 from voxaff.synthscene import default_query_table, generate_object  # noqa: E402
-from voxaff.voxel import encode_positions, fuse_views, pooled_condition, position_codes  # noqa: E402
+from voxaff.voxel import encode_positions, pooled_condition, position_codes  # noqa: E402
 
 CHANNELS = 16
 
@@ -44,7 +44,7 @@ CHANNELS = 16
 def reference_sample(views, query, models, config, rng, table):
     """``reconstruct`` and then ``ground`` through the float64 closure."""
     r = config.resolution
-    cond = pooled_condition(fuse_views(views, r))
+    cond = pooled_condition(pipeline.fuse_observations(views, r))
     flow = config.structure_flow
     pe = position_codes(r, PE_DIM)
     velocity = pipeline._guided_velocity(models.structure, cond, pe, flow.guidance_strength)
