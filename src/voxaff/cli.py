@@ -330,8 +330,17 @@ def cmd_ground(args, run: RunConfig) -> int:
                 occ = np.array(data["occupied"])
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed occupancy file {args.occupancy}: {exc}") from exc
-            # A file without a resolution loads under any run, as a
-            # checkpoint without a trainer record does.
+            # A file without an object id or a resolution loads for any
+            # object and run, as a checkpoint without a trainer record does.
+            seen = data.get("object_id", obj.object_id)
+            if not isinstance(seen, str):
+                raise DataError(
+                    f"malformed occupancy record: object_id must be a string, got {seen!r}"
+                )
+            if seen != obj.object_id:
+                raise DataError(
+                    f"{args.occupancy} was reconstructed from {seen}, the object is {obj.object_id}"
+                )
             made = record_integer("occupancy", "resolution", data.get("resolution", r))
             if made != r:
                 raise ConfigError(

@@ -41,10 +41,6 @@ class UnknownQueryError(DataError):
     """Query string missing from the query table."""
 
 
-class SupportError(DomainError):
-    """Heatmap support is not a subset of the occupancy it annotates."""
-
-
 class UndefinedMetricError(DataError):
     """Metric undefined for the given input (e.g. empty point cloud)."""
 

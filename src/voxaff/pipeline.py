@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     CandidatesExhaustedError,
     ConfigError,
-    DataError,
     DegenerateQueryError,
     DomainError,
     check_integer,
@@ -181,10 +180,13 @@ def ground(
     rng: np.random.Generator,
     table: QueryTable,
 ) -> AffordanceHeatmap:
-    """Sample a probability heatmap for ``query`` over occupied voxels."""
+    """Sample a probability heatmap for ``query`` over occupied voxels.
+
+    Its positions are ``occupied``, sorted.  An empty occupancy grounds to
+    the empty heatmap: the sampler runs on zero tokens and draws nothing
+    from ``rng``.
+    """
     occ = as_index_array(occupied, resolution)
-    if occ.shape[0] == 0:
-        raise DataError("cannot ground a query on empty occupancy")
     cond = table.embedding_of(query)
     pe = encode_positions(occ, resolution, PE_DIM)
     velocity = _velocity_for(model, cond, pe, flow_cfg.guidance_strength)
@@ -195,9 +197,13 @@ def ground(
 # --- view scoring and selection ----------------------------------------------
 
 
-def visibility_score(occupied, heat: AffordanceHeatmap, view: Viewpoint) -> float:
-    """Total projected heat: sum over pixels of the affordance render."""
-    return render_affordance(occupied, heat, view).total()
+def _visibility_scores(heat: AffordanceHeatmap, candidates) -> tuple:
+    """Total projected heat per candidate: the sum over pixels of its
+    affordance render, with the heatmap's positions as the occupancy."""
+    r = heat.resolution
+    occ = np.zeros((r, r, r), dtype=bool)
+    occ[tuple(heat.positions.T)] = True
+    return tuple(render_affordance(occ, heat, view).total() for view in candidates)
 
 
 @dataclass(frozen=True)
@@ -209,13 +215,17 @@ class SelectedView:
     scores: tuple
 
 
-def select_next_view(occupied, heat: AffordanceHeatmap, candidates, visited=()) -> SelectedView:
-    """Highest-visibility unvisited candidate; ties go to the lowest index."""
+def select_next_view(heat: AffordanceHeatmap, candidates, visited=()) -> SelectedView:
+    """Highest-visibility unvisited candidate; ties go to the lowest index.
+
+    The heatmap is the scene: its positions occlude, and its values are
+    the heat a camera sees on the first of them that each ray meets.
+    """
     visited = set(visited)
     remaining = [i for i in range(len(candidates)) if i not in visited]
     if not remaining:
         raise CandidatesExhaustedError("every candidate view has been visited")
-    scores = tuple(visibility_score(occupied, heat, view) for view in candidates)
+    scores = _visibility_scores(heat, candidates)
     best = max(remaining, key=lambda i: (scores[i], -i))
     return SelectedView(index=best, viewpoint=candidates[best], scores=scores)
 
@@ -236,8 +246,7 @@ def worst_initial_view(
     heat = ground_truth_affordance(obj, query, resolution, table)
     if not heat.values.any():
         raise DegenerateQueryError(f"query {query!r} has an empty ground-truth mask")
-    occupied = heat.positions
-    scores = tuple(visibility_score(occupied, heat, view) for view in candidates)
+    scores = _visibility_scores(heat, candidates)
     best = min(range(len(candidates)), key=lambda i: (scores[i], i))
     return SelectedView(index=best, viewpoint=candidates[best], scores=scores)
 
@@ -292,14 +301,6 @@ def _matching_candidate(view: Viewpoint, candidates) -> int | None:
     return None
 
 
-def _empty_heatmap(resolution: int) -> AffordanceHeatmap:
-    return AffordanceHeatmap(
-        resolution=resolution,
-        positions=np.zeros((0, 3), dtype=np.int64),
-        values=np.zeros(0),
-    )
-
-
 def active_loop(
     obj: SyntheticObject,
     query: str,
@@ -317,6 +318,8 @@ def active_loop(
     reconstruction and heatmap built from every view so far, and their
     quality against ground truth; all but the last iteration then choose
     the next pose per ``strategy`` and observe the true object from it.
+    An empty reconstruction grounds to the empty heatmap, which scores
+    every candidate 0.
     """
     if budget < 1:
         raise DomainError("view budget must be at least 1")
@@ -336,12 +339,7 @@ def active_loop(
 
     for iteration in range(budget):
         occupied = reconstruct(observations, models.structure, r, config.structure_flow, rng)
-        if occupied.shape[0]:
-            heat = ground(
-                occupied, query, models.affordance, r, config.affordance_flow, rng, table
-            )
-        else:
-            heat = _empty_heatmap(r)
+        heat = ground(occupied, query, models.affordance, r, config.affordance_flow, rng, table)
         quality = aiou_acd(heat, gt_heat, r)
         metrics = {
             "iou": volumetric_iou(occupied, gt_heat.positions, r),
@@ -355,7 +353,7 @@ def active_loop(
         next_view = None
         if iteration < budget - 1:
             if strategy == "active":
-                choice = select_next_view(occupied, heat, candidates, visited)
+                choice = select_next_view(heat, candidates, visited)
                 candidate_scores = choice.scores
                 selected_index = choice.index
                 next_view = choice.viewpoint

@@ -34,9 +34,8 @@ the cells, one ``flatnonzero`` and one ``searchsorted`` of the row
 offsets.  ``render_affordance`` scores the same fixed candidate cameras
 against many occupancies, so it builds and caches the table of every
 camera it sees, keyed by (pose rotation and translation bytes,
-intrinsics, r); it checks support on the same flat boolean lattice it
-reads the hits from, and a 128^2 candidate at r = 8 then costs about
-0.4 ms, mostly the table read.  Observation renders (``render_views``)
+intrinsics, r), and a 128^2 candidate at r = 8 then costs about 0.4 ms,
+mostly the table read.  Observation renders (``render_views``)
 read the table when their camera already has one cached, recovering the
 entry axis and distance of the hit bit-identically to a march; any other
 camera is marched to its first hit, since building a table costs more
@@ -461,19 +460,20 @@ def render_views(
     )
 
 
-def render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpoint) -> ScalarImage:
+def render_affordance(occ: Array, heat: AffordanceHeatmap, view: Viewpoint) -> ScalarImage:
     """Project a voxel heatmap through the occupancy: first-hit value per pixel.
 
-    The full occupancy occludes: a heated voxel hidden behind unheated
-    geometry contributes nothing.  Misses and unheated hits read 0.
+    ``occ`` is the (r, r, r) boolean lattice, as ``render_views`` takes
+    it.  The full occupancy occludes: a heated voxel hidden behind
+    unheated geometry contributes nothing.  Misses and unheated hits read
+    0, and heat on a cell that ``occ`` leaves unset is never hit.
     """
     r = heat.resolution
-    occ = heat.check_support(occupied)
     table = _ray_table(view, r)
     # Heat per flat cell, then per table row, zero-led like ``table.rows``.
     values = np.zeros(r**3)
     values[flat_index(heat.positions, r)] = heat.values
-    crosses, first = _first_occupied(table, occ)
+    crosses, first = _first_occupied(table, occ.ravel(order="F"))
     row_heat = np.zeros(crosses.size + 1)
     row_heat[1:][crosses] = values[table.cells[first]]
     out = np.take(row_heat, table.rows)

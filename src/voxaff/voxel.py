@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, SupportError
+from .errors import DomainError, ShapeMismatchError
 from .geometry import Viewpoint, unproject_pixels
 
 Array = np.ndarray
@@ -206,21 +206,6 @@ class AffordanceHeatmap:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def check_support(self, occupied) -> Array:
-        """Raise unless every heated position appears in the index set
-        ``occupied`` (see ``_check_indices``), in any order.
-
-        Returns the flat x-fastest boolean lattice of the occupied cells.
-        """
-        r = self.resolution
-        occ = _check_indices(occupied, r, "occupancy indices")
-        lattice = np.zeros(r**3, dtype=bool)
-        lattice[flat_index(occ, r)] = True
-        missing = np.count_nonzero(~lattice[flat_index(self.positions, r)])
-        if missing:
-            raise SupportError(f"{missing} heatmap positions outside occupancy")
-        return lattice
 
 
 def backproject_view(

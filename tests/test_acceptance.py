@@ -548,11 +548,9 @@ def test_criterion_10_view_selection_is_scale_invariant():
         occupied = occupied_indices(obj, R)
         values = 0.005 + 0.095 * rng.random(occupied.shape[0])
         entries = {tuple(int(c) for c in row): float(v) for row, v in zip(occupied, values)}
-        base = select_next_view(occupied, heatmap_from_entries(R, entries), candidates)
+        base = select_next_view(heatmap_from_entries(R, entries), candidates)
         for scale in (0.1, 10.0):
             scaled = {key: value * scale for key, value in entries.items()}
-            pick = select_next_view(
-                occupied, heatmap_from_entries(R, scaled), candidates
-            )
+            pick = select_next_view(heatmap_from_entries(R, scaled), candidates)
             assert pick.index == base.index
     _done(10, "50 random heatmaps, x0.1 and x10 scalings: selected view index unchanged")

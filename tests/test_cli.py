@@ -775,6 +775,8 @@ def _torus_head(major_radius):
         ("occupancy", _half_cell_x(("occupied",)), 3),
         ("occupancy", _replaced(("resolution",), 8.5), 3),
         ("occupancy", _replaced(("resolution",), "8"), 3),
+        ("occupancy", _replaced(("object_id",), "mug-000000"), 3),
+        ("occupancy", _replaced(("object_id",), 1), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
          "manifest-hashes-list", "scene-edited-train", "table-edited-train",
@@ -793,7 +795,7 @@ def _torus_head(major_radius):
          "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
          "heatmap-resolution-8.5", "heatmap-logits-str-false", "heatmap-logits-true",
          "heatmap-logits-0", "occupancy-half-cell", "occupancy-resolution-8.5",
-         "occupancy-resolution-str"],
+         "occupancy-resolution-str", "occupancy-object-id-other", "occupancy-object-id-int"],
 )
 # A warning from numpy would print more lines before the message, so
 # warnings fail these runs instead of being collected by pytest.
@@ -817,6 +819,31 @@ def test_occupancy_file_without_a_resolution_loads(walk, tmp_path):
     assert _run_corrupted(walk, tmp_path, "occupancy", _dropped(("resolution",))) == 0
     heat = json.loads((tmp_path / "out").read_text())["heatmap"]
     assert heat == json.loads((walk / WALK_FILES["heatmap"]).read_text())["heatmap"]
+
+
+def test_occupancy_file_without_an_object_id_loads(walk, tmp_path):
+    assert _run_corrupted(walk, tmp_path, "occupancy", _dropped(("object_id",))) == 0
+    heat = json.loads((tmp_path / "out").read_text())["heatmap"]
+    assert heat == json.loads((walk / WALK_FILES["heatmap"]).read_text())["heatmap"]
+
+
+def test_occupancy_file_of_another_object_is_named(walk, tmp_path, capsys):
+    recon = json.loads((walk / WALK_FILES["occupancy"]).read_text())
+    assert _run_corrupted(walk, tmp_path, "occupancy", _replaced(("object_id",), "mug-000000")) == 3
+    err = capsys.readouterr().err
+    assert f"recon.json was reconstructed from mug-000000, the object is {recon['object_id']}" in err
+
+
+def test_empty_reconstruction_grounds_to_the_empty_heatmap_and_scores(walk, tmp_path):
+    assert _run_corrupted(walk, tmp_path, "occupancy", _replaced(("occupied",), [])) == 0
+    heat = json.loads((tmp_path / "out").read_text())["heatmap"]
+    assert heat["positions"] == [] and heat["values"] == []
+    csv_path = tmp_path / "eval.csv"
+    assert cli.main(["eval", "--pred", str(tmp_path / "out"), "--gt", str(walk / WALK_FILES["truth"]),
+                     "--out", str(csv_path)]) == 0
+    row = _read_csv(csv_path)[0]
+    assert float(row["aiou"]) == 0.0
+    assert row["acd"] == "NA" and int(row["acd_excluded"]) == 5
 
 
 @pytest.mark.parametrize(

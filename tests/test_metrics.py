@@ -70,6 +70,13 @@ def test_volumetric_iou_matches_set_oracle_at_any_resolution():
 def test_volumetric_iou_validates_range():
     with pytest.raises(DomainError):
         mx.volumetric_iou([(9, 0, 0)], [(0, 0, 0)], r=8)
+    # (4, 0, 0) lies outside the r = 4 lattice, though its flat index equals
+    # that of (0, 1, 0): the set is refused, not aliased.
+    for bad in ([(3, 3, 3), (4, 0, 0)], [(0, -1, 0)]):
+        with pytest.raises(DomainError, match=r"^occupancy indices must lie in \[0, 4\)\^3$"):
+            mx.volumetric_iou(bad, [(0, 1, 0)], 4)
+        with pytest.raises(DomainError, match=r"^occupancy indices must lie in \[0, 4\)\^3$"):
+            mx.volumetric_iou([(0, 1, 0)], bad, 4)
 
 
 # --- chamfer -----------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import voxaff.pipeline as pl
-from oracles import raycast_depth
+from oracles import occupancy_cube, raycast_depth
 import voxaff.render as rd
 from voxaff.errors import (
     CandidatesExhaustedError,
@@ -21,7 +21,6 @@ from voxaff.errors import (
     DataError,
     DegenerateQueryError,
     DomainError,
-    SupportError,
     UnknownQueryError,
 )
 from voxaff.flow import FlowConfig, sigmoid
@@ -273,13 +272,33 @@ def test_ground_recovers_mask_and_aligns_positions():
     assert np.array_equal(heat.values > 0.5, gt_heat.values >= 0.5)
 
 
-def test_ground_rejects_empty_occupancy():
+def test_ground_of_empty_occupancy_is_the_empty_heatmap():
     model = VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1)
-    with pytest.raises(DataError):
-        pl.ground(
-            np.zeros((0, 3), dtype=np.int64), "strike a nail", model, R,
-            FlowConfig.for_affordance_eval(), np.random.default_rng(0), TABLE,
-        )
+    rng = np.random.default_rng(0)
+    heat = pl.ground(
+        np.zeros((0, 3), dtype=np.int64), "strike a nail", model, R,
+        FlowConfig.for_affordance_eval(), rng, TABLE,
+    )
+    assert heat.resolution == R
+    assert heat.positions.shape == (0, 3) and heat.positions.dtype == np.int64
+    assert heat.values.shape == (0,) and heat.values.dtype == np.float64
+    # The sampler drew nothing: the generator is where it was.
+    assert np.array_equal(rng.standard_normal(4), np.random.default_rng(0).standard_normal(4))
+
+
+def test_ground_refuses_occupancy_outside_the_lattice_or_fractional():
+    # (8, 0, 0) lies outside the r = 8 lattice, though its flat index equals
+    # that of (0, 1, 0): the occupancy is refused, not filtered.
+    cfg = FlowConfig.for_affordance_eval()
+    for bad, message in (
+        ([[3, 3, 3], [8, 0, 0]], r"^occupancy indices must lie in \[0, 8\)\^3$"),
+        ([[3, 3, 3], [-1, 0, 0]], r"^occupancy indices must lie in \[0, 8\)\^3$"),
+        ([[0.5, 0.0, 0.0]], "^occupancy indices must be integer typed$"),
+        ([[3.0, 3.0, 3.0]], "^occupancy indices must be integer typed$"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            pl.ground(np.array(bad), "strike a nail", lambda x, t: x, R, cfg,
+                      np.random.default_rng(0), TABLE)
 
 
 def test_ground_unknown_query():
@@ -315,27 +334,33 @@ def test_ground_seed_and_rng_sensitivity():
 # --- view scoring ----------------------------------------------------------------
 
 
+def _rendered_scores(heat, views):
+    """Each view's total affordance render over the heatmap's own lattice."""
+    occ = occupancy_cube(heat.positions, heat.resolution)
+    return tuple(rd.render_affordance(occ, heat, view).total() for view in views)
+
+
 def test_visibility_score_zero_heat_is_zero():
     occ = occupied_indices(generate_object(2), R)
     heat = AffordanceHeatmap(resolution=R, positions=occ, values=np.zeros(occ.shape[0]))
-    for view in _view(4):
-        assert pl.visibility_score(occ, heat, view) == 0.0
+    assert pl.select_next_view(heat, _view(4)).scores == (0.0,) * 4
 
 
 def test_visibility_score_counts_pixels_seeing_a_unit_voxel():
     occ = np.array([[4, 4, 4]], dtype=np.int64)
     heat = AffordanceHeatmap(resolution=R, positions=occ, values=np.ones(1))
-    for view in _view(3):
-        hit_pixels = np.count_nonzero(raycast_depth(occ, R, view).values)
-        assert hit_pixels > 0
-        assert pl.visibility_score(occ, heat, view) == float(hit_pixels)
+    views = _view(3)
+    hit_pixels = tuple(float(np.count_nonzero(raycast_depth(occ, R, v).values)) for v in views)
+    assert all(hit_pixels)
+    assert pl.select_next_view(heat, views).scores == hit_pixels
 
 
 def test_visibility_score_occluded_voxel_scores_zero():
+    # The heatmap is the scene: the wall is in it, with zero heat.
     wall = [(6, iy, iz) for iy in range(R) for iz in range(R)]
-    occ = np.array(wall + [(2, 4, 4)], dtype=np.int64)
+    occ = np.array(sorted(wall + [(2, 4, 4)]), dtype=np.int64)
     heat = AffordanceHeatmap(
-        resolution=R, positions=np.array([[2, 4, 4]], dtype=np.int64), values=np.ones(1)
+        resolution=R, positions=occ, values=(occ == (2, 4, 4)).all(axis=1).astype(float)
     )
     eye = np.array([2.0, 0.0, 0.0])
     view = Viewpoint(
@@ -344,16 +369,7 @@ def test_visibility_score_occluded_voxel_scores_zero():
     )
     # Sanity: the camera does see the object at all.
     assert np.count_nonzero(raycast_depth(occ, R, view).values) > 0
-    assert pl.visibility_score(occ, heat, view) == 0.0
-
-
-def test_visibility_score_requires_support():
-    occ = np.array([[4, 4, 4]], dtype=np.int64)
-    heat = AffordanceHeatmap(
-        resolution=R, positions=np.array([[0, 0, 0]], dtype=np.int64), values=np.ones(1)
-    )
-    with pytest.raises(SupportError):
-        pl.visibility_score(occ, heat, _view()[0])
+    assert pl.select_next_view(heat, [view]).scores == (0.0,)
 
 
 # --- next-view selection -----------------------------------------------------------
@@ -363,13 +379,13 @@ def test_select_next_view_zero_heat_breaks_ties_by_index():
     occ = np.array([[4, 4, 4]], dtype=np.int64)
     heat = AffordanceHeatmap(resolution=R, positions=occ, values=np.zeros(1))
     cands = _view(4, image_size=16)
-    first = pl.select_next_view(occ, heat, cands)
+    first = pl.select_next_view(heat, cands)
     assert first.index == 0
     assert first.scores == (0.0,) * 4
-    assert pl.select_next_view(occ, heat, cands, visited={0}).index == 1
-    assert pl.select_next_view(occ, heat, cands, visited={0, 2}).index == 1
+    assert pl.select_next_view(heat, cands, visited={0}).index == 1
+    assert pl.select_next_view(heat, cands, visited={0, 2}).index == 1
     with pytest.raises(CandidatesExhaustedError):
-        pl.select_next_view(occ, heat, cands, visited=range(4))
+        pl.select_next_view(heat, cands, visited=range(4))
 
 
 def test_select_next_view_prefers_the_heated_face():
@@ -378,8 +394,8 @@ def test_select_next_view_prefers_the_heated_face():
     values = np.where((occ == (2, 4, 4)).all(axis=1), 1.0, 0.0)
     heat = AffordanceHeatmap(resolution=R, positions=occ, values=values)
     cands = _view(12)
-    choice = pl.select_next_view(occ, heat, cands)
-    assert choice.scores == tuple(pl.visibility_score(occ, heat, v) for v in cands)
+    choice = pl.select_next_view(heat, cands)
+    assert choice.scores == _rendered_scores(heat, cands)
     assert choice.index == max(range(12), key=lambda i: (choice.scores[i], -i))
     # The heated voxel sits on the low-x face, so the winner looks from x < 0.
     assert choice.viewpoint.pose.translation[0] < 0
@@ -393,14 +409,14 @@ def test_select_next_view_scale_invariant():
     picks = []
     for scale in (1.0, 0.2, 5.0):
         heat = AffordanceHeatmap(resolution=R, positions=occ, values=scale * base)
-        picks.append(pl.select_next_view(occ, heat, cands).index)
+        picks.append(pl.select_next_view(heat, cands).index)
     assert picks[0] == picks[1] == picks[2]
 
 
 def test_select_next_view_single_candidate():
     occ = np.array([[4, 4, 4]], dtype=np.int64)
     heat = AffordanceHeatmap(resolution=R, positions=occ, values=np.ones(1))
-    assert pl.select_next_view(occ, heat, _view(1)).index == 0
+    assert pl.select_next_view(heat, _view(1)).index == 0
 
 
 def test_worst_initial_view_minimizes_true_visibility():
@@ -409,8 +425,7 @@ def test_worst_initial_view_minimizes_true_visibility():
     cands = _view(12)
     res = pl.worst_initial_view(obj, query, cands, R, TABLE)
     heat = ground_truth_affordance(obj, query, R, TABLE)
-    expected = tuple(pl.visibility_score(heat.positions, heat, v) for v in cands)
-    assert res.scores == expected
+    assert res.scores == _rendered_scores(heat, cands)
     assert res.index == min(range(12), key=lambda i: (res.scores[i], i))
     assert res.scores[res.index] == min(res.scores)
 
@@ -584,10 +599,11 @@ def test_active_loop_empty_reconstruction_degrades_gracefully():
     query = "strike a nail"
     cfg = _loop_config()
     # This velocity drives every latent to about -1, so nothing crosses
-    # the occupancy threshold and the grounded heatmap must be empty.
+    # the occupancy threshold and the grounded heatmap must be empty.  The
+    # affordance model then runs on zero tokens.
     models = pl.StageModels(
         structure=lambda x, t: x + 1.0,
-        affordance=_affordance_oracle(ground_truth_affordance(obj, query, R, TABLE)),
+        affordance=VelocityModel.create(CHANNELS + 1, CHANNELS, hidden=8, depth=1),
     )
     trace = pl.active_loop(
         obj, query, cfg.candidates()[0], 2, "active", models, cfg, np.random.default_rng(0), TABLE

@@ -17,7 +17,7 @@ import voxaff.pipeline as pl
 import voxaff.render as rd
 import voxaff.synthscene as sc
 from oracles import heatmap_from_entries, occupancy_cube, raycast_depth
-from voxaff.errors import CameraInsideCubeError, DomainError, SupportError
+from voxaff.errors import CameraInsideCubeError, DomainError
 from voxaff.geometry import (
     CameraIntrinsics,
     Pose,
@@ -344,8 +344,8 @@ def test_render_affordance_reads_first_hit_value():
     wall = [(2, iy, iz) for iy in range(r) for iz in range(r)]
     heat = heatmap_from_entries(r, {(2, 4, 4): 0.7})
     view = _axis_view(0, -1, eval_intrinsics(48))
-    img = rd.render_affordance(wall, heat, view)
     occ = occupancy_cube(wall, r)
+    img = rd.render_affordance(occ, heat, view)
     hit, _, cells, _, _, _ = _traverse(occ, view)
     expect = np.zeros(hit.shape[0])
     expect[hit] = (cells[hit] == [2, 4, 4]).all(axis=1) * 0.7
@@ -360,15 +360,32 @@ def test_render_affordance_respects_occlusion():
     hidden = wall + [(6, 4, 4)]
     heat = heatmap_from_entries(r, {(6, 4, 4): 1.0})
     view = _axis_view(0, -1, eval_intrinsics(48))
-    img = rd.render_affordance(hidden, heat, view)
+    img = rd.render_affordance(occupancy_cube(hidden, r), heat, view)
     assert img.total() == 0.0
 
 
-def test_render_affordance_requires_support():
-    heat = heatmap_from_entries(8, {(1, 1, 1): 0.5})
-    view = _axis_view(0, -1, eval_intrinsics(16))
-    with pytest.raises(SupportError):
-        rd.render_affordance([(2, 2, 2)], heat, view)
+def test_render_affordance_never_hits_heat_off_the_lattice():
+    # Heat on a cell that the lattice leaves unset is never seen, not even
+    # in front of the wall: the render equals that of the heat on the wall.
+    r = 8
+    wall = [(2, iy, iz) for iy in range(r) for iz in range(r)]
+    occ = occupancy_cube(wall, r)
+    view = _axis_view(0, -1, eval_intrinsics(48))
+    on_wall = heatmap_from_entries(r, {(2, 4, 4): 0.7})
+    stray = heatmap_from_entries(r, {(1, 4, 4): 1.0, (2, 4, 4): 0.7, (6, 3, 3): 0.9})
+    want = rd.render_affordance(occ, on_wall, view).values
+    assert want.any()
+    assert np.array_equal(rd.render_affordance(occ, stray, view).values, want)
+    # Random heat over an object's truth against a lattice of 60% of it.
+    rng = np.random.default_rng(45)
+    truth = sc.occupied_indices(sc.generate_object(1005), r)
+    occ = occupancy_cube(truth[rng.random(len(truth)) < 0.6], r)
+    heat = AffordanceHeatmap(resolution=r, positions=truth, values=rng.random(len(truth)))
+    inside = occ[tuple(truth.T)]
+    on_occ = AffordanceHeatmap(resolution=r, positions=truth[inside], values=heat.values[inside])
+    for view in hemisphere_candidates(40, intrinsics=eval_intrinsics(32)):
+        want = rd.render_affordance(occ, on_occ, view).values
+        assert np.array_equal(rd.render_affordance(occ, heat, view).values, want)
 
 
 # --- the march against its reference -----------------------------------------
@@ -640,7 +657,7 @@ def _assert_table_matches_march(occupied, r, view, rng):
     tagged = AffordanceHeatmap(
         resolution=r, positions=occupied, values=(occupied @ strides + 1.0) / (r**3 + 1.0)
     )
-    seen = rd.render_affordance(occupied, tagged, view).values.ravel()
+    seen = rd.render_affordance(occ, tagged, view).values.ravel()
     assert np.array_equal(seen > 0, hit)
     assert np.array_equal(np.rint(seen[hit] * (r**3 + 1.0)).astype(np.int64) - 1, first[hit])
     keep = rng.random(len(occupied)) < 0.5
@@ -650,7 +667,7 @@ def _assert_table_matches_march(occupied, r, view, rng):
     values = np.zeros(r**3)
     values[heat.positions @ strides] = heat.values
     expect = np.where(hit, values[first], 0.0).reshape(view.intrinsics.height, -1)
-    assert np.array_equal(rd.render_affordance(occupied, heat, view).values, expect)
+    assert np.array_equal(rd.render_affordance(occ, heat, view).values, expect)
     read = rd._read_table(rd._cached_ray_table(view, r), rd._ray_setup(view, r), r, occ)
     for got, want in zip(read, marched):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -749,7 +766,7 @@ def test_render_affordance_rejects_camera_inside_cube():
     )
     heat = heatmap_from_entries(8, {(0, 0, 0): 0.5})
     with pytest.raises(CameraInsideCubeError):
-        rd.render_affordance([(0, 0, 0)], heat, view)
+        rd.render_affordance(occupancy_cube([(0, 0, 0)], 8), heat, view)
 
 
 def test_ray_table_arrays_are_read_only():
@@ -792,7 +809,7 @@ def test_second_selection_over_same_candidates_hits_the_cache(monkeypatch):
     occ = sc.occupied_indices(sc.generate_object(1006), r)
     heat = AffordanceHeatmap(resolution=r, positions=occ, values=np.full(len(occ), 0.5))
     rd._ray_tables.clear()
-    first = pl.select_next_view(occ, heat, cands)
+    first = pl.select_next_view(heat, cands)
     tables = dict(rd._ray_tables)
     assert len(tables) == 40
 
@@ -800,7 +817,7 @@ def test_second_selection_over_same_candidates_hits_the_cache(monkeypatch):
         raise AssertionError("a cached camera built its table again")
 
     monkeypatch.setattr(rd, "_build_ray_table", build)
-    second = pl.select_next_view(occ, heat, cands)
+    second = pl.select_next_view(heat, cands)
     assert rd._ray_tables.keys() == tables.keys()
     assert all(rd._ray_tables[key] is table for key, table in tables.items())
     assert (second.index, second.scores) == (first.index, first.scores)
@@ -833,17 +850,6 @@ def _lengths_table(table: rd._RayTable) -> _LengthsTable:
     return _LengthsTable(table.cells, np.diff(table.indptr).astype(np.uint8), table.rows)
 
 
-def _reference_check_support(heat: AffordanceHeatmap, occupied):
-    """The ``np.isin`` support check that the lattice test replaced, verbatim
-    but for reading the rows unsorted: the count does not depend on order."""
-    r = heat.resolution
-    occ = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
-    occ = occ[np.all((occ >= 0) & (occ < r), axis=1)]
-    missing = np.count_nonzero(~np.isin(flat_index(heat.positions, r), flat_index(occ, r)))
-    if missing:
-        raise SupportError(f"{missing} heatmap positions outside occupancy")
-
-
 def _reference_first_occupied(table, occ_flat):
     """Where each row of ``table`` starts in ``table.cells``, and where its
     first cell set in the flat occupancy ``occ_flat`` sits (``cells.size``: none).
@@ -857,15 +863,13 @@ def _reference_first_occupied(table, occ_flat):
     return starts, np.minimum.reduceat(order, starts)
 
 
-def _reference_render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpoint):
+def _reference_render_affordance(occ, heat: AffordanceHeatmap, view: Viewpoint):
     """The ``render_affordance`` that the lean scoring replaced, verbatim but
-    for reading the table and checking support through the references."""
+    for reading the table through the reference and taking the (r, r, r)
+    lattice ``occ``."""
     r = heat.resolution
-    occ_arr = as_index_array(occupied, r)
-    _reference_check_support(heat, occ_arr)
     table = _lengths_table(rd._ray_table(view, r))
-    occ = np.zeros(r**3, dtype=bool)
-    occ[flat_index(occ_arr, r)] = True
+    occ = occ.ravel(order="F")
     # Heat per flat cell; slot r^3 stands for "no occupied cell" and reads 0.
     values = np.zeros(r**3 + 1)
     values[flat_index(heat.positions, r)] = heat.values
@@ -878,17 +882,15 @@ def _reference_render_affordance(occupied, heat: AffordanceHeatmap, view: Viewpo
     )
 
 
-def _assert_scoring_matches_reference(occupied, heat, view):
-    """Image and total equal the reference's bit for bit, and so does every
-    row's first occupied cell."""
-    got = rd.render_affordance(occupied, heat, view)
-    want = _reference_render_affordance(occupied, heat, view)
+def _assert_scoring_matches_reference(occ, heat, view):
+    """Image and total over the (r, r, r) lattice ``occ`` equal the
+    reference's bit for bit, and so does every row's first occupied cell."""
+    got = rd.render_affordance(occ, heat, view)
+    want = _reference_render_affordance(occ, heat, view)
     assert np.array_equal(got.values, want.values)
     assert got.total() == want.total()
-    r = heat.resolution
-    table = rd._ray_table(view, r)
-    occ = np.zeros(r**3, dtype=bool)
-    occ[flat_index(as_index_array(occupied, r), r)] = True
+    table = rd._ray_table(view, heat.resolution)
+    occ = occ.ravel(order="F")
     crosses, first = rd._first_occupied(table, occ)
     starts, ref_first = _reference_first_occupied(_lengths_table(table), occ)
     assert np.array_equal(starts, table.indptr[:-1])
@@ -916,7 +918,7 @@ def test_scoring_matches_reference_on_every_shipped_candidate(r):
         for occupied in (truth, partial):
             heat = _random_heat(occupied, r, rng)
             for view in views:
-                _assert_scoring_matches_reference(occupied, heat, view)
+                _assert_scoring_matches_reference(occupancy_cube(occupied, r), heat, view)
 
 
 def test_scoring_matches_reference_on_a_non_square_image():
@@ -924,8 +926,9 @@ def test_scoring_matches_reference_on_a_non_square_image():
     view = Viewpoint(intrinsics=intr, pose=look_at([1.2, -1.0, 1.1], [0.0, 0.0, 0.0]))
     rng = np.random.default_rng(40)
     truth = sc.occupied_indices(sc.generate_object(1003), 8)
-    _assert_scoring_matches_reference(truth, _random_heat(truth, 8, rng), view)
-    assert rd.render_affordance(truth, _random_heat(truth, 8, rng), view).values.shape == (24, 40)
+    occ = occupancy_cube(truth, 8)
+    _assert_scoring_matches_reference(occ, _random_heat(truth, 8, rng), view)
+    assert rd.render_affordance(occ, _random_heat(truth, 8, rng), view).values.shape == (24, 40)
 
 
 def test_scoring_matches_reference_when_every_ray_misses():
@@ -935,8 +938,9 @@ def test_scoring_matches_reference_when_every_ray_misses():
     )
     truth = sc.occupied_indices(sc.generate_object(1004), 8)
     heat = _random_heat(truth, 8, np.random.default_rng(41))
-    _assert_scoring_matches_reference(truth, heat, view)
-    assert rd.render_affordance(truth, heat, view).total() == 0.0
+    occ = occupancy_cube(truth, 8)
+    _assert_scoring_matches_reference(occ, heat, view)
+    assert rd.render_affordance(occ, heat, view).total() == 0.0
 
 
 def test_scoring_matches_reference_on_a_filled_cube():
@@ -947,64 +951,7 @@ def test_scoring_matches_reference_on_a_filled_cube():
     rng = np.random.default_rng(42)
     views = hemisphere_candidates(40, intrinsics=eval_intrinsics(32))
     for view in views + [_axis_view(axis, side, eval_intrinsics(15)) for axis in range(3) for side in (-1, 1)]:
-        _assert_scoring_matches_reference(full, _random_heat(full, r, rng), view)
-
-
-def _support_error(check, *args) -> str | None:
-    try:
-        check(*args)
-    except SupportError as exc:
-        return str(exc)
-    return None
-
-
-def test_support_check_matches_reference_counts():
-    # Random heat against random in-lattice occupancies; triples outside the
-    # lattice, whose flat index may alias a cell inside it, are refused.
-    r = 4
-    rng = np.random.default_rng(43)
-    for _ in range(200):
-        cells = rng.choice(r**3, size=int(rng.integers(1, 20)), replace=False)
-        positions = np.column_stack(np.unravel_index(np.sort(cells), (r, r, r), order="F"))
-        heat = AffordanceHeatmap(
-            resolution=r, positions=as_index_array(positions, r), values=rng.random(len(cells))
-        )
-        occupied = positions[rng.random(len(positions)) < 0.7]
-        other = rng.integers(0, r, size=(int(rng.integers(0, 6)), 3))
-        occupied = np.concatenate([occupied, other])[rng.permutation(len(occupied) + len(other))]
-        want = _support_error(_reference_check_support, heat, occupied)
-        assert _support_error(heat.check_support, occupied) == want
-        stray = rng.integers(-1, r + 2, size=(3, 3))
-        stray[rng.integers(3), rng.integers(3)] = rng.choice([-1, r, r + 1])
-        with pytest.raises(DomainError, match=rf"^occupancy indices must lie in \[0, {r}\)\^3$"):
-            heat.check_support(np.concatenate([occupied, stray]))
-    heat = AffordanceHeatmap(resolution=r, positions=np.array([[0, 1, 0]]), values=np.array([1.0]))
-    with pytest.raises(DomainError):
-        heat.check_support(np.array([[4, 0, 0]]))
-
-
-def test_render_affordance_support_error_matches_reference():
-    r = 8
-    rng = np.random.default_rng(44)
-    truth = sc.occupied_indices(sc.generate_object(1005), r)
-    heat = AffordanceHeatmap(resolution=r, positions=truth, values=rng.random(len(truth)))
-    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[9]
-    for drop in (1, 5, len(truth) // 2):
-        occupied = truth[rng.permutation(len(truth))[drop:]]
-        want = _support_error(_reference_render_affordance, occupied, heat, view)
-        assert want == f"{drop} heatmap positions outside occupancy"
-        assert _support_error(rd.render_affordance, occupied, heat, view) == want
-
-
-def test_render_affordance_refuses_fractional_occupancy():
-    r = 8
-    truth = sc.occupied_indices(sc.generate_object(1005), r)
-    heat = AffordanceHeatmap(resolution=r, positions=truth, values=np.full(len(truth), 0.5))
-    view = hemisphere_candidates(40, intrinsics=eval_intrinsics(16))[9]
-    shifted = truth + np.array([0.5, 0.0, 0.0])
-    for occupied in (shifted, truth.astype(float)):
-        with pytest.raises(DomainError, match="^occupancy indices must be integer typed$"):
-            rd.render_affordance(occupied, heat, view)
+        _assert_scoring_matches_reference(occupancy_cube(full, r), _random_heat(full, r, rng), view)
 
 
 def test_scalar_image_total_and_validation():

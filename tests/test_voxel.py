@@ -8,7 +8,7 @@ are unprojected at their centers, and cells are floor((p + 0.5) * r).
 import numpy as np
 import pytest
 
-from voxaff.errors import DomainError, ShapeMismatchError, SupportError
+from voxaff.errors import DomainError, ShapeMismatchError
 from oracles import sparse_grid_from_entries
 from voxaff import geometry as geo
 from voxaff import voxel as vx
@@ -274,33 +274,6 @@ def test_cell_centers_are_the_cell_midpoints():
 
 
 class TestHeatmap:
-    def test_support_check(self):
-        heat = vx.AffordanceHeatmap(
-            resolution=4, positions=np.array([[0, 0, 0]]), values=np.array([1.0])
-        )
-        heat.check_support(np.array([[0, 0, 0], [1, 1, 1]]))
-        with pytest.raises(Exception):
-            heat.check_support(np.array([[1, 1, 1]]))
-
-    def test_support_check_counts_missing_positions(self):
-        heat = vx.AffordanceHeatmap(
-            resolution=4, positions=np.array([[0, 0, 0], [0, 1, 0], [3, 3, 3]]),
-            values=np.array([1.0, 0.5, 0.25]),
-        )
-        with pytest.raises(SupportError, match="^2 heatmap positions outside occupancy$"):
-            heat.check_support(np.array([[3, 3, 3], [1, 0, 0]]))
-        # (4, 0, 0) lies outside the r = 4 lattice (its flat index equals
-        # that of (0, 1, 0)): the occupancy is refused, not filtered.
-        with pytest.raises(DomainError, match=r"^occupancy indices must lie in \[0, 4\)\^3$"):
-            heat.check_support(np.array([[3, 3, 3], [4, 0, 0]]))
-
-    def test_support_check_refuses_fractional_occupancy(self):
-        heat = vx.AffordanceHeatmap(
-            resolution=4, positions=np.array([[0, 0, 0]]), values=np.array([1.0])
-        )
-        with pytest.raises(DomainError, match="^occupancy indices must be integer typed$"):
-            heat.check_support(np.array([[0.5, 0.0, 0.0]]))
-
     def test_probability_range_enforced(self):
         with pytest.raises(DomainError):
             vx.AffordanceHeatmap(

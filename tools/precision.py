@@ -49,8 +49,6 @@ def reference_sample(views, query, models, config, rng, table):
     pe = position_codes(r, PE_DIM)
     velocity = pipeline._guided_velocity(models.structure, cond, pe, flow.guidance_strength)
     occ = pipeline.reconstruct(views, velocity, r, flow, rng)
-    if not occ.shape[0]:
-        return occ, None
     flow = config.affordance_flow
     cond, pe = table.embedding_of(query), encode_positions(occ, r, PE_DIM)
     velocity = pipeline._guided_velocity(models.affordance, cond, pe, flow.guidance_strength)
@@ -61,8 +59,6 @@ def production_sample(views, query, models, config, rng, table):
     """``reconstruct`` and then ``ground`` as every command runs them."""
     r = config.resolution
     occ = pipeline.reconstruct(views, models.structure, r, config.structure_flow, rng)
-    if not occ.shape[0]:
-        return occ, None
     return occ, pipeline.ground(occ, query, models.affordance, r, config.affordance_flow, rng, table)
 
 
@@ -94,14 +90,12 @@ def probe(r: int, n_objects: int, n_views: int, seed: int) -> None:
                       f"({occ32.shape[0]} against {occ64.shape[0]} voxels)")
                 continue
             equal += 1
-            if heat64 is None:
-                continue
             p32, p64 = heat32.values, heat64.values
             values += p64.size
-            largest = max(largest, float(np.abs(p32 - p64).max()))
+            largest = max(largest, float(np.abs(p32 - p64).max(initial=0.0)))
             for level in AFFORDANCE_THRESHOLDS:
                 flips[level] += int(np.count_nonzero((p32 >= level) != (p64 >= level)))
-                closest = min(closest, float(np.abs(p64 - level).min()))
+                closest = min(closest, float(np.abs(p64 - level).min(initial=np.inf)))
     print(f"r={r}: {n_objects} objects, {queries} queries; equal occupancy sets {equal}/{queries}; "
           f"largest |dp| {largest:.3g} over {values} heat values; closest reference value "
           f"{closest:.3g} from a level")
