@@ -72,9 +72,11 @@ class RunConfig(PipelineConfig):
     The pipeline fields (flows, ``resolution``, ``channels`` and the
     candidate lattice) come from ``PipelineConfig``, so a run config is
     what ``active_loop`` takes.  ``resolution`` and ``channels`` are set
-    only at the top level and copied into ``trainer``.  ``--config`` files
-    override any subset of the fields; ``--seed`` then replaces both
-    ``seed`` and ``trainer.seed`` so one flag reseeds a whole run.
+    at the top level and copied into ``trainer``.  ``--config`` files
+    override any subset of the fields; ``--budget`` and ``--strategy`` then
+    replace their fields, and ``--seed`` replaces both ``seed`` and
+    ``trainer.seed`` so one flag reseeds a whole run.  So ``to_dict`` is
+    the run, and loads back as a ``--config``.
     """
 
     seed: int = 0
@@ -122,8 +124,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
             elif key == "trainer":
                 fields = dict(value)
                 for name in ("resolution", "channels"):
-                    if name in fields:
-                        raise ConfigError(f"set {name} at the top level, not as trainer.{name}")
+                    top = data.get(name, getattr(RunConfig, name))
+                    if fields.pop(name, top) != top:
+                        raise ConfigError(
+                            f"trainer.{name} differs from {name} {top!r}; set it at the top level"
+                        )
                 if "view_range" in fields:
                     fields["view_range"] = tuple(fields["view_range"])
                 kwargs[key] = TrainerConfig(**fields)
@@ -144,7 +149,8 @@ def _resolve_run_config(args) -> RunConfig:
             seed=args.seed,
             trainer=dataclasses.replace(run.trainer, seed=args.seed),
         )
-    return run
+    flags = {name: getattr(args, name, None) for name in ("budget", "strategy")}
+    return dataclasses.replace(run, **{k: v for k, v in flags.items() if v is not None})
 
 
 # --- small file helpers --------------------------------------------------------
@@ -201,26 +207,31 @@ def _load_dataset(dataset_dir):
     return objects, table, manifest
 
 
-def _budget(args, run: RunConfig) -> int:
-    """The view budget: ``--budget`` when given, else the run's."""
-    budget = args.budget if args.budget is not None else run.budget
-    if budget < 1:
-        raise ConfigError("budget must be at least 1")
-    return budget
-
-
 def _observe(obj, k: int, run: RunConfig):
     """First k spread-out hemisphere observations of an object."""
     views = hemisphere_candidates(k, intrinsics=eval_intrinsics(run.image_size))
     return [(*render_views(obj, v, run.resolution, run.channels), v) for v in views]
 
 
-def _stage_models(args, run: RunConfig) -> StageModels:
-    """The ``--structure`` and ``--affordance`` checkpoints, checked against the run."""
-    return StageModels(
-        structure=load_model(args.structure, run.resolution, run.channels, "structure"),
-        affordance=load_model(args.affordance, run.resolution, run.channels, "affordance"),
-    )
+#: The checkpoint flags that ``plan`` and each ``bench`` suite read, by
+#: argument name, with the kind each checkpoint must be.
+_STAGE_KINDS = {"structure": "structure", "affordance": "affordance"}
+_SUITE_KINDS = {
+    "views_vs_iou": {"structure_single": "structure", "structure_multi": "structure"},
+    "strategy_vs_aiou": _STAGE_KINDS,
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _load_models(args, run: RunConfig, kinds: dict) -> dict:
+    """The checkpoint of each flag in ``kinds``, checked against the run."""
+    return {
+        name: load_model(getattr(args, name), run.resolution, run.channels, kind)
+        for name, kind in kinds.items()
+    }
 
 
 def _trace_rows(trace) -> list[dict]:
@@ -316,6 +327,8 @@ def cmd_reconstruct(args, run: RunConfig) -> int:
 
 
 def cmd_ground(args, run: RunConfig) -> int:
+    if args.ground_truth and (args.model or args.occupancy):
+        raise ConfigError("--ground-truth takes neither --model nor --occupancy")
     obj = load_object(args.object)
     r = run.resolution
     table = load_table(args.table) if args.table else default_query_table(run.channels)
@@ -370,18 +383,16 @@ def cmd_ground(args, run: RunConfig) -> int:
 
 
 def cmd_plan(args, run: RunConfig) -> int:
-    budget = _budget(args, run)
-    strategy = args.strategy if args.strategy is not None else run.strategy
     obj = load_object(args.object)
     table = load_table(args.table) if args.table else default_query_table(run.channels)
-    models = _stage_models(args, run)
+    models = StageModels(**_load_models(args, run, _STAGE_KINDS))
     start = worst_initial_view(obj, args.query, run.candidates(), run.resolution, table)
     trace = active_loop(
         obj,
         args.query,
         start.viewpoint,
-        budget,
-        strategy,
+        run.budget,
+        run.strategy,
         models,
         run,
         rng=np.random.default_rng(run.seed),
@@ -389,22 +400,28 @@ def cmd_plan(args, run: RunConfig) -> int:
     )
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    echo = _echo(run, "plan", query=args.query, budget=budget, strategy=strategy)
+    echo = _echo(run, "plan", query=args.query)
     _write_json(out / "trace.json", {**trace_to_dict(trace), "config": echo})
     write_metrics_csv(out / "metrics.csv", _trace_rows(trace), config_echo=echo)
     return 0
 
 
 def cmd_bench(args, run: RunConfig) -> int:
+    kinds = _SUITE_KINDS[args.suite]
+    # Each suite refuses the other's flags; only the strategy suite plans.
+    others = [name for suite in _SUITE_KINDS if suite != args.suite for name in _SUITE_KINDS[suite]]
+    if args.suite == "views_vs_iou":
+        others.append("budget")
+    stray = [_flag(name) for name in others if getattr(args, name) is not None]
+    if stray:
+        raise ConfigError(f"{args.suite} does not take {', '.join(stray)}")
+    if any(getattr(args, name) is None for name in kinds):
+        raise ConfigError(f"{args.suite} needs {' and '.join(map(_flag, kinds))}")
+    loaded = _load_models(args, run, kinds)
     objects, table, _ = _load_dataset(args.dataset)
     rows = []
     if args.suite == "views_vs_iou":
-        if not (args.structure_single and args.structure_multi):
-            raise ConfigError("views_vs_iou needs --structure-single and --structure-multi")
-        models = {
-            "single_view": load_model(args.structure_single, run.resolution, run.channels, "structure"),
-            "multi_view": load_model(args.structure_multi, run.resolution, run.channels, "structure"),
-        }
+        models = {"single_view": loaded["structure_single"], "multi_view": loaded["structure_multi"]}
         strategies, n_views = sorted(models), 8
         for obj in objects:
             gt = occupied_indices(obj, run.resolution)
@@ -427,12 +444,9 @@ def cmd_bench(args, run: RunConfig) -> int:
                             "iou": volumetric_iou(occ, gt, run.resolution),
                         }
                     )
-        extra = {"suite": args.suite}
     else:
-        if not (args.structure and args.affordance):
-            raise ConfigError("strategy_vs_aiou needs --structure and --affordance")
-        strategies, n_views = STRATEGIES, _budget(args, run)
-        models = _stage_models(args, run)
+        strategies, n_views = STRATEGIES, run.budget
+        models = StageModels(**loaded)
         candidates = run.candidates()
         for obj in objects:
             queries = table.queries_for(obj)
@@ -454,13 +468,12 @@ def cmd_bench(args, run: RunConfig) -> int:
                 rows += _trace_rows(trace)
         if not rows:
             raise DataError("no object in the dataset matches any query")
-        extra = {"suite": args.suite, "budget": n_views}
     rows += [
         _mean_row([r for r in rows if r["strategy"] == s and r["views"] == k], strategy=s, views=k)
         for s in strategies
         for k in range(1, n_views + 1)
     ]
-    write_metrics_csv(args.out, rows, config_echo=_echo(run, "bench", **extra))
+    write_metrics_csv(args.out, rows, config_echo=_echo(run, "bench", suite=args.suite))
     return 0
 
 
@@ -468,6 +481,11 @@ def _load_heatmap_file(path):
     """Heatmap plus optional identity from a ground output or a bare dict."""
     data = _load_json(path)
     if isinstance(data, dict) and "heatmap" in data:
+        for name in ("object_id", "query"):
+            if name in data and not isinstance(data[name], str):
+                raise DataError(
+                    f"malformed heatmap file {path}: {name} must be a string, got {data[name]!r}"
+                )
         return (
             heatmap_from_dict(data["heatmap"]),
             data.get("object_id") or pathlib.Path(path).stem,

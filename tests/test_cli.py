@@ -248,16 +248,20 @@ def test_plan_budget_one_trace(ws, tmp_path):
     assert trace["steps"][0]["selected_index"] is None
 
 
-@pytest.mark.parametrize("command", ["plan", "bench"])
+@pytest.mark.parametrize("command", ["plan", "bench", "bench-views"])
 def test_budget_below_one_exits_2(ws, tmp_path, capsys, command):
+    # The flag and the config field are refused by the same check.
     out = tmp_path / "out"
-    argv = {
-        "plan": _model_argv(ws, "plan", out),
-        "bench": _model_argv(ws, "bench-strategy", out),
-    }[command]
-    assert cli.main(argv + ["--budget", "0", "--config", ws.config]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "budget" in err and len(err.strip().splitlines()) == 1
+    argv = _model_argv(ws, {"bench": "bench-strategy"}.get(command, command), out)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({**TINY, "budget": 0}))
+    errs = []
+    for extra in (["--budget", "0", "--config", ws.config], ["--config", str(zero)]):
+        assert cli.main(argv + extra) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "Traceback" not in errs[0] and "budget" in errs[0]
+    assert len(errs[0].strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -777,6 +781,8 @@ def _torus_head(major_radius):
         ("occupancy", _replaced(("resolution",), "8"), 3),
         ("occupancy", _replaced(("object_id",), "mug-000000"), 3),
         ("occupancy", _replaced(("object_id",), 1), 3),
+        ("heatmap", _replaced(("object_id",), ["a", {"b": 1}]), 3),
+        ("heatmap", _replaced(("query",), 7), 3),
     ],
     ids=["manifest-object-5", "manifest-missing-table", "manifest-no-objects-bench",
          "manifest-hashes-list", "scene-edited-train", "table-edited-train",
@@ -795,7 +801,8 @@ def _torus_head(major_radius):
          "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
          "heatmap-resolution-8.5", "heatmap-logits-str-false", "heatmap-logits-true",
          "heatmap-logits-0", "occupancy-half-cell", "occupancy-resolution-8.5",
-         "occupancy-resolution-str", "occupancy-object-id-other", "occupancy-object-id-int"],
+         "occupancy-resolution-str", "occupancy-object-id-other", "occupancy-object-id-int",
+         "heatmap-object-id-list", "heatmap-query-int"],
 )
 # A warning from numpy would print more lines before the message, so
 # warnings fail these runs instead of being collected by pytest.
@@ -918,6 +925,7 @@ def _model_argv(ws, command, out):
     return {
         "reconstruct": ["reconstruct", "--model", ws.structure, "--object", obj],
         "ground": ["ground", "--model", ws.affordance, "--object", obj, *query],
+        "ground-truth": ["ground", "--ground-truth", "--object", obj, *query],
         "plan": ["plan", "--structure", ws.structure, "--affordance", ws.affordance,
                  "--object", obj, *query],
         "bench-views": ["bench", "--suite", "views_vs_iou", "--dataset", str(ws.data),
@@ -939,6 +947,28 @@ def test_checkpoint_trained_for_another_run_exits_2(ws, tmp_path, capsys, comman
     assert cli.main(_model_argv(ws, command, out) + ["--config", str(other)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and field in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("ground-truth", "--model"),
+        ("ground-truth", "--occupancy"),
+        ("bench-views", "--structure"),
+        ("bench-views", "--affordance"),
+        ("bench-views", "--budget"),
+        ("bench-strategy", "--structure-single"),
+        ("bench-strategy", "--structure-multi"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(ws, tmp_path, capsys, command, flag):
+    # The named file does not exist: the flag is refused before it is read.
+    value = "2" if flag == "--budget" else str(tmp_path / "nope.json")
+    out = tmp_path / "out"
+    assert cli.main(_model_argv(ws, command, out) + [flag, value, "--config", ws.config]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and flag in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -1018,6 +1048,9 @@ def test_seed_flag_overrides_trainer_seed_and_is_echoed(ws, tmp_path):
 
 
 def test_run_config_round_trip_and_validation():
+    for config in ({}, TINY):
+        run = cli.run_config_from_dict(config)
+        assert cli.run_config_from_dict(run.to_dict()) == run
     run = cli.run_config_from_dict(TINY)
     assert run.n_candidates == 6
     assert run.trainer.view_range == (1, 2)
@@ -1026,6 +1059,59 @@ def test_run_config_round_trip_and_validation():
     with pytest.raises(Exception) as err:
         cli.run_config_from_dict({"strategy": "spiral"})
     assert "strategy" in str(err.value)
+
+
+#: The README walkthrough at the ``TINY`` sizes: each command, and the file
+#: that echoes its run config.
+ECHOED = [
+    (["gen-dataset", "--count", "2", "--seed", "0", "--out", "data"], "data/manifest.json"),
+    *((["train", "--kind", kind, "--dataset", "data", "--out", "ckpt"], f"ckpt/{kind}.config.json")
+      for kind in ("structure", "affordance")),
+    (["reconstruct", "--model", "ckpt/structure.model.json", "--object", "data/object_0000.json",
+      "--views", "2", "--out", "recon.json"], "recon.json"),
+    (["ground", "--model", "ckpt/affordance.model.json", "--object", "data/object_0000.json",
+      "--query", "grasp the handle", "--occupancy", "recon.json", "--out", "heat.json"], "heat.json"),
+    (["ground", "--ground-truth", "--object", "data/object_0000.json", "--query", "grasp the handle",
+      "--out", "truth.json"], "truth.json"),
+    *((["plan", "--structure", "ckpt/structure.model.json",
+        "--affordance", "ckpt/affordance.model.json", "--object", "data/object_0001.json",
+        "--query", "strike a nail", "--budget", "3", "--strategy", strategy, "--seed", "3",
+        "--out", f"plan_{strategy}"], f"plan_{strategy}/trace.json")
+      for strategy in ("active", "random", "sequential")),
+    (["bench", "--suite", "views_vs_iou", "--dataset", "data",
+      "--structure-single", "ckpt/structure.model.json",
+      "--structure-multi", "ckpt/structure.model.json", "--out", "views.csv"], "views.config.json"),
+    (["bench", "--suite", "strategy_vs_aiou", "--dataset", "data",
+      "--structure", "ckpt/structure.model.json", "--affordance", "ckpt/affordance.model.json",
+      "--budget", "1", "--out", "strategies.csv"], "strategies.config.json"),
+    (["eval", "--pred", "heat.json", "--gt", "truth.json", "--out", "scores.csv"], "scores.config.json"),
+]
+
+
+def test_every_echo_replays_its_run(tmp_path, monkeypatch):
+    # Each command runs again with its echoed run as --config and without
+    # the flags that override run fields; every artifact is the same bytes.
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    monkeypatch.chdir(first)
+    for argv, _ in ECHOED:
+        assert cli.main(argv + ["--config", str(config)]) == 0, argv
+    monkeypatch.chdir(again)
+    run_fields = ("--seed", "--budget", "--strategy")
+    for i, (argv, echoed) in enumerate(ECHOED):
+        record = json.loads((first / echoed).read_text())
+        echo = tmp_path / f"echo{i}.json"
+        echo.write_text(json.dumps(record.get("config", record)["run"]))
+        kept = [a for prev, a in zip([None, *argv], argv)
+                if a not in run_fields and prev not in run_fields]
+        assert cli.main(kept + ["--config", str(echo)]) == 0, argv
+    wrote = [{p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+             for root in (first, again)]
+    assert sorted(wrote[0]) == sorted(wrote[1])
+    assert [name for name in wrote[0] if wrote[0][name] != wrote[1][name]] == []
 
 
 # --- README in step with the CLI ---------------------------------------------------
