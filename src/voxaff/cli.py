@@ -586,7 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", required=True, help="scene JSON file")
     p.add_argument("--query", required=True, help="natural-language affordance query")
     p.add_argument("--budget", type=int, default=None, help="view budget (default from config)")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
+    p.add_argument(
+        "--strategy", default=None, help=f"{', '.join(STRATEGIES)} (default from config)"
+    )
     p.add_argument("--table", default=None, help="query table JSON (default: built-in)")
     p.set_defaults(handler=cmd_plan)
 

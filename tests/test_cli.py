@@ -265,6 +265,18 @@ def test_budget_below_one_exits_2(ws, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_unknown_strategy_flag_exits_2_as_the_config_field_does(ws, tmp_path, capsys):
+    out = tmp_path / "out"
+    spiral = tmp_path / "spiral.json"
+    spiral.write_text(json.dumps({**TINY, "strategy": "spiral"}))
+    errs = []
+    for extra in (["--strategy", "spiral", "--config", ws.config], ["--config", str(spiral)]):
+        assert cli.main(_model_argv(ws, "plan", out) + extra) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and len(errs[0].strip().splitlines()) == 1
+    assert "strategy" in errs[0] and not out.exists()
+
+
 # --- bench -------------------------------------------------------------------------
 
 
