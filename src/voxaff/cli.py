@@ -25,9 +25,13 @@ from .errors import (
     ConfigError,
     DataError,
     NumericalError,
+    UndefinedMetricError,
     VoxaffError,
     check_integer,
+    malformed,
+    read_json,
     record_integer,
+    write_json,
 )
 from .flow import FlowConfig
 from .geometry import eval_intrinsics, hemisphere_candidates
@@ -58,9 +62,9 @@ from .synthscene import (
     ground_truth_affordance,
     load_object,
     load_table,
+    object_to_dict,
     occupied_indices,
-    save_object,
-    save_table,
+    table_to_dict,
 )
 from .voxel import _lex_keys, heatmap_from_dict, heatmap_to_dict
 
@@ -117,7 +121,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     kwargs = {}
-    try:
+    with malformed("bad config value", ConfigError):
         for key, value in data.items():
             if key in _FLOW_FIELDS:
                 kwargs[key] = FlowConfig(**value)
@@ -134,15 +138,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
                 kwargs[key] = TrainerConfig(**fields)
             else:
                 kwargs[key] = value
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
     return dataclasses.replace(RunConfig(), **kwargs)
 
 
 def _resolve_run_config(args) -> RunConfig:
     run = RunConfig()
     if args.config:
-        run = run_config_from_dict(_load_json(args.config))
+        run = run_config_from_dict(read_json(args.config))
     if args.seed is not None:
         run = dataclasses.replace(
             run,
@@ -156,15 +158,11 @@ def _resolve_run_config(args) -> RunConfig:
 # --- small file helpers --------------------------------------------------------
 
 
-def _write_json(path, payload: dict):
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
-
-
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+def _check_strings(prefix: str, data: dict, *names):
+    """Refuse each of ``names`` that ``data`` holds as anything but a string."""
+    for name in names:
+        if name in data and not isinstance(data[name], str):
+            raise DataError(f"{prefix}: {name} must be a string, got {data[name]!r}")
 
 
 def _hash_file(path) -> str:
@@ -183,13 +181,11 @@ def _load_dataset(dataset_dir):
     records for it, so an edited or half-copied dataset is refused.
     """
     root = pathlib.Path(dataset_dir)
-    manifest = _load_json(root / "manifest.json")
-    try:
+    manifest = read_json(root / "manifest.json")
+    with malformed(f"malformed manifest in {root}"):
         names = list(manifest["objects"])
         table_name = manifest.get("table", "queries.json")
         hashes = manifest.get("hashes", {})
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed manifest in {root}: {exc}") from exc
     if not all(isinstance(name, str) for name in [*names, table_name]):
         raise DataError(f"malformed manifest in {root}: file names must be strings")
     if not isinstance(hashes, dict):
@@ -262,11 +258,11 @@ def cmd_gen_dataset(args, run: RunConfig) -> int:
     names = []
     for seed in range(run.seed, run.seed + args.count):
         name = f"object_{seed:04d}.json"
-        save_object(out / name, generate_object(seed))
+        write_json(out / name, object_to_dict(generate_object(seed)))
         names.append(name)
-    save_table(out / "queries.json", default_query_table(run.channels))
+    write_json(out / "queries.json", table_to_dict(default_query_table(run.channels)))
     hashes = {name: _hash_file(out / name) for name in names + ["queries.json"]}
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "count": args.count,
@@ -294,7 +290,7 @@ def cmd_train(args, run: RunConfig) -> int:
         writer.writerow(["step", "loss"])
         for step, loss in enumerate(result.losses):
             writer.writerow([step, repr(float(loss))])
-    _write_json(out / f"{args.kind}.config.json", _echo(run, "train", kind=args.kind))
+    write_json(out / f"{args.kind}.config.json", _echo(run, "train", kind=args.kind))
     return 0
 
 
@@ -310,7 +306,7 @@ def cmd_reconstruct(args, run: RunConfig) -> int:
         run.structure_flow,
         rng=np.random.default_rng(run.seed),
     )
-    _write_json(
+    write_json(
         args.out,
         {
             "object_id": obj.object_id,
@@ -338,18 +334,13 @@ def cmd_ground(args, run: RunConfig) -> int:
         if not args.model:
             raise ConfigError("ground needs --model unless --ground-truth is set")
         if args.occupancy:
-            data = _load_json(args.occupancy)
-            try:
+            data = read_json(args.occupancy)
+            with malformed(f"malformed occupancy file {args.occupancy}"):
                 occ = np.array(data["occupied"])
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise DataError(f"malformed occupancy file {args.occupancy}: {exc}") from exc
+            _check_strings("malformed occupancy record", data, "object_id")
             # A file without an object id or a resolution loads for any
             # object and run, as a checkpoint without a trainer record does.
             seen = data.get("object_id", obj.object_id)
-            if not isinstance(seen, str):
-                raise DataError(
-                    f"malformed occupancy record: object_id must be a string, got {seen!r}"
-                )
             if seen != obj.object_id:
                 raise DataError(
                     f"{args.occupancy} was reconstructed from {seen}, the object is {obj.object_id}"
@@ -370,7 +361,7 @@ def cmd_ground(args, run: RunConfig) -> int:
             rng=np.random.default_rng(run.seed),
             table=table,
         )
-    _write_json(
+    write_json(
         args.out,
         {
             "object_id": obj.object_id,
@@ -401,7 +392,7 @@ def cmd_plan(args, run: RunConfig) -> int:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = _echo(run, "plan", query=args.query)
-    _write_json(out / "trace.json", {**trace_to_dict(trace), "config": echo})
+    write_json(out / "trace.json", {**trace_to_dict(trace), "config": echo})
     write_metrics_csv(out / "metrics.csv", _trace_rows(trace), config_echo=echo)
     return 0
 
@@ -479,13 +470,9 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 def _load_heatmap_file(path):
     """Heatmap plus optional identity from a ground output or a bare dict."""
-    data = _load_json(path)
+    data = read_json(path)
     if isinstance(data, dict) and "heatmap" in data:
-        for name in ("object_id", "query"):
-            if name in data and not isinstance(data[name], str):
-                raise DataError(
-                    f"malformed heatmap file {path}: {name} must be a string, got {data[name]!r}"
-                )
+        _check_strings(f"malformed heatmap file {path}", data, "object_id", "query")
         return (
             heatmap_from_dict(data["heatmap"]),
             data.get("object_id") or pathlib.Path(path).stem,
@@ -525,7 +512,7 @@ def cmd_eval(args, run: RunConfig) -> int:
         for metric, fn in (("auc", auc), ("sim", sim), ("mae", mae)):
             try:
                 row[metric] = fn(pv, gv)
-            except VoxaffError:
+            except UndefinedMetricError:
                 row[metric] = None
         for tau, iou_t, cd_t in zip(
             AFFORDANCE_THRESHOLDS, res.per_threshold_iou, res.per_threshold_cd

@@ -1,12 +1,17 @@
-"""Exception types shared across the package, and the config field checks
-that raise them.
+"""The record layer: the exception types shared across the package, the
+config field checks that raise them, and the one place where every JSON
+artifact is written (``write_json``), read (``read_json``) and refused
+(``malformed``, the guard that every record decoder runs under).
 
 The command line maps these onto exit codes: configuration problems exit
 with 2, data/schema problems with 3, numerical failures with 4.
 """
 
+import contextlib
+import json
 import math
 import numbers
+import sys
 
 
 class VoxaffError(Exception):
@@ -72,6 +77,39 @@ def record_integer(record: str, name: str, value) -> int:
 
 
 def check_real(name: str, value):
-    """Refuse a bool, non-real or non-finite value for the config field ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Refuse a bool, non-real or non-finite value, or an int beyond the
+    float range, for the config field ``name``."""
+    if isinstance(value, numbers.Integral):
+        # math.isfinite would raise OverflowError for an int that large.
+        finite = not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    else:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def write_json(path, payload):
+    """Write ``payload`` to ``path`` as an artifact: JSON with sorted keys
+    and a trailing newline, so equal payloads give equal bytes."""
+    with open(path, "w") as f:
+        json.dump(payload, f, sort_keys=True)
+        f.write("\n")
+
+
+def read_json(path):
+    """The JSON value in ``path``.  Invalid JSON raises
+    ``json.JSONDecodeError``, which the command line reports as such, so no
+    caller reads a file under ``malformed``."""
+    with open(path) as f:
+        return json.load(f)
+
+
+@contextlib.contextmanager
+def malformed(prefix: str, error=DataError):
+    """Decode a record under this guard: an ``AttributeError``, ``KeyError``,
+    ``OverflowError``, ``TypeError`` or ``ValueError`` becomes
+    ``error(f"{prefix}: {exc}")``."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise error(f"{prefix}: {exc}") from exc

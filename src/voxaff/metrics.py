@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, UndefinedMetricError
+from .errors import DomainError, ShapeMismatchError, UndefinedMetricError, write_json
 from .voxel import AffordanceHeatmap, _check_indices, cell_centers, flat_index
 
 Array = np.ndarray
@@ -227,6 +226,4 @@ def write_metrics_csv(path, rows: list[dict], config_echo: dict):
     sidecar = str(path)
     if sidecar.endswith(".csv"):
         sidecar = sidecar[: -len(".csv")]
-    with open(sidecar + ".config.json", "w") as f:
-        json.dump(config_echo, f, sort_keys=True)
-        f.write("\n")
+    write_json(sidecar + ".config.json", config_echo)

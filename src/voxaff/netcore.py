@@ -46,7 +46,6 @@ until training actually uses the condition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -60,7 +59,10 @@ from .errors import (
     UntrainedModelError,
     check_integer,
     check_real,
+    malformed,
+    read_json,
     record_integer,
+    write_json,
 )
 from .flow import FlowConfig, cfm_loss_mse, interpolate, sample_timestep, velocity_mask_loss
 from .geometry import CameraIntrinsics, Viewpoint, eval_intrinsics, orbit_view
@@ -551,7 +553,7 @@ _MODEL_INTEGERS = ("token_dim", "cond_dim", "hidden", "depth", "t_dim", "seed", 
 
 
 def model_from_dict(data: dict) -> VelocityModel:
-    try:
+    with malformed("malformed model record"):
         widths_expected = {"W": 2, "b": 1}
         params = {}
         for name, value in data["params"].items():
@@ -565,14 +567,10 @@ def model_from_dict(data: dict) -> VelocityModel:
         model = VelocityModel(params=params, **fields)
         model.check()
         return model
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model record: {exc}") from exc
 
 
 def save_model(path, model: VelocityModel, trainer: TrainerConfig, kind: str | None = None):
-    with open(path, "w") as f:
-        json.dump(model_to_dict(model, trainer, kind), f, sort_keys=True)
-        f.write("\n")
+    write_json(path, model_to_dict(model, trainer, kind))
 
 
 def load_model(path, resolution: int, channels: int, kind: str) -> VelocityModel:
@@ -584,8 +582,7 @@ def load_model(path, resolution: int, channels: int, kind: str) -> VelocityModel
     A checkpoint without a trainer record loads under any run, and one
     without a kind loads as either kind.
     """
-    with open(path) as f:
-        data = json.load(f)
+    data = read_json(path)
     record = data if isinstance(data, dict) else {}
     if record.get("kind", kind) != kind:
         raise ConfigError(f"{path} is a checkpoint of kind {record['kind']!r}, the run needs {kind!r}")

@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UnknownQueryError, record_integer
+from .errors import DomainError, UnknownQueryError, malformed, read_json, record_integer
 from .voxel import AffordanceHeatmap, _frozen, cell_centers, flat_order_indices
 
 Array = np.ndarray
@@ -274,17 +273,16 @@ class QueryTable:
             if np.shape(embedding) != (self.dim,) or not np.all(np.isfinite(embedding)):
                 raise DomainError(f"query {query!r} needs a finite embedding of shape ({self.dim},)")
 
+    def _entry(self, query: str) -> tuple:
+        if query not in self.entries:
+            raise UnknownQueryError(f"query {query!r} not in table")
+        return self.entries[query]
+
     def tag_of(self, query: str) -> str:
-        try:
-            return self.entries[query][0]
-        except KeyError:
-            raise UnknownQueryError(f"query {query!r} not in table") from None
+        return self._entry(query)[0]
 
     def embedding_of(self, query: str) -> Array:
-        try:
-            return self.entries[query][1]
-        except KeyError:
-            raise UnknownQueryError(f"query {query!r} not in table") from None
+        return self._entry(query)[1]
 
     def queries_for(self, obj: SyntheticObject) -> list[str]:
         """Queries whose tag appears on the object, sorted for determinism."""
@@ -567,7 +565,7 @@ def object_to_dict(obj: SyntheticObject) -> dict:
 
 
 def object_from_dict(data: dict) -> SyntheticObject:
-    try:
+    with malformed("malformed scene record", DomainError):
         parts = tuple(
             ObjectPart(
                 primitive=p["primitive"],
@@ -586,19 +584,10 @@ def object_from_dict(data: dict) -> SyntheticObject:
             template=str(data["template"]),
             parts=parts,
         )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed scene record: {exc}") from exc
-
-
-def save_object(path, obj: SyntheticObject):
-    with open(path, "w") as f:
-        json.dump(object_to_dict(obj), f, sort_keys=True)
-        f.write("\n")
 
 
 def load_object(path) -> SyntheticObject:
-    with open(path) as f:
-        return object_from_dict(json.load(f))
+    return object_from_dict(read_json(path))
 
 
 def table_to_dict(table: QueryTable) -> dict:
@@ -612,22 +601,13 @@ def table_to_dict(table: QueryTable) -> dict:
 
 
 def table_from_dict(data: dict) -> QueryTable:
-    try:
+    with malformed("malformed query table", DomainError):
         entries = {
             q: (rec["tag"], np.array(rec["embedding"], dtype=float))
             for q, rec in data["queries"].items()
         }
         return QueryTable(entries=entries, dim=data["dim"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed query table: {exc}") from exc
-
-
-def save_table(path, table: QueryTable):
-    with open(path, "w") as f:
-        json.dump(table_to_dict(table), f, sort_keys=True)
-        f.write("\n")
 
 
 def load_table(path) -> QueryTable:
-    with open(path) as f:
-        return table_from_dict(json.load(f))
+    return table_from_dict(read_json(path))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError, malformed
 from .geometry import Viewpoint, unproject_pixels
 
 Array = np.ndarray
@@ -356,7 +356,7 @@ def heatmap_to_dict(heat: AffordanceHeatmap) -> dict:
 def heatmap_from_dict(data: dict) -> AffordanceHeatmap:
     """A heatmap record; its ``logits`` flag, when present, must be
     ``false``: heatmaps hold probabilities."""
-    try:
+    with malformed("malformed heatmap record", DomainError):
         if data.get("logits", False) is not False:
             raise DomainError(f"heatmap 'logits' must be JSON false, got {data['logits']!r}")
         return AffordanceHeatmap(
@@ -364,5 +364,3 @@ def heatmap_from_dict(data: dict) -> AffordanceHeatmap:
             positions=data["positions"],
             values=np.array(data["values"], dtype=float).reshape(-1),
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed heatmap record: {exc}") from exc

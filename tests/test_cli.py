@@ -433,11 +433,12 @@ def test_unknown_config_field_exits_2(ws, tmp_path):
         {"cfg_dropout": True},
         {"ema_rate": math.inf},
         {"seed": -1, "steps": 2},
+        {"learning_rate": 10**400},
     ],
     ids=[
         "steps-0", "steps-2.5", "batch_size-1.5", "hidden-true", "view_range-1",
         "learning_rate-nan", "beta1-2", "beta2-1", "adam_eps-neg", "cfg_dropout-true",
-        "ema_rate-inf", "seed-minus-1",
+        "ema_rate-inf", "seed-minus-1", "learning_rate-int1e400",
     ],
 )
 def test_bad_trainer_value_exits_2(ws, tmp_path, capsys, trainer):
@@ -483,10 +484,11 @@ def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
         {"noise_scale": True},
         {"noise_scale": 1e308},
         {"guidance_strength": math.nan},
+        {"guidance_strength": 10**400},
         {"scale_targets": "yes"},  # not a flow field: refused as unknown
     ],
     ids=["steps-2.5", "steps-true", "noise_scale-inf", "noise_scale-true", "noise_scale-1e308",
-         "guidance_strength-nan", "scale_targets-yes"],
+         "guidance_strength-nan", "guidance_strength-int1e400", "scale_targets-yes"],
 )
 def test_bad_flow_value_exits_2(tmp_path, capsys, flow, fields):
     bad = tmp_path / "bad.json"
@@ -911,24 +913,44 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-@pytest.mark.filterwarnings("error")
-def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
-    # One artifact item at a time becomes a value of the wrong type or
-    # range; a corruption may happen to be valid, so exit 0 is allowed.
-    junk = [None, 5, -1, 0, "", "x", [], {}, [1], [[1]], True, 1e308, {"a": 1},
-            -1e308, 2**70, 0.5, [1, 2, 3], "nan"]
-    rng = np.random.default_rng(0)
+def _corrupt_each_item(walk, tmp_path, capsys, values_for):
+    """Replace one item of each ``READERS`` artifact at a time by each of
+    ``values_for(old value)`` and run its reader.  A corruption may happen
+    to be valid, or sit in an echo that no reader reads, so exit 0 is
+    allowed; a refusal is one line, never a traceback."""
     for artifact in sorted(READERS):
         record = json.loads((walk / WALK_FILES[artifact]).read_text())
         for i, path in enumerate(_json_paths(record)):
-            value = junk[int(rng.integers(len(junk)))]
-            case = tmp_path / f"{artifact}-{i}"
-            rc = _run_corrupted(walk, case, artifact, _replaced(path, value))
-            err = capsys.readouterr().err
-            assert rc in (0, 2, 3, 4), (artifact, path, value, err)
-            assert "Traceback" not in err, (artifact, path, value)
-            # A refusal is one line; a run that succeeds writes nothing.
-            assert len(err.strip().splitlines()) == (rc != 0), (artifact, path, value, err)
+            node = record
+            for key in path:
+                node = node[key]
+            for value in values_for(node):
+                case = tmp_path / f"{artifact}-{i}"
+                rc = _run_corrupted(walk, case, artifact, _replaced(path, value))
+                err = capsys.readouterr().err
+                assert rc in (0, 2, 3, 4), (artifact, path, value, err)
+                assert "Traceback" not in err, (artifact, path, value)
+                # A refusal is one line; a run that succeeds writes nothing.
+                assert len(err.strip().splitlines()) == (rc != 0), (artifact, path, value, err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_seeded_corruptions_never_end_in_a_traceback(walk, tmp_path, capsys):
+    # One artifact item at a time becomes a value of the wrong type or range.
+    junk = [None, 5, -1, 0, "", "x", [], {}, [1], [[1]], True, 1e308, {"a": 1},
+            -1e308, 2**70, 0.5, [1, 2, 3], "nan"]
+    rng = np.random.default_rng(0)
+    _corrupt_each_item(walk, tmp_path, capsys, lambda old: [junk[int(rng.integers(len(junk)))]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_oversized_integers_never_end_in_a_traceback(walk, tmp_path, capsys):
+    # Every numeric item becomes a JSON integer that no float can hold.
+    def huge(old):
+        numeric = isinstance(old, (int, float)) and not isinstance(old, bool)
+        return [10**400] if numeric else []
+
+    _corrupt_each_item(walk, tmp_path, capsys, huge)
 
 
 def _model_argv(ws, command, out):

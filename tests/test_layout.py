@@ -12,6 +12,11 @@ paths that use it (``src/voxaff``, ``perfbench/`` and ``tools/``).
    under tests.  A function that a program names other than as a callee
    (``trainer = netcore.train_structure``) may be called indirectly, so
    it counts as leaving every default out.
+4. In ``src/voxaff`` only ``errors.py`` calls ``json.dump`` or
+   ``json.load`` (or their string forms), so every artifact is written and
+   read by the record layer; and no ``except`` clause outside its guard,
+   ``errors.malformed``, names a builtin exception that a malformed record
+   raises, so each record is refused in one place.
 """
 
 from __future__ import annotations
@@ -161,3 +166,42 @@ def test_none_defaults_are_left_out_by_a_program_call():
                 if not any(_omits(call, name, index) for call in direct):
                     flagged.append(f"{path.stem}.{fn.name}({name}=None)")
     assert not flagged, f"None defaults that every program call overrides: {flagged}"
+
+
+#: The builtin exceptions that only ``errors.malformed`` may catch.
+MALFORMED = {"AttributeError", "KeyError", "OverflowError", "TypeError", "ValueError"}
+
+
+def _handled(handler: ast.ExceptHandler) -> set:
+    """The names an ``except`` clause catches."""
+    if handler.type is None:
+        return set()
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {_name(node) for node in nodes if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_records_are_written_read_and_refused_in_the_record_layer():
+    flagged = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        guard = {
+            id(node)
+            for fn in tree.body
+            if path.name == "errors.py" and getattr(fn, "name", None) == "malformed"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in ("dump", "dumps", "load", "loads")
+                and path.name != "errors.py"
+            ):
+                flagged.append(f"{path.name}:{node.lineno} json.{node.func.attr}")
+            elif isinstance(node, ast.ExceptHandler) and id(node) not in guard:
+                caught = sorted(_handled(node) & MALFORMED)
+                if caught:
+                    flagged.append(f"{path.name}:{node.lineno} except {', '.join(caught)}")
+    assert not flagged, f"records handled outside errors.py's record layer: {flagged}"

@@ -8,7 +8,7 @@ draws from the documented sampling order.
 import numpy as np
 import pytest
 
-from voxaff.errors import DomainError, UnknownQueryError
+from voxaff.errors import DomainError, UnknownQueryError, write_json
 from voxaff import synthscene as sc
 
 TABLE = sc.default_query_table()
@@ -336,7 +336,7 @@ class TestSerialization:
     def test_object_round_trip_exact(self, tmp_path):
         obj = sc.generate_object(13)
         path = tmp_path / "obj.scene.json"
-        sc.save_object(path, obj)
+        write_json(path, sc.object_to_dict(obj))
         back = sc.load_object(path)
         assert back.object_id == obj.object_id
         for pa, pb in zip(obj.parts, back.parts):
@@ -349,14 +349,14 @@ class TestSerialization:
     def test_save_is_byte_stable(self, tmp_path):
         obj = sc.generate_object(5)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        sc.save_object(p1, obj)
-        sc.save_object(p2, obj)
+        write_json(p1, sc.object_to_dict(obj))
+        write_json(p2, sc.object_to_dict(obj))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_table_round_trip(self, tmp_path):
         table = sc.default_query_table()
         path = tmp_path / "queries.json"
-        sc.save_table(path, table)
+        write_json(path, sc.table_to_dict(table))
         back = sc.load_table(path)
         assert sorted(back.entries) == sorted(table.entries)
         for q in sorted(table.entries):
