@@ -12,6 +12,14 @@ The forward pass computes in the dtype of the model's weights.  Training,
 ``backward`` and the checkpoints are float64; sampling runs in float32,
 because ``pipeline`` hands the forward pass a float32 copy of the model.
 
+The condition and the time embedding are the same on every row, so
+``forward``, the sampling pass, folds their part of the first affine map
+and its bias into one vector per call: the first layer multiplies only
+the token columns, and adds that vector to every row.  Training keeps the
+stacked (n, in_dim) input (``_forward_cached``), because the first
+layer's weight gradient reads it.  The two passes share every layer above
+the first, and differ only in the rounding of the first layer's sums.
+
 Hidden activations are written into work buffers that this module keeps
 and reuses, one per (hidden-layer index, width, dtype), each grown to the
 largest token count seen, so float32 and float64 passes never share one.
@@ -164,17 +172,22 @@ class VelocityModel:
                 raise NumericalError(f"parameter {name} is not finite")
 
 
-def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float, dtype) -> Array:
-    """The (n, in_dim) layer input in ``dtype``: tokens, then the condition
-    and the time embedding repeated on every row."""
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=float))
-    cond = np.asarray(cond, dtype=float).reshape(-1)
+def _check_widths(model: VelocityModel, tokens: Array, cond: Array):
+    """Refuse tokens or a condition of another width than the model's."""
     if tokens.shape[1] != model.token_dim:
         raise ShapeMismatchError(
             f"token width {tokens.shape[1]} != model token_dim {model.token_dim}"
         )
     if cond.shape[0] != model.cond_dim:
         raise ShapeMismatchError(f"condition width {cond.shape[0]} != model cond_dim {model.cond_dim}")
+
+
+def _stack_inputs(model: VelocityModel, tokens: Array, cond: Array, t: float, dtype) -> Array:
+    """The (n, in_dim) layer input in ``dtype``: tokens, then the condition
+    and the time embedding repeated on every row."""
+    tokens = np.atleast_2d(np.asarray(tokens, dtype=float))
+    cond = np.asarray(cond, dtype=float).reshape(-1)
+    _check_widths(model, tokens, cond)
     temb = time_embedding(t, model.t_dim)
     n = tokens.shape[0]
     return np.concatenate(
@@ -198,36 +211,78 @@ def _hidden_buffer(k: int, n: int, width: int, dtype: np.dtype) -> Array:
     return buf[:n]
 
 
+def _first_layer(model: VelocityModel) -> tuple[Array, Array]:
+    """The weight and bias of the layer that reads the input: ``W0`` and
+    ``b0``, or ``Wout`` and ``bout`` at depth 0."""
+    layer = "0" if model.depth else "out"
+    return model.params[f"W{layer}"], model.params[f"b{layer}"]
+
+
+def _layers(model: VelocityModel, x: Array, w: Array, b: Array, acts: list) -> Array:
+    """Velocities of the stack whose first affine map is ``x @ w + b``;
+    each hidden activation is appended to ``acts``.
+
+    The two forward passes differ only in that map.  ``_forward_cached``
+    passes the stacked input with the whole first-layer weight and bias,
+    because ``backward`` reads that input.  ``forward`` passes the tokens
+    alone with the weight's token rows, and folds the condition, time and
+    bias rows into one vector, the same for every token.  Every layer
+    above the first is this loop, so the two agree up to the rounding of
+    the first layer's sums.
+
+    Callers run it, and the casts of their inputs, with overflow and
+    invalid-value warnings off: an input beyond the weights' dtype casts
+    to inf, and a layer sum that overflows saturates its tanh.  A
+    non-finite velocity is refused here.
+    """
+    h = x
+    for k in range(model.depth):
+        if k:
+            w, b = model.params[f"W{k}"], model.params[f"b{k}"]
+        h = np.matmul(h, w, out=_hidden_buffer(k, x.shape[0], w.shape[1], w.dtype))
+        h += b
+        np.tanh(h, out=h)
+        acts.append(h)
+    if model.depth:
+        w, b = model.params["Wout"], model.params["bout"]
+    v = (h @ w + b)[:, 0]
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("velocity forward pass produced non-finite values")
+    return v
+
+
 def _forward_cached(model: VelocityModel, tokens: Array, cond: Array, t: float):
-    """Velocities and every layer's activations, the input first, computed
-    in the dtype of the model's weights.
+    """Velocities and every layer's activations, the stacked input first,
+    computed in the dtype of the model's weights.
 
     The hidden activations in ``acts`` are views of this module's work
     buffers: they are valid only until the next forward pass, so
     ``backward`` consumes them before it returns.
     """
-    dtype = model.params["Wout"].dtype
-    # An input beyond the weights' dtype casts to inf, and a layer sum that
-    # overflows saturates its tanh; a non-finite velocity is refused below.
+    w, b = _first_layer(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _stack_inputs(model, tokens, cond, t, dtype)
+        x = _stack_inputs(model, tokens, cond, t, w.dtype)
         acts = [x]
-        h = x
-        for k in range(model.depth):
-            w = model.params[f"W{k}"]
-            h = np.matmul(h, w, out=_hidden_buffer(k, x.shape[0], w.shape[1], dtype))
-            h += model.params[f"b{k}"]
-            np.tanh(h, out=h)
-            acts.append(h)
-        v = (h @ model.params["Wout"] + model.params["bout"])[:, 0]
-    if not np.all(np.isfinite(v)):
-        raise NumericalError("velocity forward pass produced non-finite values")
-    return v, acts
+        return _layers(model, x, w, b, acts), acts
 
 
 def forward(model: VelocityModel, tokens: Array, cond: Array, t: float) -> Array:
-    """Per-token velocities; tokens are independent given (cond, t)."""
-    return _forward_cached(model, tokens, cond, t)[0]
+    """Per-token velocities; tokens are independent given (cond, t).
+
+    The first affine map is ``tokens @ W[:token_dim] + row``, where
+    ``row = cond @ W[cond rows] + temb(t) @ W[time rows] + b`` is one
+    vector per call, all in the dtype of the weights.  Tokens already in
+    that dtype are read without a copy.
+    """
+    w, b = _first_layer(model)
+    d, c = model.token_dim, model.cond_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        tokens = np.atleast_2d(np.asarray(tokens, dtype=w.dtype))
+        cond = np.asarray(cond, dtype=w.dtype).reshape(-1)
+        _check_widths(model, tokens, cond)
+        temb = time_embedding(t, model.t_dim).astype(w.dtype)
+        row = cond @ w[d : d + c] + temb @ w[d + c :] + b
+        return _layers(model, tokens, w[:d], row, [])
 
 
 def _velocity_backward(model: VelocityModel, acts: list, dv: Array, grads: dict):
@@ -329,6 +384,25 @@ def adam_update(
 # --- training ---------------------------------------------------------------
 
 
+#: Largest accepted grid resolution: the structure stage samples r^3
+#: tokens, and at 64 each hidden layer is a 100 MB float32 array.
+MAX_RESOLUTION = 64
+
+#: Largest accepted feature width: every rendered pixel carries
+#: ``channels`` floats, 128 MB for one 128^2 float64 view at 1,024.
+MAX_CHANNELS = 1024
+
+
+def check_grid_size(prefix: str, resolution: int, channels: int):
+    """Refuse a ``resolution`` outside [1, ``MAX_RESOLUTION``] or
+    ``channels`` outside [4, ``MAX_CHANNELS``]; ``prefix`` starts each
+    field name in the message."""
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise ConfigError(f"{prefix}resolution must lie in [1, {MAX_RESOLUTION}], got {resolution}")
+    if not 4 <= channels <= MAX_CHANNELS:
+        raise ConfigError(f"{prefix}channels must lie in [4, {MAX_CHANNELS}], got {channels}")
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Knobs for the training loop (optimizer, sampling, model size)."""
@@ -371,8 +445,9 @@ class TrainerConfig:
         check_integer("trainer view_range end", hi)
         if not 1 <= lo <= hi:
             raise ConfigError(f"invalid view range {self.view_range}")
-        if self.resolution < 1 or self.channels < 4 or self.view_pixels < 1:
-            raise ConfigError("resolution/channels/view_pixels out of range")
+        check_grid_size("trainer ", self.resolution, self.channels)
+        if self.view_pixels < 1:
+            raise ConfigError("trainer view_pixels must be positive")
         if self.depth < 0 or (self.depth >= 1 and self.hidden < 1):
             raise ConfigError("invalid model size")
         if self.ema_rate is not None:

@@ -37,7 +37,7 @@ from .geometry import (
     viewpoint_to_dict,
 )
 from .metrics import aiou_acd, volumetric_iou
-from .netcore import PE_DIM, VelocityModel, forward
+from .netcore import PE_DIM, VelocityModel, check_grid_size, forward
 from .render import render_affordance, render_views
 from .synthscene import (
     QueryTable,
@@ -85,8 +85,7 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("resolution", "channels", "n_candidates", "image_size"):
             check_integer(name, getattr(self, name))
-        if self.resolution < 1 or self.channels < 4:
-            raise ConfigError("resolution/channels out of range")
+        check_grid_size("", self.resolution, self.channels)
         if self.n_candidates < 1 or self.image_size < 1:
             raise ConfigError("candidate count and image size must be positive")
 
@@ -134,14 +133,24 @@ def _guided_velocity(model: VelocityModel, cond: Array, pe: Array, guidance: flo
     the zero condition, in the dtype of the model's weights.
 
     ``_velocity_for`` hands it float32 weights, so the velocities come
-    back in float32; ``cfg_combine`` and the Euler state are float64.
+    back in float32; ``cfg_combine`` and the Euler state are float64.  The
+    closure owns one ``[x | pe]`` token buffer in the weights' dtype: each
+    step writes ``x`` into its first column, and both branches read it, so
+    ``forward`` never copies or casts the tokens.  A zero ``cond`` is the
+    unconditional branch itself, so it runs once and is combined with
+    itself, which gives the same floats as running it twice.
     """
     zero = np.zeros(model.cond_dim)
+    guided = np.any(cond)
+    tokens = np.empty((pe.shape[0], 1 + pe.shape[1]), dtype=model.params["Wout"].dtype)
+    tokens[:, 1:] = pe
 
     def velocity(x, t):
-        tokens = np.column_stack([x, pe])
+        with np.errstate(over="ignore"):  # x beyond the dtype's range casts to inf
+            tokens[:, 0] = x
         v_uncond = forward(model, tokens, zero, t)
-        return cfg_combine(forward(model, tokens, cond, t), v_uncond, guidance)
+        v_cond = forward(model, tokens, cond, t) if guided else v_uncond
+        return cfg_combine(v_cond, v_uncond, guidance)
 
     return velocity
 
@@ -157,7 +166,7 @@ def reconstruct(
 
     Returns the sorted (n, 3) occupied index set: voxels whose sampled
     latent exceeds 0.  Views that see nothing pool to the zero condition,
-    so guidance compares the unconditional branch with itself.  No views,
+    so only the unconditional branch runs.  No views,
     or a latent that is not finite, raises ``DomainError``.
     """
     cond = pooled_condition(fuse_observations(views, resolution))

@@ -6,9 +6,12 @@
 * ``gradient_check``: the central-difference oracle behind the
   analytic-gradient gate; ``grad_buffer``: a fresh flat gradient vector
   and its named views for ``backward``.
-* ``reference_forward`` / ``reference_backward``: the velocity MLP with a
-  fresh array per layer, which the work-buffer forward and backward must
-  match bit for bit.
+* ``reference_forward`` / ``reference_backward``: the velocity MLP on the
+  stacked input, with a fresh array per layer, which the work-buffer
+  training pass and backward must match bit for bit.
+* ``reference_folded_forward``: the same MLP with the first layer's
+  condition, time and bias rows folded into one vector, with a fresh array
+  per layer, which ``forward`` must match bit for bit.
 * ``ReferenceAdamState`` / ``reference_adam_update`` / ``reference_fit``:
   the training loop with one dict entry per parameter, Adam looping over
   sorted names, and its dropout and corruption draws written inline; the
@@ -59,7 +62,15 @@ from voxaff.geometry import (
     _vec3,
     look_at,
 )
-from voxaff.netcore import PE_DIM, TrainResult, VelocityModel, _stack_inputs, backward, forward
+from voxaff.netcore import (
+    PE_DIM,
+    TrainResult,
+    VelocityModel,
+    _stack_inputs,
+    backward,
+    forward,
+    time_embedding,
+)
 from voxaff.pipeline import SEQUENTIAL_ELEVATION
 from voxaff.render import DepthImage, _first_hits
 from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, as_index_array
@@ -157,6 +168,26 @@ def _reference_forward_cached(model, tokens, cond, t):
 def reference_forward(model, tokens, cond, t) -> np.ndarray:
     """Per-token velocities, every layer a fresh array."""
     return _reference_forward_cached(model, tokens, cond, t)[0]
+
+
+def reference_folded_forward(model, tokens, cond, t) -> np.ndarray:
+    """Per-token velocities in the dtype of the weights, every layer a
+    fresh array: the first affine map is ``tokens @ W[:token_dim] + row``,
+    with ``row = cond @ W[cond rows] + temb(t) @ W[time rows] + b``."""
+    layers = [(model.params[f"W{k}"], model.params[f"b{k}"]) for k in range(model.depth)]
+    (w, b), *above = [*layers, (model.params["Wout"], model.params["bout"])]
+    d, c = model.token_dim, model.cond_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        tokens = np.atleast_2d(np.asarray(tokens, dtype=w.dtype))
+        temb = time_embedding(t, model.t_dim).astype(w.dtype)
+        row = np.asarray(cond, dtype=w.dtype) @ w[d : d + c] + temb @ w[d + c :] + b
+        h = tokens @ w[:d] + row
+        for w, b in above:
+            h = np.tanh(h) @ w + b
+    v = h[:, 0]
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("velocity forward pass produced non-finite values")
+    return v
 
 
 def _reference_velocity_backward(model, acts, dv) -> dict:

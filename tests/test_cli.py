@@ -17,7 +17,7 @@ import pytest
 
 import voxaff.cli as cli
 from voxaff.flow import MAX_NOISE_SCALE
-from voxaff.netcore import load_model
+from voxaff.netcore import MAX_CHANNELS, MAX_RESOLUTION, load_model
 from voxaff.pipeline import worst_initial_view
 from voxaff.synthscene import (
     default_query_table,
@@ -472,6 +472,21 @@ def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and field in err
+
+
+@pytest.mark.parametrize("field, limit", [("resolution", MAX_RESOLUTION), ("channels", MAX_CHANNELS)])
+@pytest.mark.parametrize("past", [1, 10**400], ids=["one-past", "int1e400"])
+@pytest.mark.parametrize("trainer", [False, True], ids=["top", "and-trainer"])
+def test_grid_size_past_its_limit_exits_2(tmp_path, capsys, field, limit, past, trainer):
+    value = limit + 1 if past == 1 else past
+    config = {field: value, **({"trainer": {field: value}} if trainer else {})}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    rc = cli.main(["gen-dataset", "--count", "1", "--config", str(bad),
+                   "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and field in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("flow", ["structure_flow", "affordance_flow", "affordance_train_flow"])

@@ -151,3 +151,21 @@ def test_walkdiff_lists_files_that_differ_or_exist_on_one_side(tmp_path):
     assert a["same.json"] == hashlib.sha256(b"1").hexdigest()
     assert walkdiff.differing(a, b) == ["moved.json", "only_a.json", "sub/only_b.csv"]
     assert walkdiff.differing(a, a) == []
+
+
+def test_walkdiff_reports_the_largest_change_of_a_number_or_a_new_layout(tmp_path):
+    files = {
+        "a.json": {"heat": [0.25, 0.5], "id": "mug", "n": 2},
+        "b.json": {"heat": [0.25, 0.375], "id": "mug", "n": 2},
+        "longer.json": {"heat": [0.25, 0.5, 0.5], "id": "mug", "n": 2},
+        "renamed.json": {"heat": [0.25, 0.5], "id": "cup", "n": 2},
+    }
+    for name, record in files.items():
+        (tmp_path / name).write_text(json.dumps(record))
+    (tmp_path / "a.csv").write_text("query,aiou\nstrike,0.5\nhold,NA\n")
+    (tmp_path / "b.csv").write_text("query,aiou\nstrike,0.4375\nhold,NA\n")
+    change = walkdiff.largest_change
+    assert change(tmp_path / "a.json", tmp_path / "b.json") == "largest |change| 0.125"
+    assert change(tmp_path / "a.csv", tmp_path / "b.csv") == "largest |change| 0.0625"
+    for other in ("longer.json", "renamed.json", "a.csv"):
+        assert change(tmp_path / "a.json", tmp_path / other) == "layout differs"

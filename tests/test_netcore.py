@@ -19,6 +19,7 @@ from oracles import (
     ReferenceAdamState,
     reference_backward,
     reference_fit,
+    reference_folded_forward,
     reference_forward,
 )
 from voxaff.errors import (
@@ -238,7 +239,11 @@ def _batch(model, n, seed):
 
 def _assert_matches_reference(model, n, seed=50):
     batch, loss_fn = _batch(model, n, seed)
-    assert np.array_equal(nc.forward(model, *batch), reference_forward(model, *batch))
+    v, stacked = nc.forward(model, *batch), reference_forward(model, *batch)
+    assert np.array_equal(v, reference_folded_forward(model, *batch))
+    # Folding changes only the rounding of the first layer's sums.
+    assert np.all(np.abs(v - stacked) <= 1e-12 * (1.0 + np.abs(stacked)))
+    assert np.array_equal(nc._forward_cached(model, *batch)[0], stacked)
     loss, grads = nc.backward(model, loss_fn, batch, *grad_buffer(model))
     ref_loss, ref_grads = reference_backward(model, loss_fn, batch)
     assert loss == ref_loss
@@ -308,7 +313,7 @@ def test_forward_after_a_saturated_forward_matches_reference(value):
     batch, _ = _batch(huge, 512, 83)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(nc.forward(huge, *batch), reference_forward(huge, *batch))
+        assert np.array_equal(nc.forward(huge, *batch), reference_folded_forward(huge, *batch))
     _assert_next_forward_is_clean(_wide_model(seed=84), 512)
 
 
@@ -338,10 +343,12 @@ def _trained_scale_model(seed=90):
 def test_float32_forward_is_within_float32_noise_of_the_reference(n):
     model = _trained_scale_model()
     batch, _ = _batch(model, n, 91)
-    v = nc.forward(_float32_copy(model), *batch)
+    low = _float32_copy(model)
+    v = nc.forward(low, *batch)
     ref = reference_forward(model, *batch)
     assert v.dtype == np.float32 and v.shape == ref.shape
     assert np.all(np.abs(v - ref) <= 1e-5 * (1.0 + np.abs(ref)))
+    assert np.array_equal(v, reference_folded_forward(low, *batch))
 
 
 def test_float64_forward_after_a_float32_one_matches_reference_in_its_own_buffers():
@@ -352,7 +359,7 @@ def test_float64_forward_after_a_float32_one_matches_reference_in_its_own_buffer
     full = nc._forward_cached(model, *batch)[1][1]
     assert full.dtype == np.float64 and not np.shares_memory(low, full)
     nc.forward(_float32_copy(model), *batch)
-    assert np.array_equal(nc.forward(model, *batch), reference_forward(model, *batch))
+    assert np.array_equal(nc.forward(model, *batch), reference_folded_forward(model, *batch))
     _assert_matches_reference(model, 4096, seed=93)
 
 
@@ -444,6 +451,10 @@ def test_trainer_config_validation():
     ):
         with pytest.raises(ConfigError):
             nc.TrainerConfig(**bad)
+    for field, limit in (("resolution", nc.MAX_RESOLUTION), ("channels", nc.MAX_CHANNELS)):
+        assert getattr(nc.TrainerConfig(**{field: limit}), field) == limit
+        with pytest.raises(ConfigError, match=f"^trainer {field} must lie in"):
+            nc.TrainerConfig(**{field: limit + 1})
     assert nc.TrainerConfig(beta1=0.0, ema_rate=0.5).ema_rate == 0.5
     cfg = nc.TrainerConfig()
     assert cfg.learning_rate == 2e-2

@@ -23,7 +23,7 @@ from voxaff.errors import (
     DomainError,
     UnknownQueryError,
 )
-from voxaff.flow import FlowConfig, sigmoid
+from voxaff.flow import FlowConfig, cfg_combine, euler_sample, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
 from voxaff.netcore import PE_DIM, VelocityModel, forward
 from voxaff.render import DepthImage, render_views
@@ -172,14 +172,17 @@ def test_reconstruct_with_an_untrained_model_returns_the_noise():
     assert _index_set(occ) == _index_set(expected)
 
 
-def test_reconstruct_blank_views_fall_back_to_unconditional():
-    size = 16
-    view = _view(image_size=size)[0]
-    blank = (
+def _blank_observation(size=16):
+    """A view that sees nothing: zero depth and zero features."""
+    return (
         DepthImage(width=size, height=size, values=np.zeros((size, size))),
         np.zeros((size, size, CHANNELS)),
-        view,
+        _view(image_size=size)[0],
     )
+
+
+def test_reconstruct_blank_views_fall_back_to_unconditional():
+    blank = _blank_observation()
     model = _random_structure_model(22)
     float32 = replace(model, params={name: p.astype(np.float32) for name, p in model.params.items()})
     pe, zero = position_codes(R, PE_DIM), np.zeros(CHANNELS)
@@ -193,6 +196,35 @@ def test_reconstruct_blank_views_fall_back_to_unconditional():
         expected = pl.reconstruct([blank], unconditional, R, cfg, np.random.default_rng(0))
         assert np.array_equal(occ, expected), guidance
         assert 0 < occ.shape[0] < R**3
+
+
+def test_blank_view_reconstruct_runs_one_guidance_branch(monkeypatch):
+    model = _random_structure_model(23)
+    float32 = replace(model, params={name: p.astype(np.float32) for name, p in model.params.items()})
+    pe, zero = position_codes(R, PE_DIM), np.zeros(CHANNELS)
+    cfg = FlowConfig(steps=4, noise_scale=1.0, guidance_strength=3.0)
+    calls, latents = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    def sampled(*args):
+        latents.append(euler_sample(*args))
+        return latents[-1]
+
+    monkeypatch.setattr(pl, "forward", counted)
+    monkeypatch.setattr(pl, "euler_sample", sampled)
+    pl.reconstruct([_blank_observation()], model, R, cfg, np.random.default_rng(0))
+    assert len(calls) == cfg.steps
+
+    def two_branch(x, t):
+        tokens = np.column_stack([x, pe])
+        v_uncond = forward(float32, tokens, zero, t)
+        return cfg_combine(forward(float32, tokens, zero, t), v_uncond, cfg.guidance_strength)
+
+    expected = euler_sample(two_branch, (R**3,), cfg, np.random.default_rng(0))
+    assert np.array_equal(latents[0], expected)
 
 
 # --- float32 sampling ------------------------------------------------------------

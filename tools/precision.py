@@ -1,4 +1,4 @@
-"""Float32 sampling against a float64 reference, query by query.
+"""Float32 folded sampling against the textbook float64 MLP, query by query.
 
     python3 tools/precision.py [--objects 20] [--resolutions 8,16] [--views 3] [--seed 0]
 
@@ -8,10 +8,15 @@ candidates at 128^2 and runs ``reconstruct`` and then ``ground`` on the
 reconstruction twice, from the same generator seed:
 
 * the production path: ``pipeline`` samples a float32 copy of the committed
-  perfbench models (``perfbench/models/r<r>_<kind>.model.json``, read only);
-* a float64 reference: ``pipeline._guided_velocity`` on the float64 weights,
-  passed to ``reconstruct`` and ``ground`` through the callable seam of
-  ``pipeline._velocity_for``.
+  perfbench models (``perfbench/models/r<r>_<kind>.model.json``, read only),
+  with the first layer's condition, time and bias rows folded into one
+  vector per forward pass;
+* a float64 reference: the stacked MLP that training runs
+  (``netcore._forward_cached``) on the float64 weights, guided by
+  ``cfg_combine`` and passed to ``reconstruct`` and ``ground`` through the
+  callable seam of ``pipeline._velocity_for``.
+
+So the difference measures folding and float32 together.
 
 Per resolution it prints how many occupancy sets are equal (and names each
 query whose sets differ; its heatmaps are not compared), the largest
@@ -32,13 +37,26 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from voxaff import pipeline  # noqa: E402
+from voxaff.flow import cfg_combine  # noqa: E402
 from voxaff.metrics import AFFORDANCE_THRESHOLDS  # noqa: E402
-from voxaff.netcore import PE_DIM, load_model  # noqa: E402
+from voxaff.netcore import PE_DIM, _forward_cached, load_model  # noqa: E402
 from voxaff.render import render_views  # noqa: E402
 from voxaff.synthscene import default_query_table, generate_object  # noqa: E402
 from voxaff.voxel import encode_positions, pooled_condition, position_codes  # noqa: E402
 
 CHANNELS = 16
+
+
+def stacked_velocity(model, cond, pe, guidance):
+    """Guided velocity closure of the float64 MLP on the stacked input."""
+    zero = np.zeros(model.cond_dim)
+
+    def velocity(x, t):
+        tokens = np.column_stack([x, pe])
+        v_uncond = _forward_cached(model, tokens, zero, t)[0]
+        return cfg_combine(_forward_cached(model, tokens, cond, t)[0], v_uncond, guidance)
+
+    return velocity
 
 
 def reference_sample(views, query, models, config, rng, table):
@@ -47,11 +65,11 @@ def reference_sample(views, query, models, config, rng, table):
     cond = pooled_condition(pipeline.fuse_observations(views, r))
     flow = config.structure_flow
     pe = position_codes(r, PE_DIM)
-    velocity = pipeline._guided_velocity(models.structure, cond, pe, flow.guidance_strength)
+    velocity = stacked_velocity(models.structure, cond, pe, flow.guidance_strength)
     occ = pipeline.reconstruct(views, velocity, r, flow, rng)
     flow = config.affordance_flow
     cond, pe = table.embedding_of(query), encode_positions(occ, r, PE_DIM)
-    velocity = pipeline._guided_velocity(models.affordance, cond, pe, flow.guidance_strength)
+    velocity = stacked_velocity(models.affordance, cond, pe, flow.guidance_strength)
     return occ, pipeline.ground(occ, query, velocity, r, flow, rng, table)
 
 

@@ -12,7 +12,9 @@ strategy, both ``bench`` suites, and ``eval``.
 
 It prints every artifact whose sha256 differs between the sides, or that only
 one side wrote, and exits 1 if there is any or a command fails; otherwise it
-prints how many artifacts are byte-identical and exits 0.
+prints how many artifacts are byte-identical and exits 0.  For a JSON or CSV
+artifact that differs only in its numbers, it also prints the largest
+|change| of a number; otherwise it says that the layout differs.
 """
 
 from __future__ import annotations
@@ -71,6 +73,52 @@ def differing(a: dict, b: dict) -> list:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def _leaves(data):
+    """The keys, lengths and scalars of a parsed record, depth first."""
+    if isinstance(data, dict):
+        for key in sorted(data):
+            yield "key", key
+            yield from _leaves(data[key])
+    elif isinstance(data, list):
+        yield "length", len(data)
+        for item in data:
+            yield from _leaves(item)
+    else:
+        yield "value", data
+
+
+def _number(value):
+    """``value`` as a float, or None for a bool or a non-numeric value."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def largest_change(a: Path, b: Path) -> str:
+    """``largest |change| <x>`` over the numbers of two JSON (or CSV) files
+    of one layout, or ``layout differs``."""
+    parsed = []
+    for path in (a, b):
+        text = path.read_text()
+        try:
+            parsed.append(list(_leaves(json.loads(text))))
+        except ValueError:
+            parsed.append(list(_leaves([line.split(",") for line in text.splitlines()])))
+    if len(parsed[0]) != len(parsed[1]):
+        return "layout differs"
+    largest = 0.0
+    for (kind, x), (other, y) in zip(*parsed):
+        u, v = _number(x), _number(y)
+        if kind == other == "value" and u is not None and v is not None:
+            largest = max(largest, abs(u - v))
+        elif (kind, x) != (other, y):
+            return "layout differs"
+    return f"largest |change| {largest:.3g}"
+
+
 def walkthrough(checkout: Path, out: Path, steps: int) -> str | None:
     """Run the walkthrough with ``checkout``'s sources into ``out``; the
     failing command and its last stderr line, or None."""
@@ -105,9 +153,11 @@ def main(argv=None) -> int:
                 print(f"{side} ({rev}): {failure}", flush=True)
                 return 1
             seen[side] = digests(Path(tmp) / f"{side}-out")
-    moved = differing(seen["parent"], seen["change"])
-    for name in moved:
-        print(f"differs: {name}")
+        moved = differing(seen["parent"], seen["change"])
+        for name in moved:
+            pair = [Path(tmp) / f"{side}-out" / name for side in ("parent", "change")]
+            both = all(path.is_file() for path in pair)
+            print(f"differs: {name}" + (f" ({largest_change(*pair)})" if both else ""))
     same = len(seen["parent"].keys() | seen["change"].keys()) - len(moved)
     print(f"{same} files byte-identical, {len(moved)} differ", flush=True)
     return 1 if moved else 0
