@@ -223,12 +223,10 @@ def _layers(model: VelocityModel, x: Array, w: Array, b: Array, acts: list) -> A
     each hidden activation is appended to ``acts``.
 
     The two forward passes differ only in that map.  ``_forward_cached``
-    passes the stacked input with the whole first-layer weight and bias,
-    because ``backward`` reads that input.  ``forward`` passes the tokens
-    alone with the weight's token rows, and folds the condition, time and
-    bias rows into one vector, the same for every token.  Every layer
-    above the first is this loop, so the two agree up to the rounding of
-    the first layer's sums.
+    passes the stacked input and the whole first layer, because
+    ``backward`` reads that input.  ``forward`` passes the tokens alone,
+    the weight's token rows, and one row that folds in the condition, time
+    and bias parts, because they are the same for every token.
 
     Callers run it, and the casts of their inputs, with overflow and
     invalid-value warnings off: an input beyond the weights' dtype casts
