@@ -469,16 +469,13 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 
 def _load_heatmap_file(path):
-    """Heatmap plus optional identity from a ground output or a bare dict."""
+    """Heatmap plus the object id and query a ground output records; a bare
+    heatmap dict records neither (None, None)."""
     data = read_json(path)
     if isinstance(data, dict) and "heatmap" in data:
         _check_strings(f"malformed heatmap file {path}", data, "object_id", "query")
-        return (
-            heatmap_from_dict(data["heatmap"]),
-            data.get("object_id") or pathlib.Path(path).stem,
-            data.get("query"),
-        )
-    return heatmap_from_dict(data), pathlib.Path(path).stem, None
+        return heatmap_from_dict(data["heatmap"]), data.get("object_id"), data.get("query")
+    return heatmap_from_dict(data), None, None
 
 
 def _aligned_values(a, b):
@@ -499,11 +496,15 @@ def cmd_eval(args, run: RunConfig) -> int:
     rows = []
     for pred_path, gt_path in zip(args.pred, args.gt):
         pred, object_id, query = _load_heatmap_file(pred_path)
-        gt, _, gt_query = _load_heatmap_file(gt_path)
+        gt, gt_id, gt_query = _load_heatmap_file(gt_path)
+        # A prediction scored against another object's or query's truth is refused.
+        for field, mine, theirs in (("object_id", object_id, gt_id), ("query", query, gt_query)):
+            if mine is not None and theirs is not None and mine != theirs:
+                raise DataError(f"{pred_path} has {field} {mine!r} but {gt_path} has {theirs!r}")
         res = aiou_acd(pred, gt, pred.resolution)
         pv, gv = _aligned_values(pred, gt)
         row = {
-            "object": object_id,
+            "object": object_id or pathlib.Path(pred_path).stem,
             "query": query if query is not None else gt_query,
             "aiou": res.aiou,
             "acd": res.acd,

@@ -390,15 +390,23 @@ MAX_RESOLUTION = 64
 #: ``channels`` floats, 128 MB for one 128^2 float64 view at 1,024.
 MAX_CHANNELS = 1024
 
+#: Largest accepted side of a square render (``image_size`` and trainer
+#: ``view_pixels``): at 1,024 one 16-channel float64 view is 134 MB.
+MAX_IMAGE_SIZE = 1024
 
-def check_grid_size(prefix: str, resolution: int, channels: int):
-    """Refuse a ``resolution`` outside [1, ``MAX_RESOLUTION``] or
-    ``channels`` outside [4, ``MAX_CHANNELS``]; ``prefix`` starts each
-    field name in the message."""
-    if not 1 <= resolution <= MAX_RESOLUTION:
-        raise ConfigError(f"{prefix}resolution must lie in [1, {MAX_RESOLUTION}], got {resolution}")
-    if not 4 <= channels <= MAX_CHANNELS:
-        raise ConfigError(f"{prefix}channels must lie in [4, {MAX_CHANNELS}], got {channels}")
+#: Largest accepted hidden width: a 512-token training step holds several
+#: 512 x hidden float64 activations, 4 MB each at 1,024.
+MAX_HIDDEN = 1024
+
+#: Largest accepted hidden depth: every layer is one more matmul per
+#: token in each forward and backward pass, 8 times the shipped 2 at 16.
+MAX_DEPTH = 16
+
+
+def check_size(name: str, value: int, lo: int, hi: int):
+    """Refuse a size ``value`` outside [lo, hi] with one line naming ``name``."""
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -443,11 +451,12 @@ class TrainerConfig:
         check_integer("trainer view_range end", hi)
         if not 1 <= lo <= hi:
             raise ConfigError(f"invalid view range {self.view_range}")
-        check_grid_size("trainer ", self.resolution, self.channels)
-        if self.view_pixels < 1:
-            raise ConfigError("trainer view_pixels must be positive")
-        if self.depth < 0 or (self.depth >= 1 and self.hidden < 1):
-            raise ConfigError("invalid model size")
+        check_size("trainer resolution", self.resolution, 1, MAX_RESOLUTION)
+        check_size("trainer channels", self.channels, 4, MAX_CHANNELS)
+        check_size("trainer view_pixels", self.view_pixels, 1, MAX_IMAGE_SIZE)
+        check_size("trainer depth", self.depth, 0, MAX_DEPTH)
+        if self.depth >= 1:  # a model without hidden layers has no hidden width
+            check_size("trainer hidden", self.hidden, 1, MAX_HIDDEN)
         if self.ema_rate is not None:
             check_real("trainer ema_rate", self.ema_rate)
             if not 0.0 < self.ema_rate < 1.0:

@@ -37,7 +37,15 @@ from .geometry import (
     viewpoint_to_dict,
 )
 from .metrics import aiou_acd, volumetric_iou
-from .netcore import PE_DIM, VelocityModel, check_grid_size, forward
+from .netcore import (
+    MAX_CHANNELS,
+    MAX_IMAGE_SIZE,
+    MAX_RESOLUTION,
+    PE_DIM,
+    VelocityModel,
+    check_size,
+    forward,
+)
 from .render import render_affordance, render_views
 from .synthscene import (
     QueryTable,
@@ -85,9 +93,11 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("resolution", "channels", "n_candidates", "image_size"):
             check_integer(name, getattr(self, name))
-        check_grid_size("", self.resolution, self.channels)
-        if self.n_candidates < 1 or self.image_size < 1:
-            raise ConfigError("candidate count and image size must be positive")
+        check_size("resolution", self.resolution, 1, MAX_RESOLUTION)
+        check_size("channels", self.channels, 4, MAX_CHANNELS)
+        check_size("image_size", self.image_size, 1, MAX_IMAGE_SIZE)
+        if self.n_candidates < 1:
+            raise ConfigError("candidate count must be positive")
 
     def candidates(self) -> list[Viewpoint]:
         """The hemisphere candidate cameras, as a new list on every call."""
@@ -101,7 +111,7 @@ def _candidate_lattice(n_candidates: int, image_size: int) -> tuple[Viewpoint, .
 
 
 def fuse_observations(views, resolution: int):
-    """Backproject and fuse (DepthImage, features, viewpoint) observations;
+    """Backproject and fuse (depth ``Image``, features, viewpoint) observations;
     no views raises ``DomainError``, a ``DataError``."""
     return fuse(backproject_view(d.values, feats, view, resolution) for d, feats, view in views)
 
@@ -212,7 +222,7 @@ def _visibility_scores(heat: AffordanceHeatmap, candidates) -> tuple:
     r = heat.resolution
     occ = np.zeros((r, r, r), dtype=bool)
     occ[tuple(heat.positions.T)] = True
-    return tuple(render_affordance(occ, heat, view).total() for view in candidates)
+    return tuple(float(render_affordance(occ, heat, view).values.sum()) for view in candidates)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,11 @@ the normalized cube with an exact amortized grid traversal (one cell per
 step, no samples skipped).  A hit reports the *entry face* of the first
 occupied cell; recorded depth is the camera-frame z coordinate of that
 face point, which makes unprojection land exactly back on the face.
-Pixels whose rays never meet an occupied cell read 0.
+Pixels whose rays never meet an occupied cell read 0.  Every render is
+an ``Image``: read-only (height, width) values, finite and non-negative,
+holding depth or first-hit heat.  A first hit is its ray length and
+entry axis, as in the Amanatides & Woo walk; the face normal points
+against the ray direction on that axis.
 
 The camera must sit outside the cube.  Traversal order at exact tMax
 ties is x before y before z, so renders are bit-deterministic.
@@ -66,48 +70,20 @@ Array = np.ndarray
 RAY_TABLE_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
-class DepthImage:
-    """Per-pixel camera-frame z depths; 0 marks a miss."""
+class Image:
+    """Per-pixel render, read-only: camera-frame z depth with 0 for a miss,
+    or first-hit heat."""
 
-    width: int
-    height: int
-    values: Array  # (height, width) float64
+    values: Array  # (height, width) float64, finite and non-negative
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.height, self.width):
-            raise ShapeMismatchError(
-                f"depth values shape {values.shape} != {(self.height, self.width)}"
-            )
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2:
+            raise ShapeMismatchError(f"image values must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DomainError("depths must be finite and non-negative")
-        values = values.copy()
+            raise DomainError("image values must be finite and non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class ScalarImage:
-    """Per-pixel scalar render (e.g. projected affordance)."""
-
-    width: int
-    height: int
-    values: Array  # (height, width) float64
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.height, self.width):
-            raise ShapeMismatchError(
-                f"scalar values shape {values.shape} != {(self.height, self.width)}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("scalar image must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 class _Rays(NamedTuple):
@@ -197,9 +173,9 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
     """Amanatides & Woo walk of every reaching ray through the r^3 lattice.
 
     Given an (r, r, r) boolean ``occ``, each ray stops at its first
-    occupied cell and the result is per-pixel ``hit`` mask, world ray
-    length ``t`` to the entry face, hit ``cells`` (n, 3), entry ``axis``
-    and face ``sign`` (+-1, pointing against the ray).  Given none, each
+    occupied cell and the result is the per-pixel ``hit`` mask, world ray
+    length ``t`` to the entry face and entry ``axis``; the face normal
+    points against the ray on that axis.  Given none, each
     ray walks to the cube exit and the result is an (n, 3r + 2) table of
     the flat cells ``ix + r*iy + r^2*iz`` it crosses, in order, padded
     with r^3.  The walk keeps its state column-wise on the lattice grown
@@ -215,7 +191,7 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
     else:
         # 0 empty, 1 occupied, 2 border.
         code = np.pad(occ.astype(np.uint8), 1, constant_values=2)
-        at_hit = np.full(n, -1, dtype=np.int64)
+        hit = np.zeros(n, dtype=bool)
         t_hit = np.zeros(n)
         step_hit = np.zeros(n, dtype=np.int64)
     code = code.ravel(order="F")
@@ -262,7 +238,7 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
             if occ is not None:
                 hits = here == 1
                 out = idx[hits]
-                at_hit[out] = flat[hits]
+                hit[out] = True
                 t_hit[out] = t[hits]
                 step_hit[out] = moved[hits]
             idx, flat = idx[keep], flat[keep]
@@ -282,12 +258,8 @@ def _march(rays: _Rays, r: int, occ: Array | None = None):
 
     if occ is None:
         return table
-    hit = at_hit >= 0
-    cells_hit = np.zeros((n, 3), dtype=np.int64)
-    cells_hit[hit] = np.column_stack(np.unravel_index(at_hit[hit], (p, p, p), order="F")) - 1
     stride = np.abs(step_hit)  # 1, p or p^2 on a hit
-    axis_hit = (stride >= p).astype(np.int64) + (stride >= p * p)
-    return hit, t_hit, cells_hit, axis_hit, -np.sign(step_hit)
+    return hit, t_hit, (stride >= p).astype(np.int64) + (stride >= p * p)
 
 
 class _RayTable(NamedTuple):
@@ -377,9 +349,7 @@ def _read_table(table: _RayTable, rays: _Rays, r: int, occ: Array):
     n = table.rows.shape[0]
     hit = np.zeros(n, dtype=bool)
     t_hit = np.zeros(n)
-    cells_hit = np.zeros((n, 3), dtype=np.int64)
     axis_hit = np.zeros(n, dtype=np.int64)
-    sign_hit = np.zeros(n, dtype=np.int64)
 
     crosses, first = _first_occupied(table, occ.ravel(order="F"))
     # Zero-led like ``table.rows``: where each row's first occupied cell
@@ -397,10 +367,10 @@ def _read_table(table: _RayTable, rays: _Rays, r: int, occ: Array):
     stepped = at > start
     change = np.abs(flat_at - table.cells[np.maximum(at - 1, 0)])  # 1, r or r^2
     axis = np.where(stepped, (change >= r).astype(np.int64) + (change >= r * r), rays.enter_axis[pix])
-    d = rays.dg[pix, axis]
     t = rays.t_enter[pix]
     s = np.nonzero(stepped)[0]
-    a, ds = axis[s], d[s]
+    a = axis[s]
+    ds = rays.dg[pix[s], a]
     t_max = (entry[s, a] + (ds > 0) - rays.og[a]) / ds
     t_delta = 1.0 / np.abs(ds)
     steps = np.abs(cell[s, a] - entry[s, a])
@@ -411,14 +381,12 @@ def _read_table(table: _RayTable, rays: _Rays, r: int, occ: Array):
 
     hit[pix] = True
     t_hit[pix] = t
-    cells_hit[pix] = cell
     axis_hit[pix] = axis
-    sign_hit[pix] = -np.sign(d).astype(np.int64)
-    return hit, t_hit, cells_hit, axis_hit, sign_hit
+    return hit, t_hit, axis_hit
 
 
 def _first_hits(occ: Array, view: Viewpoint):
-    """Ray set-up and ``_march`` arrays of every pixel ray's first hit in ``occ``.
+    """Ray set-up and ``(hit, t, axis)`` of every pixel ray's first hit in ``occ``.
 
     A camera whose ray table is cached reads its hits from the table;
     any other marches, since building a table costs more than one march.
@@ -433,7 +401,7 @@ def _first_hits(occ: Array, view: Viewpoint):
 
 def render_views(
     obj: SyntheticObject, view: Viewpoint, r: int, channels: int = 16, *, occ: Array | None = None
-) -> tuple[DepthImage, Array]:
+) -> tuple[Image, Array]:
     """Render one posed observation of an object: depth plus surface features.
 
     Features carry the hit part's label embedding and the entry-face
@@ -444,23 +412,21 @@ def render_views(
     """
     if occ is None:
         occ = ground_truth_occupancy(obj, r)
-    rays, (hit, t_hit, _, axis_hit, sign_hit) = _first_hits(occ, view)
+    rays, (hit, t_hit, axis_hit) = _first_hits(occ, view)
     intr = view.intrinsics
     h, w = intr.height, intr.width
     depth = np.where(hit, t_hit * rays.z_per_t, 0.0).reshape(h, w)
     feats = np.zeros((h * w, channels))
     if np.any(hit):
-        points = view.pose.translation + t_hit[hit, None] * rays.dirs[hit]
-        normals = np.zeros((int(hit.sum()), 3))
-        normals[np.arange(normals.shape[0]), axis_hit[hit]] = sign_hit[hit]
+        pix, axis = np.flatnonzero(hit), axis_hit[hit]
+        points = view.pose.translation + t_hit[pix, None] * rays.dirs[pix]
+        normals = np.zeros((pix.size, 3))
+        normals[np.arange(pix.size), axis] = -np.sign(rays.dg[pix, axis])
         feats[hit] = surface_features(obj, points, normals, channels)
-    return (
-        DepthImage(width=w, height=h, values=depth),
-        feats.reshape(h, w, channels),
-    )
+    return Image(depth), feats.reshape(h, w, channels)
 
 
-def render_affordance(occ: Array, heat: AffordanceHeatmap, view: Viewpoint) -> ScalarImage:
+def render_affordance(occ: Array, heat: AffordanceHeatmap, view: Viewpoint) -> Image:
     """Project a voxel heatmap through the occupancy: first-hit value per pixel.
 
     ``occ`` is the (r, r, r) boolean lattice, as ``render_views`` takes
@@ -476,8 +442,4 @@ def render_affordance(occ: Array, heat: AffordanceHeatmap, view: Viewpoint) -> S
     crosses, first = _first_occupied(table, occ.ravel(order="F"))
     row_heat = np.zeros(crosses.size + 1)
     row_heat[1:][crosses] = values[table.cells[first]]
-    out = np.take(row_heat, table.rows)
-    intr = view.intrinsics
-    return ScalarImage(
-        width=intr.width, height=intr.height, values=out.reshape(intr.height, intr.width)
-    )
+    return Image(np.take(row_heat, table.rows).reshape(view.intrinsics.height, -1))

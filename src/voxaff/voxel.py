@@ -72,19 +72,20 @@ def _check_sorted_unique(indices: Array, r: int, unsorted: str, repeated: str):
 def _check_indices(indices, r: int, name: str = "indices") -> Array:
     """An (n, 3) array or nested sequence of integer triples in [0, r)^3 as
     int64, unsorted; anything else, or a resolution that is not a positive
-    integer, raises ``DomainError``.  Empty input of any dtype is the empty set."""
+    integer, raises ``DomainError``.  ``[]`` and shape (0, 3), of any dtype,
+    are the empty set; rows of another width are refused even when empty."""
     if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
         raise DomainError(f"resolution must be a positive integer, got {r!r}")
     if r**3 > 2**63:
         raise DomainError(f"resolution {r} too large: cell keys below r^3 must fit in int64")
     indices = np.asarray(indices)
-    if indices.size == 0:
+    if indices.shape in ((0,), (0, 3)):
         return np.zeros((0, 3), dtype=np.int64)
     if indices.ndim != 2 or indices.shape[1] != 3:
         raise DomainError(f"{name} must have shape (n, 3), got {indices.shape}")
     if not np.issubdtype(indices.dtype, np.integer):
         raise DomainError(f"{name} must be integer typed")
-    if indices.size and (indices.min() < 0 or indices.max() >= r):
+    if indices.min() < 0 or indices.max() >= r:
         raise DomainError(f"{name} must lie in [0, {r})^3")
     return indices.astype(np.int64, copy=False)
 

@@ -72,7 +72,7 @@ from voxaff.netcore import (
     time_embedding,
 )
 from voxaff.pipeline import SEQUENTIAL_ELEVATION
-from voxaff.render import DepthImage, _first_hits
+from voxaff.render import Image, _first_hits
 from voxaff.voxel import AffordanceHeatmap, SparseVoxelGrid, as_index_array
 
 
@@ -420,10 +420,9 @@ def occupancy_cube(occupied, r: int) -> np.ndarray:
     return cube
 
 
-def raycast_depth(occupied, r: int, view: Viewpoint) -> DepthImage:
+def raycast_depth(occupied, r: int, view: Viewpoint) -> Image:
     """Camera-frame depth of the entry face of each pixel ray's first
     occupied cell (0 = miss), as ``render_views`` computes it."""
-    rays, (hit, t_hit, _, _, _) = _first_hits(occupancy_cube(occupied, r), view)
+    rays, (hit, t_hit, _) = _first_hits(occupancy_cube(occupied, r), view)
     intr = view.intrinsics
-    depth = np.where(hit, t_hit * rays.z_per_t, 0.0).reshape(intr.height, intr.width)
-    return DepthImage(width=intr.width, height=intr.height, values=depth)
+    return Image(np.where(hit, t_hit * rays.z_per_t, 0.0).reshape(intr.height, intr.width))

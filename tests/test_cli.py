@@ -17,7 +17,14 @@ import pytest
 
 import voxaff.cli as cli
 from voxaff.flow import MAX_NOISE_SCALE
-from voxaff.netcore import MAX_CHANNELS, MAX_RESOLUTION, load_model
+from voxaff.netcore import (
+    MAX_CHANNELS,
+    MAX_DEPTH,
+    MAX_HIDDEN,
+    MAX_IMAGE_SIZE,
+    MAX_RESOLUTION,
+    load_model,
+)
 from voxaff.pipeline import worst_initial_view
 from voxaff.synthscene import (
     default_query_table,
@@ -407,6 +414,34 @@ def test_eval_rejects_mismatched_pair_counts(tmp_path):
     assert rc == 2
 
 
+def test_eval_refuses_truth_of_another_object_or_query(ws, tmp_path, capsys):
+    # A mug's prediction against a hammer's truth, then against its own
+    # truth recorded under another query: exit 3, one line naming both values.
+    paths = []
+    for name, query in (("object_0000", "grasp the handle"), ("object_0001", "strike a nail")):
+        paths.append(tmp_path / f"{name}.json")
+        assert cli.main(["ground", "--ground-truth", "--object", str(ws.data / f"{name}.json"),
+                         "--query", query, "--out", str(paths[-1])]) == 0
+    mug, hammer = paths
+    record = json.loads(mug.read_text())
+    requeried = tmp_path / "requeried.json"
+    requeried.write_text(json.dumps({**record, "query": "strike a nail"}))
+    out = tmp_path / "eval.csv"
+    capsys.readouterr()
+    for gt, field in ((hammer, "object_id"), (requeried, "query")):
+        assert cli.main(["eval", "--pred", str(mug), "--gt", str(gt), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip()
+        theirs = json.loads(gt.read_text())[field]
+        assert len(err.splitlines()) == 1 and record[field] in err and theirs in err
+        assert not out.exists()
+    # A bare heatmap records neither, so it pairs with any ground output.
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(record["heatmap"]))
+    for pred, gt in ((bare, hammer), (mug, bare)):
+        assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 0
+    assert _read_csv(out)[0]["object"] == record["object_id"]
+
+
 # --- config handling and exit codes ----------------------------------------------
 
 
@@ -474,12 +509,32 @@ def test_bad_run_config_value_exits_2(tmp_path, capsys, field, value):
     assert "Traceback" not in err and field in err
 
 
-@pytest.mark.parametrize("field, limit", [("resolution", MAX_RESOLUTION), ("channels", MAX_CHANNELS)])
-@pytest.mark.parametrize("past", [1, 10**400], ids=["one-past", "int1e400"])
-@pytest.mark.parametrize("trainer", [False, True], ids=["top", "and-trainer"])
-def test_grid_size_past_its_limit_exits_2(tmp_path, capsys, field, limit, past, trainer):
-    value = limit + 1 if past == 1 else past
-    config = {field: value, **({"trainer": {field: value}} if trainer else {})}
+#: (where, field, limit): "top" sets the field at the top level,
+#: "and-trainer" there and under ``trainer``, "trainer" under ``trainer`` only.
+SIZE_LIMITS = [
+    ("top", "resolution", MAX_RESOLUTION),
+    ("top", "channels", MAX_CHANNELS),
+    ("top", "image_size", MAX_IMAGE_SIZE),
+    ("and-trainer", "resolution", MAX_RESOLUTION),
+    ("and-trainer", "channels", MAX_CHANNELS),
+    ("trainer", "view_pixels", MAX_IMAGE_SIZE),
+    ("trainer", "hidden", MAX_HIDDEN),
+    ("trainer", "depth", MAX_DEPTH),
+]
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        pytest.param(where, field, value, id=f"{where}-{past}-{field}-{limit}")
+        for where, field, limit in SIZE_LIMITS
+        for past, value in (("one-past", limit + 1), ("int1e400", 10**400))
+    ],
+)
+def test_grid_size_past_its_limit_exits_2(tmp_path, capsys, where, field, value):
+    config = {} if where == "trainer" else {field: value}
+    if where != "top":
+        config["trainer"] = {field: value}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     rc = cli.main(["gen-dataset", "--count", "1", "--config", str(bad),
@@ -698,6 +753,15 @@ def _replaced(path, value):
     return mutate
 
 
+def _chained(*mutations):
+    """A mutation that applies ``mutations`` in order."""
+    def mutate(record):
+        for m in mutations:
+            record = m(record)
+        return record
+    return mutate
+
+
 def _dropped(path):
     """A mutation that deletes the item at ``path`` (keys and list indices)."""
     def mutate(record):
@@ -805,6 +869,8 @@ def _torus_head(major_radius):
         ("heatmap", _replaced(("heatmap", "logits"), "false"), 3),
         ("heatmap", _replaced(("heatmap", "logits"), True), 3),
         ("heatmap", _replaced(("heatmap", "logits"), 0), 3),
+        ("heatmap", _chained(_replaced(("heatmap", "positions"), [[], []]),
+                             _replaced(("heatmap", "values"), [])), 3),
         ("occupancy", _half_cell_x(("occupied",)), 3),
         ("occupancy", _replaced(("resolution",), 8.5), 3),
         ("occupancy", _replaced(("resolution",), "8"), 3),
@@ -829,7 +895,7 @@ def _torus_head(major_radius):
          "checkpoint-seed-1e300", "checkpoint-depth-1e308", "checkpoint-empty-bias",
          "occupancy-index-1e308", "heatmap-position-1e308", "heatmap-positions-half-cell",
          "heatmap-resolution-8.5", "heatmap-logits-str-false", "heatmap-logits-true",
-         "heatmap-logits-0", "occupancy-half-cell", "occupancy-resolution-8.5",
+         "heatmap-logits-0", "heatmap-positions-without-coordinates", "occupancy-half-cell", "occupancy-resolution-8.5",
          "occupancy-resolution-str", "occupancy-object-id-other", "occupancy-object-id-int",
          "heatmap-object-id-list", "heatmap-query-int"],
 )

@@ -451,7 +451,13 @@ def test_trainer_config_validation():
     ):
         with pytest.raises(ConfigError):
             nc.TrainerConfig(**bad)
-    for field, limit in (("resolution", nc.MAX_RESOLUTION), ("channels", nc.MAX_CHANNELS)):
+    for field, limit in (
+        ("resolution", nc.MAX_RESOLUTION),
+        ("channels", nc.MAX_CHANNELS),
+        ("view_pixels", nc.MAX_IMAGE_SIZE),
+        ("hidden", nc.MAX_HIDDEN),
+        ("depth", nc.MAX_DEPTH),
+    ):
         assert getattr(nc.TrainerConfig(**{field: limit}), field) == limit
         with pytest.raises(ConfigError, match=f"^trainer {field} must lie in"):
             nc.TrainerConfig(**{field: limit + 1})

@@ -26,7 +26,7 @@ from voxaff.errors import (
 from voxaff.flow import FlowConfig, cfg_combine, euler_sample, sigmoid
 from voxaff.geometry import Viewpoint, _up_for, eval_intrinsics, hemisphere_candidates, look_at
 from voxaff.netcore import PE_DIM, VelocityModel, forward
-from voxaff.render import DepthImage, render_views
+from voxaff.render import Image, render_views
 from voxaff.synthscene import (
     default_query_table,
     generate_object,
@@ -175,7 +175,7 @@ def test_reconstruct_with_an_untrained_model_returns_the_noise():
 def _blank_observation(size=16):
     """A view that sees nothing: zero depth and zero features."""
     return (
-        DepthImage(width=size, height=size, values=np.zeros((size, size))),
+        Image(np.zeros((size, size))),
         np.zeros((size, size, CHANNELS)),
         _view(image_size=size)[0],
     )
@@ -369,7 +369,7 @@ def test_ground_seed_and_rng_sensitivity():
 def _rendered_scores(heat, views):
     """Each view's total affordance render over the heatmap's own lattice."""
     occ = occupancy_cube(heat.positions, heat.resolution)
-    return tuple(rd.render_affordance(occ, heat, view).total() for view in views)
+    return tuple(float(rd.render_affordance(occ, heat, view).values.sum()) for view in views)
 
 
 def test_visibility_score_zero_heat_is_zero():

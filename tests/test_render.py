@@ -17,7 +17,7 @@ import voxaff.pipeline as pl
 import voxaff.render as rd
 import voxaff.synthscene as sc
 from oracles import heatmap_from_entries, occupancy_cube, raycast_depth
-from voxaff.errors import CameraInsideCubeError, DomainError
+from voxaff.errors import CameraInsideCubeError, DomainError, ShapeMismatchError
 from voxaff.geometry import (
     CameraIntrinsics,
     Pose,
@@ -350,7 +350,7 @@ def test_render_affordance_reads_first_hit_value():
     expect = np.zeros(hit.shape[0])
     expect[hit] = (cells[hit] == [2, 4, 4]).all(axis=1) * 0.7
     assert np.array_equal(img.values.ravel(), expect)
-    assert img.total() > 0
+    assert img.values.sum() > 0
 
 
 def test_render_affordance_respects_occlusion():
@@ -361,7 +361,7 @@ def test_render_affordance_respects_occlusion():
     heat = heatmap_from_entries(r, {(6, 4, 4): 1.0})
     view = _axis_view(0, -1, eval_intrinsics(48))
     img = rd.render_affordance(occupancy_cube(hidden, r), heat, view)
-    assert img.total() == 0.0
+    assert img.values.sum() == 0.0
 
 
 def test_render_affordance_never_hits_heat_off_the_lattice():
@@ -395,19 +395,26 @@ def _truth_cube(seed: int, r: int) -> np.ndarray:
     return sc.ground_truth_occupancy(sc.generate_object(seed), r)
 
 
+def _assert_first_hits_match_reference(got, want, rays):
+    """First hits ``(hit, t, axis)`` equal the reference's arrays bit for
+    bit, dtypes included, and on every hit the face sign that
+    ``render_views`` derives from the ray direction equals the reference's."""
+    hit, t, _, axis, sign = want[:5]
+    assert len(got) == 3
+    for a, b in zip(got, (hit, t, axis)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(-np.sign(rays.dg[hit, axis[hit]]), sign[hit])
+
+
 def _assert_march_matches_reference(view, r, occupancies):
-    """``rd._march`` equals the reference walk array by array, dtypes
-    included: to the first hit in each occupancy, and to the cube exit."""
+    """``rd._march`` equals the reference walk: to the first hit in each
+    occupancy, and array for array, dtype included, to the cube exit."""
     rays = rd._ray_setup(view, r)
-    for occ in (*occupancies, None):
-        with np.errstate(invalid="ignore"):  # the reference's 0/0 on a parallel axis
-            want = _reference_march(rays, r, occ)
-        got = rd._march(rays, r, occ)
-        if occ is None:
-            got, want = (got,), (want,)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    with np.errstate(invalid="ignore"):  # the reference's 0/0 on a parallel axis
+        want = _reference_march(rays, r)
+    got = rd._march(rays, r)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    _assert_march_matches_reference_first_hits([view], r, occupancies)
 
 
 @pytest.mark.parametrize("r", [8, 16])
@@ -623,10 +630,7 @@ def _assert_march_matches_reference_first_hits(views, r, occupancies):
         for occ in occupancies:
             with np.errstate(invalid="ignore"):  # the reference's 0/0 on a parallel axis
                 want = _reference_march(rays, r, occ)
-            got = rd._march(rays, r, occ)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            _assert_first_hits_match_reference(rd._march(rays, r, occ), want, rays)
 
 
 def test_render_views_with_a_given_occupancy_matches_the_built_one():
@@ -645,8 +649,9 @@ def test_render_views_with_a_given_occupancy_matches_the_built_one():
 
 
 def _assert_table_matches_march(occupied, r, view, rng):
-    """First hits read from the table equal those of the march: the affordance
-    render's hit mask, cell and heat, and every array the depth renders use."""
+    """First hits read from the table equal those of the reference march: the
+    affordance render's hit mask, cell and heat, and every array the depth
+    renders use."""
     occupied = np.asarray(occupied, dtype=np.int64).reshape(-1, 3)
     strides = np.array([1, r, r * r])
     occ = occupancy_cube(occupied, r)
@@ -668,9 +673,9 @@ def _assert_table_matches_march(occupied, r, view, rng):
     values[heat.positions @ strides] = heat.values
     expect = np.where(hit, values[first], 0.0).reshape(view.intrinsics.height, -1)
     assert np.array_equal(rd.render_affordance(occ, heat, view).values, expect)
-    read = rd._read_table(rd._cached_ray_table(view, r), rd._ray_setup(view, r), r, occ)
-    for got, want in zip(read, marched):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    rays = rd._ray_setup(view, r)
+    read = rd._read_table(rd._cached_ray_table(view, r), rays, r, occ)
+    _assert_first_hits_match_reference(read, marched, rays)
 
 
 def _assert_render_views_matches_march(obj, r, view):
@@ -877,9 +882,7 @@ def _reference_render_affordance(occ, heat: AffordanceHeatmap, view: Viewpoint):
     first_cell = np.append(table.cells, r**3)[first]
     out = np.append(0.0, values[first_cell])[table.rows]
     intr = view.intrinsics
-    return rd.ScalarImage(
-        width=intr.width, height=intr.height, values=out.reshape(intr.height, intr.width)
-    )
+    return rd.Image(out.reshape(intr.height, intr.width))
 
 
 def _assert_scoring_matches_reference(occ, heat, view):
@@ -888,7 +891,7 @@ def _assert_scoring_matches_reference(occ, heat, view):
     got = rd.render_affordance(occ, heat, view)
     want = _reference_render_affordance(occ, heat, view)
     assert np.array_equal(got.values, want.values)
-    assert got.total() == want.total()
+    assert got.values.sum() == want.values.sum()
     table = rd._ray_table(view, heat.resolution)
     occ = occ.ravel(order="F")
     crosses, first = rd._first_occupied(table, occ)
@@ -940,7 +943,7 @@ def test_scoring_matches_reference_when_every_ray_misses():
     heat = _random_heat(truth, 8, np.random.default_rng(41))
     occ = occupancy_cube(truth, 8)
     _assert_scoring_matches_reference(occ, heat, view)
-    assert rd.render_affordance(occ, heat, view).total() == 0.0
+    assert rd.render_affordance(occ, heat, view).values.sum() == 0.0
 
 
 def test_scoring_matches_reference_on_a_filled_cube():
@@ -954,10 +957,14 @@ def test_scoring_matches_reference_on_a_filled_cube():
         _assert_scoring_matches_reference(occupancy_cube(full, r), _random_heat(full, r, rng), view)
 
 
-def test_scalar_image_total_and_validation():
-    img = rd.ScalarImage(width=2, height=2, values=np.array([[0.25, 0.5], [0.0, 1.0]]))
-    assert img.total() == pytest.approx(1.75)
-    with pytest.raises(DomainError):
-        rd.DepthImage(width=2, height=2, values=-np.ones((2, 2)))
-    with pytest.raises(Exception):
-        rd.ScalarImage(width=3, height=2, values=np.zeros((2, 2)))
+def test_image_refuses_negative_non_finite_and_non_2d_values():
+    values = np.array([[0.25, 0.5], [0.0, 1.0]])
+    img = rd.Image(values)
+    values[0, 0] = 9.0
+    assert img.values[0, 0] == 0.25 and not img.values.flags.writeable
+    for bad in (-np.ones((2, 2)), np.full((2, 2), np.nan), np.full((2, 2), np.inf)):
+        with pytest.raises(DomainError):
+            rd.Image(bad)
+    for bad in (np.zeros(4), np.zeros((2, 2, 1)), 0.0):
+        with pytest.raises(ShapeMismatchError):
+            rd.Image(bad)

@@ -357,6 +357,13 @@ class TestAsIndexArray:
             arr = vx.as_index_array(empty, 4)
             assert arr.shape == (0, 3) and arr.dtype == np.int64
 
+    def test_empty_rows_of_another_width_rejected(self):
+        # Only [] and shape (0, 3) are the empty set: [[], []] holds two
+        # rows without coordinates.
+        for occupied in ([[], []], np.zeros((2, 0)), np.zeros((0, 5)), np.zeros((0, 3, 1))):
+            with pytest.raises(DomainError, match="must have shape"):
+                vx.as_index_array(occupied, 4)
+
     def test_ragged_input_raises_value_error(self):
         for occupied in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)]):
             with pytest.raises(ValueError):
