@@ -394,12 +394,12 @@ MAX_CHANNELS = 1024
 #: ``view_pixels``): at 1,024 one 16-channel float64 view is 134 MB.
 MAX_IMAGE_SIZE = 1024
 
-#: Largest accepted hidden width: a 512-token training step holds several
-#: 512 x hidden float64 activations, 4 MB each at 1,024.
+#: Largest accepted hidden width: each hidden layer holds a hidden x hidden
+#: float64 weight, 8 MB at 1,024, and Adam keeps two moments beside it.
 MAX_HIDDEN = 1024
 
-#: Largest accepted hidden depth: every layer is one more matmul per
-#: token in each forward and backward pass, 8 times the shipped 2 at 16.
+#: Largest accepted hidden depth: each layer adds a matmul per token to
+#: every forward and backward pass; 16 is 8 times the shipped depth of 2.
 MAX_DEPTH = 16
 
 

@@ -77,7 +77,7 @@ class Image:
     values: Array  # (height, width) float64, finite and non-negative
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a private copy
         if values.ndim != 2:
             raise ShapeMismatchError(f"image values must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
